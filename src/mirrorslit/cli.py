@@ -80,15 +80,22 @@ def load_apparatus(section: dict) -> Apparatus:
         raise ConfigError(str(exc)) from exc
 
 
+def _load_seed(section: dict, args) -> int:
+    """The section's seed, overridden by ``--seed``; the RNG takes only
+    non-negative seeds."""
+    seed = args.seed if args.seed is not None else int(section.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
     f_s = fringe_spacing(app)
     x_min = float(section.get("x_min", -3.0 * f_s))
     x_max = float(section.get("x_max", 3.0 * f_s))
     positions = int(section.get("positions", 41))
     photons = int(section.get("photons_per_position", 10_000))
-    seed = int(section.get("seed", 0))
-    if args.seed is not None:
-        seed = args.seed
+    seed = _load_seed(section, args)
     freeze = bool(section.get("freeze_detectors", False)) or args.freeze_detectors
     if x_min >= x_max:
         raise ConfigError("scan x_min must be below x_max")
@@ -125,7 +132,9 @@ def load_hypothesis(section: dict, args) -> OutcomeHypothesis:
         raise ConfigError(str(exc)) from exc
 
 
-def load_search_space(section: dict, app: Apparatus) -> tuple[SearchSpace, int, int]:
+def load_search_space(
+    section: dict, app: Apparatus, args
+) -> tuple[SearchSpace, int, int]:
     def interval(key: str, default: float) -> tuple[float, float]:
         raw = section.get(key, [default, default])
         if isinstance(raw, (int, float)):
@@ -148,8 +157,7 @@ def load_search_space(section: dict, app: Apparatus) -> tuple[SearchSpace, int, 
     except design.DesignError as exc:
         raise ConfigError(str(exc)) from exc
     samples = int(section.get("samples", 64))
-    seed = int(section.get("seed", 0))
-    return space, samples, seed
+    return space, samples, _load_seed(section, args)
 
 
 def _timestamp_lines(args) -> list[str]:
@@ -183,11 +191,9 @@ def cmd_scan(config: dict, args, out: Path) -> int:
         return EXIT_INFEASIBLE
     lines = _timestamp_lines(args) + [CURVES_HEADER]
     for x in scan.x_positions:
-        lines.append(
-            f"{x:.9e},{screen_intensity(app, float(x)):.9e},"
-            f"{detector_intensity(app, float(x), 1):.9e},"
-            f"{detector_intensity(app, float(x), 2):.9e}"
-        )
+        # the two detector intensities are identical by construction
+        detector = f"{detector_intensity(app, float(x), 1):.9e}"
+        lines.append(f"{x:.9e},{screen_intensity(app, float(x)):.9e},{detector},{detector}")
     (out / "curves.csv").write_text("\n".join(lines) + "\n")
     print(f"curves written to {out / 'curves.csv'}")
     return EXIT_OK
@@ -236,10 +242,8 @@ def cmd_simulate(config: dict, args, out: Path) -> int:
 def cmd_search(config: dict, args, out: Path) -> int:
     app = load_apparatus(_require_mapping(config.get("apparatus"), "apparatus"))
     space, samples, seed = load_search_space(
-        _require_mapping(config.get("search"), "search"), app
+        _require_mapping(config.get("search"), "search"), app, args
     )
-    if args.seed is not None:
-        seed = args.seed
     result = design.design_search(space, samples, seed)
     if result is None:
         print("no feasible apparatus found", file=sys.stderr)

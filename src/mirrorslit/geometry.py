@@ -12,7 +12,6 @@ cross-check outputs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,8 +322,3 @@ def clearance_angles(
     b2 = abs(signed_angle(n, unit(layout.d1_left - p)))
     delta2 = b1 - b2
     return delta1, delta2
-
-
-def warn_if_outside_regime(app: Apparatus) -> None:
-    for msg in app.regime_warnings():
-        warnings.warn(msg, stacklevel=2)

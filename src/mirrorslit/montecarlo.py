@@ -1,10 +1,17 @@
 """Seeded single-photon Monte Carlo of the mirror scan.
 
 Each photon picks a slit at random, survives an acceptance test against the
-fringe rate implied by the outcome hypothesis, lands somewhere on the
+fringe rate implied by the outcome hypothesis, lands uniformly on the
 mirror, and is routed purely geometrically: the reflected ray either
 crosses one detector aperture segment or misses both.  Mis-detection is
 therefore an emergent geometric event, not a modelling input.
+
+Routing is computed in closed form rather than ray by ray.  A flat mirror
+reflects each slit as a mirror-image source, so the mirror points that send
+slit s into detector d form one interval of the mirror; its length fraction
+f_sd, the slit probability 1/2 and the fringe rate give the probability of
+each outcome, and one multinomial draw per scan position yields all the
+counts.  The cost per position does not depend on the photon count.
 
 Every scan position owns an independent random substream keyed by
 (seed, position index), so totals are reproducible regardless of the order
@@ -52,6 +59,8 @@ class ScanConfig:
             raise ScanError("scan positions must be strictly increasing")
         if self.photons_per_position < 1:
             raise ScanError("photons_per_position must be >= 1")
+        if self.seed < 0:
+            raise ScanError(f"seed must be >= 0, got {self.seed}")
 
     def max_spacing(self) -> float:
         return float(np.max(np.diff(self.x_positions)))
@@ -115,59 +124,68 @@ def _acceptance_rate(app: Apparatus, x: float, v: float) -> float:
     return 0.5 * (1.0 + v * np.cos(k * (d1 - d2) + 2.0 * (g1 - g2)))
 
 
-def _route_rays(
-    origins: np.ndarray, directions: np.ndarray, layout: DetectorLayout
-) -> np.ndarray:
-    """Vectorized ray vs aperture-segment intersection.
+def _mirror_interval(
+    half: float, image: tuple[float, float], a: tuple[float, float], b: tuple[float, float]
+) -> tuple[float, float]:
+    """Mirror coordinates, clipped to [-half, half], of the points whose
+    reflected rays cross the aperture segment a-b.
 
-    Returns the detector index (1 or 2) crossed by each ray, 0 for neither.
+    Points are (along, height) coordinates in the mirror frame (see
+    ``routing_fractions``).  A reflected ray runs on the line from the
+    source's image through the mirror point, beyond it, so it can only
+    reach the part of the segment on the side of the mirror line opposite
+    the image.  That part, projected from the image onto the mirror line,
+    is the interval.  It is empty when the returned lower end is not below
+    the upper one.
     """
-    hit = np.zeros(len(origins), dtype=np.int64)
-    for idx, (left, right) in (
-        (1, (layout.d1_left, layout.d1_right)),
-        (2, (layout.d2_left, layout.d2_right)),
-    ):
-        seg = right - left
-        rel = left - origins
-        denom = directions[:, 0] * (-seg[1]) - directions[:, 1] * (-seg[0])
-        ok = np.abs(denom) > 0
-        t = np.where(ok, (rel[:, 0] * (-seg[1]) + rel[:, 1] * seg[0]) / denom, -1.0)
-        s = np.where(
-            ok,
-            (directions[:, 0] * rel[:, 1] - directions[:, 1] * rel[:, 0]) / denom,
-            -1.0,
-        )
-        crossed = (t > 0) & (s >= 0.0) & (s <= 1.0)
-        hit = np.where(crossed & (hit == 0), idx, hit)
-    return hit
+    t_img, h_img = image
+    (ta, ha), (tb, hb) = a, b
+    # negative on the reflecting side; the projection below divides by
+    # h_img - h, which is then never zero
+    ga, gb = ha * h_img, hb * h_img
+    if ga >= 0.0 and gb >= 0.0:
+        return half, -half
+    if ga >= 0.0 or gb >= 0.0:
+        k = ha / (ha - hb)
+        crossing = (ta + k * (tb - ta), 0.0)
+        if ga >= 0.0:
+            ta, ha = crossing
+        else:
+            tb, hb = crossing
+    ua = t_img + (ta - t_img) * h_img / (h_img - ha)
+    ub = t_img + (tb - t_img) * h_img / (h_img - hb)
+    return max(min(ua, ub), -half), min(max(ua, ub), half)
 
 
-def photon_event(
-    app: Apparatus,
-    x: float,
-    hyp: OutcomeHypothesis,
-    rng: np.random.Generator,
-    layout: DetectorLayout | None = None,
-) -> tuple[int, int, bool]:
-    """Simulate one photon at scan position x.
+def routing_fractions(app: Apparatus, x: float, layout: DetectorLayout) -> np.ndarray:
+    """Share of the mirror length that routes each slit into each detector.
 
-    Returns (detector, slit, misdetected) where detector is 1, 2, or 0 when
-    the photon is not detected (rejected by the fringe rate, or its
-    reflected ray misses both apertures).
+    ``f[s - 1, d - 1]`` is the fraction of mirror points, uniform along the
+    mirror at scan position x, whose reflection of a ray from slit s
+    crosses the aperture of detector d.  A flat mirror reflects slit s as
+    its mirror image s' = s - 2((s - c).n) n (the image-source method), so
+    each (slit, detector) pair is hit from one interval of the mirror.  A
+    ray that crosses both apertures counts at detector 1.
+
+    Points are taken in the mirror frame, (along, height) = ((p - c).along,
+    (p - c).n) about the mirror centre c, where the image of a slit is the
+    slit with its height negated.
     """
-    if layout is None:
-        layout = geometry.detector_layout(app, x)
-    slit = 1 if rng.random() < 0.5 else 2
-    v = hypothesis_visibility(hyp)
-    if rng.random() >= _acceptance_rate(app, x, v):
-        return 0, slit, False
     pl = geometry.mirror_placement(app, x)
-    p = pl.end_low + rng.random() * (pl.end_high - pl.end_low)
-    source = app.slits()[slit - 1]
-    direction = geometry.reflect_direction(geometry.unit(p - source), pl.normal)
-    detector = int(_route_rays(p[None, :], direction[None, :], layout)[0])
-    misdetected = detector != 0 and detector != slit
-    return detector, slit, misdetected
+    points = np.array(
+        [*app.slits(), layout.d1_left, layout.d1_right, layout.d2_left, layout.d2_right]
+    )
+    rel = points - pl.center
+    frame = list(zip((rel @ pl.along).tolist(), (rel @ pl.normal).tolist()))
+    half = app.mirror_width / 2
+    f = np.zeros((2, 2))
+    for i, (t_s, h_s) in enumerate(frame[:2]):
+        image = (t_s, -h_s)
+        lo1, hi1 = _mirror_interval(half, image, frame[2], frame[3])
+        lo2, hi2 = _mirror_interval(half, image, frame[4], frame[5])
+        both = max(min(hi1, hi2) - max(lo1, lo2), 0.0)
+        f[i] = max(hi1 - lo1, 0.0), max(hi2 - lo2, 0.0) - both
+    return f / app.mirror_width
 
 
 def _simulate_position(
@@ -178,28 +196,19 @@ def _simulate_position(
     rng: np.random.Generator,
     layout: DetectorLayout,
 ) -> tuple[int, int, int]:
-    """Batch photon simulation at one position: (n1, n2, misdetected)."""
-    slits = rng.integers(1, 3, size=n_photons)
-    accept = rng.random(n_photons) < _acceptance_rate(app, x, v)
-    mirror_frac = rng.random(n_photons)
+    """Photon counts at one position: (n1, n2, misdetected).
 
-    slits = slits[accept]
-    mirror_frac = mirror_frac[accept]
-    if slits.size == 0:
-        return 0, 0, 0
-    pl = geometry.mirror_placement(app, x)
-    points = pl.end_low[None, :] + mirror_frac[:, None] * (pl.end_high - pl.end_low)
-    s1, s2 = app.slits()
-    sources = np.where((slits == 1)[:, None], s1[None, :], s2[None, :])
-    incident = points - sources
-    incident /= np.linalg.norm(incident, axis=1, keepdims=True)
-    n = pl.normal
-    directions = incident - 2.0 * (incident @ n)[:, None] * n[None, :]
-    hits = _route_rays(points, directions, layout)
-    n1 = int(np.sum(hits == 1))
-    n2 = int(np.sum(hits == 2))
-    mis = int(np.sum((hits != 0) & (hits != slits)))
-    return n1, n2, mis
+    Each photon takes either slit with probability 1/2 and survives the
+    fringe rate with probability r, so the outcome (slit s, detector d)
+    has probability r/2 f_sd; one multinomial draw gives every count.
+    """
+    p = 0.5 * _acceptance_rate(app, x, v) * routing_fractions(app, x, layout).ravel()
+    # rounding can carry the sum of p a hair past 1 when the routed shares
+    # cover the whole mirror; numpy rejects a negative last probability
+    c11, c12, c21, c22, _ = rng.multinomial(
+        n_photons, [*p.tolist(), max(1.0 - float(p.sum()), 0.0)]
+    ).tolist()
+    return c11 + c21, c12 + c22, c12 + c21
 
 
 def simulate_scan(
@@ -225,14 +234,17 @@ def simulate_scan(
         n1, n2, mis = _simulate_position(
             app, float(x), config.photons_per_position, v, rng, layout
         )
+        # detector 2 sees the mirror image of detector 1's phase, and cos is
+        # even, so one evaluation serves both columns
+        intensity = detector_intensity(app, float(x), 1)
         records.append(
             ScanRecord(
                 x=float(x),
                 n1=n1,
                 n2=n2,
                 misdetected=mis,
-                i1_theory=detector_intensity(app, float(x), 1),
-                i2_theory=detector_intensity(app, float(x), 2),
+                i1_theory=intensity,
+                i2_theory=intensity,
             )
         )
         total_mis += mis

@@ -196,6 +196,25 @@ class TestSimulateCommand:
         assert summary["seed"] == 9
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "command,section,extra",
+        [
+            ("simulate", {"scan": {"photons_per_position": 10}}, ("--seed", "-1")),
+            ("simulate", {"scan": {"photons_per_position": 10, "seed": -2}}, ()),
+            ("search", {"search": {"samples": 2}}, ("--seed", "-1")),
+            ("search", {"search": {"samples": 2, "seed": -2}}, ()),
+        ],
+        ids=["simulate-flag", "simulate-config", "search-flag", "search-config"],
+    )
+    def test_exits_one_with_error_line(self, tmp_path, capsys, command, section, extra):
+        code, _ = run(tmp_path, command, section, *extra)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "seed" in err[0]
+
+
 class TestSearchCommand:
     def test_singleton_space(self, tmp_path):
         payload = {"search": {"samples": 2}}

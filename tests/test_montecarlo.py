@@ -10,7 +10,6 @@ from mirrorslit.montecarlo import (
     ScanError,
     compare_distributions,
     conventional_scan,
-    photon_event,
     simulate_scan,
 )
 from mirrorslit.wavemodel import (
@@ -19,7 +18,9 @@ from mirrorslit.wavemodel import (
     OutcomeHypothesis,
     duality_check,
     DualityPoint,
+    hypothesis_visibility,
 )
+from oracle import photon_event, traced_fractions, traced_position
 
 FULL = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
 EXCLUSIVE = OutcomeHypothesis(HypothesisKind.EXCLUSIVE)
@@ -38,6 +39,10 @@ class TestScanConfig:
     def test_photon_count_positive(self, scan_grid):
         with pytest.raises(ScanError):
             ScanConfig(scan_grid, 0, 0)
+
+    def test_negative_seed_rejected(self, scan_grid):
+        with pytest.raises(ScanError):
+            ScanConfig(scan_grid, 10, -1)
 
     def test_coarse_grid_rejected(self, app, f_s):
         cfg = ScanConfig(np.linspace(-3 * f_s, 3 * f_s, 7), 10, 0)
@@ -71,6 +76,78 @@ class TestPhotonEvent:
 
         assert _acceptance_rate(app, 0.0, 1.0) == pytest.approx(1.0, abs=1e-5)
         assert _acceptance_rate(app, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def assert_matches_ray_trace(app, x, layout):
+    # 2e5 rays per slit, seed 12, tolerance 5 sigma of the binomial
+    # estimate around the closed form (exact agreement where it is 0)
+    n_rays = 200_000
+    exact = montecarlo.routing_fractions(app, x, layout)
+    traced = traced_fractions(app, x, layout, n_rays, np.random.default_rng(12))
+    sigma = np.sqrt(exact * (1.0 - exact) / n_rays)
+    assert np.all(np.abs(traced - exact) <= 5.0 * sigma), (exact, traced)
+
+
+class TestClosedFormRouting:
+    @pytest.mark.parametrize("width", [0.10e-3, 0.26e-3, 0.60e-3])
+    @pytest.mark.parametrize("x_over_fs", [0.0, 0.05, 0.2, 3.0])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["reaimed", "frozen"])
+    def test_matches_ray_trace(self, app, f_s, width, x_over_fs, frozen):
+        # The frozen layout off-centre (F_s/20, F_s/5) is where the mirror
+        # ends clip the intervals and slit 1 is routed into detector 2.
+        app = replace(app, mirror_width=width)
+        x = x_over_fs * f_s
+        layout = geometry.detector_layout(app, 0.0 if frozen else x)
+        assert_matches_ray_trace(app, x, layout)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            # detector 2 behind detector 1: some rays cross both apertures
+            {"arm2": 10.0, "aperture": 8e-3, "mirror_width": 0.26e-3},
+            # apertures so close that they cross the mirror line
+            {"arm1": 1e-3, "arm2": 1e-3, "aperture": 2.5e-3, "mirror_width": 6e-3},
+        ],
+        ids=["shadowed", "straddling"],
+    )
+    def test_matches_ray_trace_unusual_layouts(self, app, changes):
+        app = replace(app, **changes)
+        assert_matches_ray_trace(app, 0.0, geometry.detector_layout(app, 0.0))
+
+    @pytest.mark.parametrize(
+        "width,x_over_fs,frozen",
+        [(0.10e-3, 0.1, True), (0.60e-3, 3.0, False)],
+        ids=["frozen-one-way", "wide-reaimed"],
+    )
+    def test_counts_match_per_photon_oracle(self, app, f_s, width, x_over_fs, frozen):
+        # The frozen layout at F_s/10 routes slit 1 into detector 2 only, so
+        # detector tallies differ from slit tallies; the 0.6 mm mirror routes
+        # both ways.  Seed 13, 10^6 photons per side, partial:0.6, tolerance
+        # 5 sigma of the difference of two binomial counts.
+        app = replace(app, mirror_width=width)
+        x = x_over_fs * f_s
+        layout = geometry.detector_layout(app, 0.0 if frozen else x)
+        v = hypothesis_visibility(OutcomeHypothesis(HypothesisKind.PARTIAL, 0.6))
+        n = 1_000_000
+        rng = np.random.default_rng(13)
+        traced = np.array(traced_position(app, x, n, v, rng, layout))
+        closed = np.array(montecarlo._simulate_position(app, x, n, v, rng, layout))
+        assert traced[1] > 0 and traced[2] > 0
+        p = (traced + closed) / (2 * n)
+        sigma = np.sqrt(2 * n * p * (1.0 - p))
+        assert np.all(np.abs(traced - closed) <= 5.0 * sigma), (traced, closed)
+
+    def test_cross_routing_exactly_zero_on_bench_grid(self, app, scan_grid):
+        # criterion 05 without sampling noise: on the re-aimed 41-point
+        # +-3 F_s grid no mirror point sends a slit into the other detector
+        for x in scan_grid:
+            f = montecarlo.routing_fractions(app, x, geometry.detector_layout(app, x))
+            assert f[0, 1] == 0.0 and f[1, 0] == 0.0
+            assert f[0, 0] > 0.0 and f[1, 1] > 0.0
+        wide = replace(app, mirror_width=0.6e-3)
+        for x in scan_grid:
+            f = montecarlo.routing_fractions(wide, x, geometry.detector_layout(wide, x))
+            assert f[0, 1] > 0.0 and f[1, 0] > 0.0
 
 
 class TestSimulateScan:
