@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -80,10 +81,24 @@ def load_apparatus(section: dict) -> Apparatus:
         raise ConfigError(str(exc)) from exc
 
 
+def _number(key: str, value, convert=float):
+    """``convert(value)`` for config field ``key``, reporting a value that is
+    not a finite number as a ConfigError."""
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"field '{key}' must be a finite number, got {value!r}")
+    return number
+
+
 def _load_seed(section: dict, args) -> int:
     """The section's seed, overridden by ``--seed``; the RNG takes only
     non-negative seeds."""
-    seed = args.seed if args.seed is not None else int(section.get("seed", 0))
+    seed = args.seed
+    if seed is None:
+        seed = _number("seed", section.get("seed", 0), int)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return seed
@@ -91,10 +106,12 @@ def _load_seed(section: dict, args) -> int:
 
 def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
     f_s = fringe_spacing(app)
-    x_min = float(section.get("x_min", -3.0 * f_s))
-    x_max = float(section.get("x_max", 3.0 * f_s))
-    positions = int(section.get("positions", 41))
-    photons = int(section.get("photons_per_position", 10_000))
+    x_min = _number("x_min", section.get("x_min", -3.0 * f_s))
+    x_max = _number("x_max", section.get("x_max", 3.0 * f_s))
+    positions = _number("positions", section.get("positions", 41), int)
+    photons = _number(
+        "photons_per_position", section.get("photons_per_position", 10_000), int
+    )
     seed = _load_seed(section, args)
     freeze = bool(section.get("freeze_detectors", False)) or args.freeze_detectors
     if x_min >= x_max:
@@ -106,7 +123,7 @@ def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
             seed=seed,
             freeze_detectors=freeze,
         )
-    except montecarlo.ScanError as exc:
+    except ValueError as exc:  # ScanError, or a negative count from linspace
         raise ConfigError(str(exc)) from exc
 
 
@@ -141,9 +158,9 @@ def load_search_space(
             raw = [raw, raw]
         if not (isinstance(raw, list) and len(raw) == 2):
             raise ConfigError(f"search field '{key}' must be a number or [lo, hi]")
-        return float(raw[0]), float(raw[1])
+        return _number(key, raw[0]), _number(key, raw[1])
 
-    x_max = float(section.get("x_max", 3.0 * fringe_spacing(app)))
+    x_max = _number("x_max", section.get("x_max", 3.0 * fringe_spacing(app)))
     try:
         space = SearchSpace(
             wavelength=interval("wavelength", app.wavelength),
@@ -156,7 +173,7 @@ def load_search_space(
         )
     except design.DesignError as exc:
         raise ConfigError(str(exc)) from exc
-    samples = int(section.get("samples", 64))
+    samples = _number("samples", section.get("samples", 64), int)
     return space, samples, _load_seed(section, args)
 
 
@@ -174,7 +191,7 @@ def _write_json(path: Path, payload: dict, args) -> None:
 
 def cmd_validate(config: dict, args, out: Path) -> int:
     app = load_apparatus(_require_mapping(config.get("apparatus"), "apparatus"))
-    x_max = float(config.get("x_max", 3.0 * fringe_spacing(app)))
+    x_max = _number("x_max", config.get("x_max", 3.0 * fringe_spacing(app)))
     report = design.validate(app, x_max)
     _write_json(out / "report.json", report.to_dict(), args)
     for line in report.warnings:
@@ -244,7 +261,10 @@ def cmd_search(config: dict, args, out: Path) -> int:
     space, samples, seed = load_search_space(
         _require_mapping(config.get("search"), "search"), app, args
     )
-    result = design.design_search(space, samples, seed)
+    try:
+        result = design.design_search(space, samples, seed)
+    except design.DesignError as exc:
+        raise ConfigError(str(exc)) from exc
     if result is None:
         print("no feasible apparatus found", file=sys.stderr)
         return EXIT_NO_RESULT

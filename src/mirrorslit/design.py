@@ -19,7 +19,6 @@ from .wavemodel import fringe_spacing
 
 _HALF_WIDTH_LO = 1e-6
 _HALF_WIDTH_HI = 2e-3
-_BISECT_TOL = 1e-7
 
 
 class DesignError(ValueError):
@@ -27,7 +26,7 @@ class DesignError(ValueError):
 
 
 class BracketError(DesignError):
-    """The clearance constraint never changes sign in the search range."""
+    """The grazing limit does not lie in the half-width search range."""
 
 
 @dataclass(frozen=True)
@@ -108,79 +107,75 @@ def sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
     f_s = fringe_spacing(app)
     if x0 <= 2.0 * f_s:
         raise DesignError(f"scan extent {x0} must exceed two fringe periods {2 * f_s}")
-    s1, s2 = app.slits()
-    y_screen = app.screen_distance
-    worst = 0.0
-    for x in np.linspace(0.0, x0, 101):
-        pl = geometry.mirror_placement(app, x)
-        feet = []
-        for endpoint, slit in ((pl.end_high, s1), (pl.end_low, s2)):
-            direction = endpoint - slit
-            t = (y_screen - slit[1]) / direction[1]
-            feet.append(slit[0] + t * direction[0])
-        worst = max(worst, abs(feet[0] - feet[1]))
-    return bool(worst < f_s / 2.0), float(worst)
-
-
-def _clearance_at_half_width(app: Apparatus, x: float, slit: int, h: float) -> float:
-    """Clearance margin at probe point M1 (slit 1) or M2 (slit 2) for a
-    hypothetical mirror of half-width h, detectors fixed at the same x.
-    Returned with sign flipped for slit 2 so that a root crossing means the
-    same thing for both: positive = safe, negative = mis-detection."""
-    widened = replace(app, mirror_width=2.0 * h)
-    pl = geometry.mirror_placement(widened, x)
-    layout = geometry.detector_layout(widened, x)
-    p = pl.end_high if slit == 1 else pl.end_low
-    d1, d2 = geometry.clearance_angles(widened, x, p, layout)
-    return d1 if slit == 1 else -d2
+    slits = np.array(app.slits())
+    along, _ = geometry.mirror_axes(app)
+    xs = np.linspace(0.0, x0, 101)
+    centers = np.column_stack([xs, np.full_like(xs, app.screen_distance)])
+    # axis 1: (high end, slit 1) and (low end, slit 2)
+    half = np.array([app.mirror_width / 2, -app.mirror_width / 2])
+    direction = centers[:, None, :] + half[:, None] * along - slits
+    t = (app.screen_distance - slits[:, 1]) / direction[..., 1]
+    feet = slits[:, 0] + t * direction[..., 0]
+    worst = float(np.max(np.abs(feet[:, 0] - feet[:, 1])))
+    return bool(worst < f_s / 2.0), worst
 
 
 def limiting_half_width(app: Apparatus, x: float, slit: int) -> float:
     """Mirror half-width at which the wrong-slit ray starts grazing the other
-    detector's aperture edge, found by bisection to 0.1 um.
+    detector's aperture edge, detectors fixed at the same x.
 
     Probe points follow the worst cases: the high end of the mirror for
-    slit 1, the low end for slit 2.  Raises BracketError when the
-    constraint never binds below 2 mm (then the sampling width governs).
+    slit 1, the low end for slit 2.  The mirror reflects the slit as its
+    image source, so the ray from the probe point that grazes the near
+    aperture edge of the other detector (d2_right for slit 1, d1_left for
+    slit 2) lies on the line from the image through that edge; the probe
+    point is where that line crosses the mirror line.  Raises BracketError
+    when that point is not between 1 um and 2 mm from the centre on the
+    probe side (then the sampling width governs).
     """
     if slit not in (1, 2):
         raise DesignError("slit must be 1 or 2")
+    layout = geometry.detector_layout(app, x)
+    edge = layout.d2_right if slit == 1 else layout.d1_left
+    (t_s, h_s), edge_frame = geometry.mirror_frame(
+        geometry.mirror_placement(app, x), [app.slits()[slit - 1], edge]
+    )
+    along = geometry.project_from_image((t_s, -h_s), edge_frame)
+    half_width = along if slit == 1 else -along
     lo, hi = _HALF_WIDTH_LO, _HALF_WIDTH_HI
-    f_lo = _clearance_at_half_width(app, x, slit, lo)
-    f_hi = _clearance_at_half_width(app, x, slit, hi)
-    if f_lo * f_hi > 0:
+    if not lo <= half_width <= hi:
         raise BracketError(
-            "clearance margin does not change sign in "
-            f"[{lo}, {hi}] m (values {f_lo:.3g}, {f_hi:.3g}); "
+            f"grazing limit {half_width:.3g} m not within [{lo}, {hi}] m; "
             "width is limited by the sampling constraint instead"
         )
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = _clearance_at_half_width(app, x, slit, mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return half_width
+
+
+def _required_width(app: Apparatus, w1: float, w2: float) -> float:
+    w_prime, _ = default_mirror_params(app)
+    return 2.0 * min(w_prime / 2.0, w1, w2)
+
+
+def _grazing_limits(app: Apparatus) -> tuple[float, float]:
+    """Slit-1 limit at x = 3 F_s and slit-2 limit at x = 0."""
+    w1 = limiting_half_width(app, 3.0 * fringe_spacing(app), 1)
+    return w1, limiting_half_width(app, 0.0, 2)
 
 
 def required_mirror_width(app: Apparatus) -> float:
     """Full mirror width 2 min(w'/2, w1, w2) combining the sampling width with
     both grazing limits (evaluated at x = 0 and x = 3 F_s)."""
-    w_prime, _ = default_mirror_params(app)
-    x_far = 3.0 * fringe_spacing(app)
-    w1 = limiting_half_width(app, x_far, 1)
-    w2 = limiting_half_width(app, 0.0, 2)
-    return 2.0 * min(w_prime / 2.0, w1, w2)
+    return _required_width(app, *_grazing_limits(app))
 
 
-def validate(app: Apparatus, x_max: float) -> DesignReport:
+def validate(
+    app: Apparatus, x_max: float, limits: tuple[float, float] | None = None
+) -> DesignReport:
     """Assemble the full feasibility report for a scan over [0, x_max].
 
     Failures are recorded in the report rather than raised; only malformed
-    inputs raise.
+    inputs raise.  ``limits`` passes grazing limits (w1, w2) already solved
+    for this apparatus; they do not depend on the mirror width.
     """
     f_s = fringe_spacing(app)
     w_prime, _ = default_mirror_params(app)
@@ -197,12 +192,13 @@ def validate(app: Apparatus, x_max: float) -> DesignReport:
             )
         return math.inf
 
-    w1 = grazing_limit(3.0 * f_s, 1)
-    w2 = grazing_limit(0.0, 2)
-    required = 2.0 * min(w_prime / 2.0, w1, w2)
+    if limits is None:
+        limits = grazing_limit(3.0 * f_s, 1), grazing_limit(0.0, 2)
+    w1, w2 = limits
+    required = _required_width(app, w1, w2)
 
     try:
-        sampling_ok, footprint = sampling_constraint(app, x_max)
+        sampling_ok, _ = sampling_constraint(app, x_max)
     except DesignError as exc:
         sampling_ok = False
         warnings_list.append(str(exc))
@@ -212,13 +208,15 @@ def validate(app: Apparatus, x_max: float) -> DesignReport:
     separation = math.nan
     try:
         separation, _ = geometry.detector_separation(app, 0.0)
-        for x in np.linspace(0.0, x_max, 61):
-            layout = geometry.detector_layout(app, x)
-            pl = geometry.mirror_placement(app, x)
-            for p in (pl.end_low, pl.center, pl.end_high):
-                d1, d2 = geometry.clearance_angles(app, x, p, layout)
-                if not (d1 > 0 and d2 < 0):
-                    misdetection_free = False
+        layouts = geometry.detector_layouts(app, np.linspace(0.0, x_max, 61))
+        # probes: low end, centre and high end of the mirror at each x
+        along, _ = geometry.mirror_axes(app)
+        offsets = app.mirror_width / 2 * np.array([-1.0, 0.0, 1.0])
+        probes = layouts.centers[:, None, :] + offsets[:, None] * along
+        d1, d2 = geometry.clearance_margins(
+            app, probes, layouts.right[:, None, 1], layouts.left[:, None, 0]
+        )
+        misdetection_free = bool(np.all((d1 > 0) & (d2 < 0)))
     except DiaphragmClearanceError as exc:
         diaphragm_clear = False
         misdetection_free = False
@@ -275,8 +273,9 @@ def design_search(
             aperture=draws["aperture"],
         )
         try:
-            candidate = replace(candidate, mirror_width=required_mirror_width(candidate))
-            report = validate(candidate, space.x_max)
+            limits = _grazing_limits(candidate)
+            candidate = replace(candidate, mirror_width=_required_width(candidate, *limits))
+            report = validate(candidate, space.x_max, limits)
         except (DesignError, geometry.GeometryError):
             continue
         if report.feasible and report.detector_separation > best_sep:

@@ -39,10 +39,18 @@ class OffMirrorError(GeometryError):
 
 def point(x: float, y: float) -> np.ndarray:
     """Construct a 2D point/vector (transverse x, longitudinal y), in meters."""
-    p = np.array([float(x), float(y)])
-    if not np.all(np.isfinite(p)):
-        raise GeometryError(f"non-finite coordinates: {p}")
-    return p
+    x, y = float(x), float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise GeometryError(f"non-finite coordinates: {np.array([x, y])}")
+    return np.array([x, y])
+
+
+def _positions(x) -> np.ndarray:
+    """Scan position(s) as a float array, rejecting non-finite values."""
+    xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise GeometryError(f"non-finite coordinates: {xs}")
+    return xs
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -60,11 +68,8 @@ class Ray2:
     direction: np.ndarray
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.direction) - 1.0) > _UNIT_TOL:
+        if abs(math.hypot(*self.direction) - 1.0) > _UNIT_TOL:
             raise GeometryError("ray direction must be a unit vector")
-
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
 
 
 @dataclass(frozen=True)
@@ -159,11 +164,53 @@ class DetectorLayout:
     ray2: Ray2
 
 
-def path_lengths(app: Apparatus, x: float) -> tuple[float, float]:
-    """Exact distances from each slit to the mirror center at (x, L)."""
-    s1, s2 = app.slits()
-    m0 = point(x, app.screen_distance)
-    return float(np.linalg.norm(m0 - s1)), float(np.linalg.norm(m0 - s2))
+@dataclass(frozen=True)
+class DetectorLayouts:
+    """Re-aimed detector layouts for an array of mirror positions.
+
+    Row i belongs to the mirror centred at ``centers[i]``; the second axis
+    of the other arrays is the detector, so ``right[i, 1]`` is detector 2's
+    right aperture edge.  Left/right as in ``DetectorLayout``.
+    """
+
+    centers: np.ndarray  # (n, 2)
+    directions: np.ndarray  # (n, 2, 2) central reflected ray of slit 1 and 2
+    detectors: np.ndarray  # (n, 2, 2) aperture centres
+    left: np.ndarray  # (n, 2, 2)
+    right: np.ndarray  # (n, 2, 2)
+    arm1: float
+    arm2: float
+
+    def row(self, i: int) -> DetectorLayout:
+        """The layout for position i."""
+        (d1, d2), (l1, l2), (r1, r2) = self.detectors[i], self.left[i], self.right[i]
+        center, (dir1, dir2) = self.centers[i], self.directions[i]
+        return DetectorLayout(
+            d1=d1,
+            d2=d2,
+            d1_left=l1,
+            d1_right=r1,
+            d2_left=l2,
+            d2_right=r2,
+            arm1=self.arm1,
+            arm2=self.arm2,
+            ray1=Ray2(origin=center, direction=dir1),
+            ray2=Ray2(origin=center, direction=dir2),
+        )
+
+
+def path_lengths(app: Apparatus, x) -> tuple:
+    """Exact distances from each slit to the mirror center at (x, L).
+
+    Floats for a scalar x, arrays for an array of positions.
+    """
+    xs = _positions(x)
+    half = app.slit_separation / 2
+    d1 = np.hypot(xs - half, app.screen_distance)
+    d2 = np.hypot(xs + half, app.screen_distance)
+    if xs.ndim == 0:
+        return float(d1), float(d2)
+    return d1, d2
 
 
 def arrival_times(app: Apparatus, x: float) -> tuple[float, float]:
@@ -172,17 +219,23 @@ def arrival_times(app: Apparatus, x: float) -> tuple[float, float]:
     return (d1 + app.arm1) / SPEED_OF_LIGHT, (d2 + app.arm2) / SPEED_OF_LIGHT
 
 
-def mirror_placement(app: Apparatus, x: float) -> MirrorPlacement:
-    """Place the mirror centered at (x, L).
+def mirror_axes(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vector along the mirror toward its +x end, and the unit normal
+    facing the diaphragm.
 
     The mirror line makes ``mirror_angle`` with the screen line; the +x end
-    dips toward the diaphragm, so the surface normal (chosen facing the
-    diaphragm) sends central reflected rays off to the -x side, well away
-    from the diaphragm plane.
+    dips toward the diaphragm, so the surface normal sends central reflected
+    rays off to the -x side, well away from the diaphragm plane.
     """
     theta = app.mirror_angle
     along = np.array([math.cos(theta), -math.sin(theta)])
     normal = np.array([-math.sin(theta), -math.cos(theta)])
+    return along, normal
+
+
+def mirror_placement(app: Apparatus, x: float) -> MirrorPlacement:
+    """Place the mirror centered at (x, L), oriented as in ``mirror_axes``."""
+    along, normal = mirror_axes(app)
     center = point(x, app.screen_distance)
     half = app.mirror_width / 2
     return MirrorPlacement(
@@ -195,6 +248,28 @@ def mirror_placement(app: Apparatus, x: float) -> MirrorPlacement:
     )
 
 
+def mirror_frame(pl: MirrorPlacement, points) -> list[tuple[float, float]]:
+    """(along, height) coordinates of points about the mirror centre.
+
+    ``along`` runs toward ``end_high`` and ``height`` along the normal, so
+    the diaphragm side has positive height.  In this frame the mirror image
+    of a point (the image-source method: a flat mirror makes reflected rays
+    look as if they come from the source's image) is the point with its
+    height negated.
+    """
+    rel = np.asarray(points) - pl.center
+    return list(zip((rel @ pl.along).tolist(), (rel @ pl.normal).tolist()))
+
+
+def project_from_image(image: tuple[float, float], p: tuple[float, float]) -> float:
+    """Along-coordinate at which the line from ``image`` through ``p``, both
+    in ``mirror_frame`` coordinates, crosses the mirror line.  The two points
+    must lie at different heights."""
+    t_img, h_img = image
+    t, h = p
+    return t_img + (t - t_img) * h_img / (h_img - h)
+
+
 def reflect_direction(v: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Specular reflection of direction v about unit normal n."""
     vn = float(np.dot(v, n))
@@ -203,75 +278,84 @@ def reflect_direction(v: np.ndarray, n: np.ndarray) -> np.ndarray:
     return v - 2.0 * vn * n
 
 
-def reflect(incident: Ray2, at: np.ndarray, normal: np.ndarray) -> Ray2:
-    """Reflect an incident ray at a surface point with the given unit normal."""
-    return Ray2(origin=at, direction=reflect_direction(incident.direction, normal))
-
-
 def signed_angle(reference: np.ndarray, v: np.ndarray) -> float:
     """Counterclockwise-positive angle from ``reference`` to ``v``, in (-pi, pi]."""
     cross = reference[0] * v[1] - reference[1] * v[0]
     return math.atan2(cross, float(np.dot(reference, v)))
 
 
-def incidence_angles(app: Apparatus, x: float) -> tuple[float, float]:
+def incidence_angles(app: Apparatus, x) -> tuple:
     """Signed angles at the mirror center between the normal and each slit ray.
 
     Positive when the slit lies on the counterclockwise side of the normal;
-    gamma1 (slit at +d/2) exceeds gamma2 for every x.
+    gamma1 (slit at +d/2) exceeds gamma2 for every x.  Floats for a scalar
+    x, arrays for an array of positions.
     """
-    pl = mirror_placement(app, x)
-    s1, s2 = app.slits()
-    g1 = signed_angle(pl.normal, unit(s1 - pl.center))
-    g2 = signed_angle(pl.normal, unit(s2 - pl.center))
-    return g1, g2
+    xs = _positions(x)
+    _, (n0, n1) = mirror_axes(app)
+    half = app.slit_separation / 2
+    vy = -app.screen_distance
+    angles = []
+    for vx in (half - xs, -half - xs):
+        angles.append(np.arctan2(n0 * vy - n1 * vx, n0 * vx + n1 * vy))
+    if xs.ndim == 0:
+        return float(angles[0]), float(angles[1])
+    return angles[0], angles[1]
 
 
-def _left_perpendicular(direction: np.ndarray) -> np.ndarray:
-    return np.array([-direction[1], direction[0]])
-
-
-def detector_layout(app: Apparatus, x_ref: float) -> DetectorLayout:
-    """Build both detectors for the mirror placed at ``x_ref``.
+def detector_layouts(app: Apparatus, xs) -> DetectorLayouts:
+    """Build both detectors for the mirror placed at each position in ``xs``.
 
     Detector i sits at distance arm_i from the mirror center along the
     reflection of the central ray from slit i; its aperture is a segment of
     width ``aperture`` perpendicular to that ray.  Raises
     DiaphragmClearanceError if a central reflected ray crosses the diaphragm
-    plane y = 0 within 10 slit separations of the axis.
+    plane y = 0 within 10 slit separations of the axis, and
+    GrazingIncidenceError if a slit lies on the mirror line; the error
+    reported is that of the first failing position, and at one position
+    grazing incidence comes before clearance and slit 1 before slit 2.
     """
-    pl = mirror_placement(app, x_ref)
-    s1, s2 = app.slits()
-    rays = []
-    for s in (s1, s2):
-        incident = Ray2(origin=s, direction=unit(pl.center - s))
-        rays.append(reflect(incident, pl.center, pl.normal))
-    for ray in rays:
-        if ray.direction[1] < 0:
-            t = (0.0 - ray.origin[1]) / ray.direction[1]
-            x_hit = ray.origin[0] + t * ray.direction[0]
-            if t > 0 and abs(x_hit) < 10 * app.slit_separation:
-                raise DiaphragmClearanceError(
-                    f"reflected central ray re-enters the diaphragm at x={x_hit:.3g}"
-                )
-    ray1, ray2 = rays
-    d1 = ray1.at(app.arm1)
-    d2 = ray2.at(app.arm2)
-    left1 = _left_perpendicular(ray1.direction)
-    left2 = _left_perpendicular(ray2.direction)
-    half = app.aperture / 2
-    return DetectorLayout(
-        d1=d1,
-        d2=d2,
-        d1_left=d1 + half * left1,
-        d1_right=d1 - half * left1,
-        d2_left=d2 + half * left2,
-        d2_right=d2 - half * left2,
+    xs = np.atleast_1d(_positions(xs))
+    _, normal = mirror_axes(app)
+    length = app.screen_distance
+    centers = np.stack([xs, np.full_like(xs, length)], axis=-1)
+    half_d = app.slit_separation / 2
+    # unit incident directions slit -> mirror centre; axis 1 is the slit
+    incident = centers[:, None, :] - np.array([[half_d, 0.0], [-half_d, 0.0]])
+    incident /= np.sqrt(np.sum(incident * incident, axis=-1, keepdims=True))
+    vn = incident @ normal
+    directions = incident - 2.0 * vn[..., None] * normal
+    # the rays start on y = L > 0, so they reach y = 0 only when heading down
+    dy = directions[..., 1]
+    down = dy < 0
+    x_hit = xs[:, None] - length * directions[..., 0] / np.where(down, dy, -1.0)
+    grazing = np.abs(vn) < 1e-9
+    blocked = down & (np.abs(x_hit) < 10 * app.slit_separation)
+    if grazing.any() or blocked.any():
+        i = np.flatnonzero(grazing.any(axis=1) | blocked.any(axis=1))[0]
+        if grazing[i].any():
+            raise GrazingIncidenceError("incident ray is parallel to the mirror surface")
+        x_bad = x_hit[i, np.argmax(blocked[i])]
+        raise DiaphragmClearanceError(
+            f"reflected central ray re-enters the diaphragm at x={x_bad:.3g}"
+        )
+    detectors = centers[:, None, :] + np.array([[app.arm1], [app.arm2]]) * directions
+    # half the aperture along each ray's counterclockwise perpendicular
+    offset = (app.aperture / 2) * directions[..., ::-1] * np.array([-1.0, 1.0])
+    return DetectorLayouts(
+        centers=centers,
+        directions=directions,
+        detectors=detectors,
+        left=detectors + offset,
+        right=detectors - offset,
         arm1=app.arm1,
         arm2=app.arm2,
-        ray1=ray1,
-        ray2=ray2,
     )
+
+
+def detector_layout(app: Apparatus, x_ref: float) -> DetectorLayout:
+    """The layout of ``detector_layouts`` for the single position ``x_ref``."""
+    return detector_layouts(app, x_ref).row(0)
 
 
 def detector_separation(app: Apparatus, x: float) -> tuple[float, float]:
@@ -293,6 +377,20 @@ def _on_mirror(pl: MirrorPlacement, p: np.ndarray, slack: float = 1e-9) -> bool:
     off = abs(float(rel[0] * pl.along[1] - rel[1] * pl.along[0]))
     return off <= slack and abs(along) <= pl.half_width + slack
 
+
+def clearance_margins(
+    app: Apparatus, p: np.ndarray, d2_right: np.ndarray, d1_left: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``clearance_angles`` for arrays of mirror points p (shape (..., 2)),
+    with the aperture edges broadcast against them."""
+    _, (n0, n1) = mirror_axes(app)
+    s1, s2 = app.slits()
+    v = np.stack(np.broadcast_arrays(s1 - p, d2_right - p, s2 - p, d1_left - p))
+    vx, vy = v[..., 0], v[..., 1]
+    a = np.abs(np.arctan2(n0 * vy - n1 * vx, n0 * vx + n1 * vy))
+    return a[0] - a[1], a[2] - a[3]
+
+
 def clearance_angles(
     app: Apparatus,
     x: float,
@@ -313,12 +411,5 @@ def clearance_angles(
         raise OffMirrorError(f"point {p} is not on the mirror segment at x={x}")
     if layout is None:
         layout = detector_layout(app, x)
-    s1, s2 = app.slits()
-    n = pl.normal
-    a1 = abs(signed_angle(n, unit(s1 - p)))
-    a2 = abs(signed_angle(n, unit(layout.d2_right - p)))
-    delta1 = a1 - a2
-    b1 = abs(signed_angle(n, unit(s2 - p)))
-    b2 = abs(signed_angle(n, unit(layout.d1_left - p)))
-    delta2 = b1 - b2
-    return delta1, delta2
+    delta1, delta2 = clearance_margins(app, p, layout.d2_right, layout.d1_left)
+    return float(delta1), float(delta2)

@@ -33,8 +33,8 @@ from .wavemodel import (
     fringe_spacing,
     fit_visibility,
     hypothesis_visibility,
+    phase,
     screen_intensity,
-    wave_number,
     detector_intensity,
 )
 
@@ -118,10 +118,7 @@ def _position_rng(seed: int, index: int) -> np.random.Generator:
 
 def _acceptance_rate(app: Apparatus, x: float, v: float) -> float:
     """Fringe-modulated detection probability at the mirror, in [0, 1]."""
-    k = wave_number(app)
-    d1, d2 = geometry.path_lengths(app, x)
-    g1, g2 = geometry.incidence_angles(app, x)
-    return 0.5 * (1.0 + v * np.cos(k * (d1 - d2) + 2.0 * (g1 - g2)))
+    return 0.5 * (1.0 + v * np.cos(phase(app, x)))
 
 
 def _mirror_interval(
@@ -130,15 +127,14 @@ def _mirror_interval(
     """Mirror coordinates, clipped to [-half, half], of the points whose
     reflected rays cross the aperture segment a-b.
 
-    Points are (along, height) coordinates in the mirror frame (see
-    ``routing_fractions``).  A reflected ray runs on the line from the
-    source's image through the mirror point, beyond it, so it can only
-    reach the part of the segment on the side of the mirror line opposite
-    the image.  That part, projected from the image onto the mirror line,
-    is the interval.  It is empty when the returned lower end is not below
-    the upper one.
+    Points are (along, height) coordinates in ``geometry.mirror_frame``.
+    A reflected ray runs on the line from the source's image through the
+    mirror point, beyond it, so it can only reach the part of the segment
+    on the side of the mirror line opposite the image.  That part,
+    projected from the image onto the mirror line, is the interval.  It is
+    empty when the returned lower end is not below the upper one.
     """
-    t_img, h_img = image
+    h_img = image[1]
     (ta, ha), (tb, hb) = a, b
     # negative on the reflecting side; the projection below divides by
     # h_img - h, which is then never zero
@@ -152,8 +148,8 @@ def _mirror_interval(
             ta, ha = crossing
         else:
             tb, hb = crossing
-    ua = t_img + (ta - t_img) * h_img / (h_img - ha)
-    ub = t_img + (tb - t_img) * h_img / (h_img - hb)
+    ua = geometry.project_from_image(image, (ta, ha))
+    ub = geometry.project_from_image(image, (tb, hb))
     return max(min(ua, ub), -half), min(max(ua, ub), half)
 
 
@@ -166,17 +162,11 @@ def routing_fractions(app: Apparatus, x: float, layout: DetectorLayout) -> np.nd
     its mirror image s' = s - 2((s - c).n) n (the image-source method), so
     each (slit, detector) pair is hit from one interval of the mirror.  A
     ray that crosses both apertures counts at detector 1.
-
-    Points are taken in the mirror frame, (along, height) = ((p - c).along,
-    (p - c).n) about the mirror centre c, where the image of a slit is the
-    slit with its height negated.
     """
-    pl = geometry.mirror_placement(app, x)
-    points = np.array(
-        [*app.slits(), layout.d1_left, layout.d1_right, layout.d2_left, layout.d2_right]
+    frame = geometry.mirror_frame(
+        geometry.mirror_placement(app, x),
+        [*app.slits(), layout.d1_left, layout.d1_right, layout.d2_left, layout.d2_right],
     )
-    rel = points - pl.center
-    frame = list(zip((rel @ pl.along).tolist(), (rel @ pl.normal).tolist()))
     half = app.mirror_width / 2
     f = np.zeros((2, 2))
     for i, (t_s, h_s) in enumerate(frame[:2]):
@@ -222,14 +212,16 @@ def simulate_scan(
         warnings.warn("apparatus fails design validation; simulating anyway", stacklevel=2)
 
     v = hypothesis_visibility(hyp)
-    frozen = (
-        geometry.detector_layout(app, 0.0) if config.freeze_detectors else None
-    )
+    n_positions = len(config.x_positions)
+    if config.freeze_detectors:
+        layouts = [geometry.detector_layout(app, 0.0)] * n_positions
+    else:
+        aimed = geometry.detector_layouts(app, config.x_positions)
+        layouts = [aimed.row(i) for i in range(n_positions)]
     records = []
     total_mis = 0
     total_n = 0
-    for i, x in enumerate(config.x_positions):
-        layout = frozen if frozen is not None else geometry.detector_layout(app, x)
+    for i, (x, layout) in enumerate(zip(config.x_positions, layouts)):
         rng = _position_rng(config.seed, i)
         n1, n2, mis = _simulate_position(
             app, float(x), config.photons_per_position, v, rng, layout

@@ -91,14 +91,19 @@ def fringe_spacing(app: Apparatus) -> float:
     return app.wavelength * app.screen_distance / app.slit_separation
 
 
+def phase(app: Apparatus, x) -> np.ndarray | float:
+    """Detector-1 fringe phase k (d1 - d2) + 2 (gamma1 - gamma2) at scan
+    position(s) x: the screen phase plus twice the incidence-angle
+    difference the mirror adds."""
+    d1, d2 = path_lengths(app, x)
+    g1, g2 = incidence_angles(app, x)
+    return wave_number(app) * (d1 - d2) + 2.0 * (g1 - g2)
+
+
 def screen_intensity(app: Apparatus, x) -> np.ndarray | float:
     """Two-beam intensity 2(1 + cos(k (d1 - d2))) at screen position(s) x."""
-    k = wave_number(app)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        d1, d2 = path_lengths(app, xi)
-        out[i] = 2.0 * (1.0 + math.cos(k * (d1 - d2)))
+    d1, d2 = path_lengths(app, np.atleast_1d(np.asarray(x, dtype=float)))
+    out = 2.0 * (1.0 + np.cos(wave_number(app) * (d1 - d2)))
     return out if np.ndim(x) else float(out[0])
 
 
@@ -108,13 +113,8 @@ def detector_intensity(app: Apparatus, x: float, which: int) -> float:
     numerically identical)."""
     if which not in (1, 2):
         raise ValueError("detector index must be 1 or 2")
-    k = wave_number(app)
-    d1, d2 = path_lengths(app, x)
-    g1, g2 = incidence_angles(app, x)
-    phase = k * (d1 - d2) + 2.0 * (g1 - g2)
-    if which == 2:
-        phase = -phase
-    return 2.0 * (1.0 + math.cos(phase))
+    p = phase(app, x)
+    return 2.0 * (1.0 + math.cos(p if which == 1 else -p))
 
 
 def visibility(pattern: FringePattern) -> float:

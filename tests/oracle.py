@@ -1,20 +1,34 @@
-"""Per-photon ray tracing: the reference the closed-form routing is checked
-against.
+"""Direct, loop-by-loop references the closed forms are checked against.
 
 ``montecarlo`` routes photons through mirror intervals found from the
-slits' mirror images.  This module does the same job the direct way, one
-reflected ray per photon intersected with both aperture segments, so the
-tests can compare the two.
+slits' mirror images; the per-photon ray tracer here does the same job one
+reflected ray at a time.  ``design`` finds grazing limits as one line
+intersection and checks feasibility over whole arrays of positions; the
+bisection, ``loop_validate`` and ``loop_design_search`` here do it by
+root finding and one scalar geometry call per point.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
-from mirrorslit import geometry
-from mirrorslit.geometry import Apparatus, DetectorLayout
+from mirrorslit import design, geometry
+from mirrorslit.design import (
+    _HALF_WIDTH_HI,
+    _HALF_WIDTH_LO,
+    BracketError,
+    DesignError,
+    DesignReport,
+    SearchSpace,
+)
+from mirrorslit.geometry import Apparatus, DetectorLayout, DiaphragmClearanceError
 from mirrorslit.montecarlo import _acceptance_rate
-from mirrorslit.wavemodel import OutcomeHypothesis, hypothesis_visibility
+from mirrorslit.wavemodel import OutcomeHypothesis, fringe_spacing, hypothesis_visibility
+
+_BISECT_TOL = 1e-7
 
 
 def route_rays(
@@ -134,3 +148,169 @@ def traced_position(
     n2 = int(np.sum(hits == 2))
     mis = int(np.sum((hits != 0) & (hits != slits)))
     return n1, n2, mis
+
+
+def clearance_at_half_width(
+    app: Apparatus, x: float, slit: int, h: float, layout: DetectorLayout | None = None
+) -> float:
+    """Clearance margin at probe point M1 (slit 1) or M2 (slit 2) for a
+    hypothetical mirror of half-width h, detectors fixed at the same x.
+    Returned with sign flipped for slit 2 so that a root crossing means the
+    same thing for both: positive = safe, negative = mis-detection.  The
+    layout does not depend on h; pass it to save rebuilding it."""
+    widened = replace(app, mirror_width=2.0 * h)
+    pl = geometry.mirror_placement(widened, x)
+    if layout is None:
+        layout = geometry.detector_layout(widened, x)
+    p = pl.end_high if slit == 1 else pl.end_low
+    d1, d2 = geometry.clearance_angles(widened, x, p, layout)
+    return d1 if slit == 1 else -d2
+
+
+def bisect_half_width(app: Apparatus, x: float, slit: int) -> float:
+    """``design.limiting_half_width`` by bisection of the clearance margin
+    over [1 um, 2 mm] to 0.1 um."""
+    if slit not in (1, 2):
+        raise DesignError("slit must be 1 or 2")
+    layout = geometry.detector_layout(app, x)
+    lo, hi = _HALF_WIDTH_LO, _HALF_WIDTH_HI
+    f_lo = clearance_at_half_width(app, x, slit, lo, layout)
+    f_hi = clearance_at_half_width(app, x, slit, hi, layout)
+    if f_lo * f_hi > 0:
+        raise BracketError(
+            "clearance margin does not change sign in "
+            f"[{lo}, {hi}] m (values {f_lo:.3g}, {f_hi:.3g})"
+        )
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = clearance_at_half_width(app, x, slit, mid, layout)
+        if f_mid == 0.0:
+            return mid
+        if f_lo * f_mid < 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def bisect_required_width(app: Apparatus) -> float:
+    """``design.required_mirror_width`` from the bisection limits."""
+    w_prime, _ = design.default_mirror_params(app)
+    w1 = bisect_half_width(app, 3.0 * fringe_spacing(app), 1)
+    w2 = bisect_half_width(app, 0.0, 2)
+    return 2.0 * min(w_prime / 2.0, w1, w2)
+
+
+def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
+    """``design.sampling_constraint`` one mirror placement at a time."""
+    f_s = fringe_spacing(app)
+    if x0 <= 2.0 * f_s:
+        raise DesignError(f"scan extent {x0} must exceed two fringe periods {2 * f_s}")
+    s1, s2 = app.slits()
+    worst = 0.0
+    for x in np.linspace(0.0, x0, 101):
+        pl = geometry.mirror_placement(app, x)
+        feet = []
+        for endpoint, slit in ((pl.end_high, s1), (pl.end_low, s2)):
+            direction = endpoint - slit
+            t = (app.screen_distance - slit[1]) / direction[1]
+            feet.append(slit[0] + t * direction[0])
+        worst = max(worst, abs(feet[0] - feet[1]))
+    return bool(worst < f_s / 2.0), float(worst)
+
+
+def loop_validate(app: Apparatus, x_max: float) -> DesignReport:
+    """``design.validate`` with bisection limits, and one scalar layout and
+    ``clearance_angles`` call per position and probe point."""
+    f_s = fringe_spacing(app)
+    w_prime, _ = design.default_mirror_params(app)
+    warnings_list = app.regime_warnings()
+
+    def grazing_limit(x: float, slit: int) -> float:
+        try:
+            return bisect_half_width(app, x, slit)
+        except BracketError:
+            warnings_list.append(f"slit-{slit} grazing limit unbounded below 2 mm")
+        except DiaphragmClearanceError:
+            warnings_list.append(
+                f"slit-{slit} grazing limit undefined: reflected beam hits the diaphragm"
+            )
+        return math.inf
+
+    w1 = grazing_limit(3.0 * f_s, 1)
+    w2 = grazing_limit(0.0, 2)
+    try:
+        sampling_ok, _ = loop_sampling_constraint(app, x_max)
+    except DesignError as exc:
+        sampling_ok = False
+        warnings_list.append(str(exc))
+
+    diaphragm_clear = True
+    misdetection_free = True
+    separation = math.nan
+    try:
+        separation, _ = geometry.detector_separation(app, 0.0)
+        for x in np.linspace(0.0, x_max, 61):
+            layout = geometry.detector_layout(app, x)
+            pl = geometry.mirror_placement(app, x)
+            for p in (pl.end_low, pl.center, pl.end_high):
+                d1, d2 = geometry.clearance_angles(app, x, p, layout)
+                if not (d1 > 0 and d2 < 0):
+                    misdetection_free = False
+    except DiaphragmClearanceError as exc:
+        diaphragm_clear = False
+        misdetection_free = False
+        warnings_list.append(str(exc))
+
+    return DesignReport(
+        fringe_spacing=f_s,
+        default_width=w_prime,
+        w1_limit=w1,
+        w2_limit=w2,
+        required_width=2.0 * min(w_prime / 2.0, w1, w2),
+        detector_separation=separation,
+        sampling_ok=sampling_ok,
+        misdetection_free=misdetection_free,
+        diaphragm_clear=diaphragm_clear,
+        warnings=warnings_list,
+    )
+
+
+def loop_design_search(
+    space: SearchSpace, samples: int, seed: int
+) -> tuple[Apparatus, DesignReport] | None:
+    """``design.design_search`` built on the bisection and ``loop_validate``,
+    solving the grazing limits once for the width and again in the report."""
+    rng = np.random.default_rng(seed)
+    best = None
+    best_sep = -math.inf
+    for _ in range(samples):
+        draws = {
+            name: float(rng.uniform(*getattr(space, name)))
+            for name in (
+                "wavelength",
+                "slit_separation",
+                "screen_distance",
+                "mirror_angle",
+                "arm",
+                "aperture",
+            )
+        }
+        candidate = Apparatus(
+            wavelength=draws["wavelength"],
+            slit_separation=draws["slit_separation"],
+            screen_distance=draws["screen_distance"],
+            mirror_angle=draws["mirror_angle"],
+            arm1=draws["arm"],
+            arm2=draws["arm"],
+            aperture=draws["aperture"],
+        )
+        try:
+            candidate = replace(candidate, mirror_width=bisect_required_width(candidate))
+            report = loop_validate(candidate, space.x_max)
+        except (DesignError, geometry.GeometryError):
+            continue
+        if report.feasible and report.detector_separation > best_sep:
+            best = (candidate, report)
+            best_sep = report.detector_separation
+    return best

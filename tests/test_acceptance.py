@@ -27,6 +27,7 @@ from mirrorslit.wavemodel import (
     screen_intensity,
     wave_number,
 )
+from oracle import clearance_at_half_width
 FULL = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
 EXCLUSIVE = OutcomeHypothesis(HypothesisKind.EXCLUSIVE)
 
@@ -35,9 +36,9 @@ def linear_scan_root(app, x, slit, step=1e-6, hi=2e-3):
     """Brute-force half-width oracle: first sign change of the clearance
     margin on a fixed 1 um grid, independent of the bisection code path."""
     hs = np.arange(step, hi, step)
-    prev = design._clearance_at_half_width(app, x, slit, hs[0])
+    prev = clearance_at_half_width(app, x, slit, hs[0])
     for h in hs[1:]:
-        cur = design._clearance_at_half_width(app, x, slit, h)
+        cur = clearance_at_half_width(app, x, slit, h)
         if prev * cur <= 0:
             return h
         prev = cur

@@ -215,6 +215,24 @@ class TestNegativeSeed:
         assert "seed" in err[0]
 
 
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "command,section,fragment",
+        [
+            ("search", {"search": {"samples": 0}}, "samples"),
+            ("simulate", {"scan": {"positions": "abc"}}, "positions"),
+            ("simulate", {"scan": {"photons_per_position": 10, "seed": "abc"}}, "seed"),
+        ],
+        ids=["search-zero-samples", "scan-non-numeric-positions", "scan-non-numeric-seed"],
+    )
+    def test_exits_one_with_error_line(self, tmp_path, capsys, command, section, fragment):
+        code, _ = run(tmp_path, command, section)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert fragment in err[0]
+
+
 class TestSearchCommand:
     def test_singleton_space(self, tmp_path):
         payload = {"search": {"samples": 2}}

@@ -1,3 +1,4 @@
+import collections
 import math
 from dataclasses import replace
 
@@ -8,15 +9,22 @@ from mirrorslit import design, geometry
 from mirrorslit.design import BracketError, DesignError, SearchSpace
 from mirrorslit.geometry import Apparatus
 from mirrorslit.wavemodel import fringe_spacing
+from oracle import (
+    bisect_half_width,
+    clearance_at_half_width,
+    loop_design_search,
+    loop_sampling_constraint,
+    loop_validate,
+)
 
 
 def linear_scan_root(app, x, slit, step=1e-6, hi=2e-3):
     """Independent brute-force oracle: first sign change of the clearance
     margin on a fixed-step half-width grid."""
     hs = np.arange(step, hi, step)
-    prev = design._clearance_at_half_width(app, x, slit, hs[0])
+    prev = clearance_at_half_width(app, x, slit, hs[0])
     for h in hs[1:]:
-        cur = design._clearance_at_half_width(app, x, slit, h)
+        cur = clearance_at_half_width(app, x, slit, h)
         if prev * cur <= 0:
             return h
         prev = cur
@@ -74,8 +82,8 @@ class TestLimitingHalfWidth:
 
     def test_root_is_actually_a_zero(self, app):
         root = design.limiting_half_width(app, 0.0, 2)
-        margin = design._clearance_at_half_width(app, 0.0, 2, root)
-        scale = abs(design._clearance_at_half_width(app, 0.0, 2, 1e-6))
+        margin = clearance_at_half_width(app, 0.0, 2, root)
+        scale = abs(clearance_at_half_width(app, 0.0, 2, 1e-6))
         assert abs(margin) < 0.01 * scale
 
     def test_bad_slit_index(self, app):
@@ -207,3 +215,168 @@ class TestDesignSearch:
     def test_sample_count_validated(self, f_s):
         with pytest.raises(DesignError):
             design.design_search(self.bench_space(f_s), 0, seed=0)
+
+
+def random_apparatus(rng, angle=(0.3, 1.2), width=None):
+    """An apparatus drawn around the bench: arms log-uniform in 0.05-10 m,
+    apertures 0.3-5 mm, the mirror angle and width from the given ranges
+    (the width is left at the bench value when ``width`` is None)."""
+    kwargs = dict(
+        wavelength=rng.uniform(400e-9, 1000e-9),
+        slit_separation=rng.uniform(50e-6, 300e-6),
+        screen_distance=rng.uniform(0.05, 0.5),
+        mirror_angle=rng.uniform(*angle),
+        arm1=math.exp(rng.uniform(math.log(0.05), math.log(10.0))),
+        arm2=math.exp(rng.uniform(math.log(0.05), math.log(10.0))),
+        aperture=rng.uniform(0.3e-3, 5e-3),
+    )
+    if width is not None:
+        kwargs["mirror_width"] = rng.uniform(*width)
+    return Apparatus(**kwargs)
+
+
+def outcome(solve, *args):
+    """The solver's result, or the type of the error it raised."""
+    try:
+        return solve(*args)
+    except (BracketError, geometry.DiaphragmClearanceError) as exc:
+        return type(exc)
+
+
+class TestClosedFormAgainstBisection:
+    def test_random_apparatus(self):
+        # seed 401: 400 apparatus x 3 probe positions x 2 slits
+        rng = np.random.default_rng(401)
+        kinds = collections.Counter()
+        for _ in range(400):
+            app = random_apparatus(rng)
+            f_s = fringe_spacing(app)
+            for x in (0.0, f_s, 3 * f_s):
+                for slit in (1, 2):
+                    closed = outcome(design.limiting_half_width, app, x, slit)
+                    bisected = outcome(bisect_half_width, app, x, slit)
+                    if isinstance(bisected, float):
+                        assert isinstance(closed, float), (app, x, slit, closed)
+                        assert abs(closed - bisected) < 1e-7, (app, x, slit)
+                        kinds["root"] += 1
+                    else:
+                        assert closed is bisected, (app, x, slit, closed)
+                        kinds[bisected.__name__] += 1
+        # both outcomes occur, so the comparison covers both branches
+        assert kinds["root"] > 100 and kinds["BracketError"] > 10, kinds
+
+    def test_shallow_angles(self):
+        # seed 402: below about 0.1 rad the reflected beams run nearly back
+        # toward the slits.  The bisection's margin compares unsigned angles
+        # from the normal, so it also changes sign where an aperture edge
+        # lines up with the slit itself (equal signed angles) rather than
+        # with its reflection (opposite signed angles).  The closed form
+        # keeps only the reflection; every disagreement must be of that kind.
+        rng = np.random.default_rng(402)
+        blocked = disagreements = 0
+        for _ in range(60):
+            app = random_apparatus(rng, angle=(0.001, 0.1))
+            f_s = fringe_spacing(app)
+            for x, slit in ((0.0, 1), (0.0, 2), (3 * f_s, 1), (3 * f_s, 2)):
+                closed = outcome(design.limiting_half_width, app, x, slit)
+                bisected = outcome(bisect_half_width, app, x, slit)
+                if geometry.DiaphragmClearanceError in (closed, bisected):
+                    assert closed is bisected
+                    blocked += 1
+                    continue
+                if isinstance(closed, float) and isinstance(bisected, float):
+                    if abs(closed - bisected) < 1e-7:
+                        continue
+                elif closed is bisected:
+                    continue
+                disagreements += 1
+                if isinstance(closed, float):
+                    alpha, beta = probe_angles(app, x, slit, closed)
+                    assert beta == pytest.approx(-alpha, abs=1e-9)
+                if isinstance(bisected, float):
+                    alpha, beta = probe_angles(app, x, slit, bisected)
+                    assert beta == pytest.approx(alpha, abs=1e-5)
+        assert blocked > 10 and disagreements > 0
+
+
+def probe_angles(app, x, slit, h):
+    """Signed angles from the mirror normal, at the probe end of a mirror of
+    half-width h, to the slit and to the other detector's near edge."""
+    pl = geometry.mirror_placement(replace(app, mirror_width=2 * h), x)
+    layout = geometry.detector_layout(app, x)
+    p, edge = (pl.end_high, layout.d2_right) if slit == 1 else (pl.end_low, layout.d1_left)
+    source = app.slits()[slit - 1]
+    return geometry.signed_angle(pl.normal, source - p), geometry.signed_angle(pl.normal, edge - p)
+
+
+class TestValidateAgainstLoop:
+    VERDICTS = ("sampling_ok", "misdetection_free", "diaphragm_clear", "feasible")
+
+    def test_random_apparatus(self):
+        # seed 403: bench-like, wide-mirror and shallow-angle draws, scan
+        # extents from 1.5 (too short) to 6 fringe periods
+        rng = np.random.default_rng(403)
+        seen = collections.defaultdict(set)
+        same_limits = 0
+        for i in range(300):
+            kind = i % 3
+            if kind == 0:
+                app = random_apparatus(rng, width=(20e-6, 150e-6))
+            elif kind == 1:
+                app = random_apparatus(rng, width=(0.2e-3, 1.5e-3))
+            else:
+                app = random_apparatus(rng, angle=(0.001, 0.3), width=(20e-6, 0.5e-3))
+            x_max = rng.uniform(1.5, 6.0) * fringe_spacing(app)
+            if x_max > 2 * fringe_spacing(app):
+                assert design.sampling_constraint(app, x_max) == loop_sampling_constraint(
+                    app, x_max
+                )
+            fast = design.validate(app, x_max)
+            slow = loop_validate(app, x_max)
+            for name in self.VERDICTS:
+                assert getattr(fast, name) == getattr(slow, name), (app, x_max, name)
+                seen[name].add(getattr(fast, name))
+            assert fast.detector_separation == slow.detector_separation or (
+                math.isnan(fast.detector_separation) and math.isnan(slow.detector_separation)
+            )
+            limits = ((fast.w1_limit, slow.w1_limit), (fast.w2_limit, slow.w2_limit))
+            if all(a == b or abs(a - b) < 1e-7 for a, b in limits):
+                assert fast.warnings == slow.warnings, (app, x_max)
+                assert fast.required_width == pytest.approx(slow.required_width, abs=2e-7)
+                same_limits += 1
+            else:
+                # a line-of-sight root of the bisection (see
+                # TestClosedFormAgainstBisection.test_shallow_angles): only
+                # the limits and their warnings differ
+                assert app.mirror_angle < 0.1
+
+                def others(report):
+                    return [w for w in report.warnings if "grazing limit" not in w]
+
+                assert others(fast) == others(slow), (app, x_max)
+        # every check both passes and fails somewhere
+        assert all(seen[name] == {True, False} for name in self.VERDICTS), seen
+        assert same_limits >= 290
+
+
+class TestSearchAgainstOracle:
+    SPACE = SearchSpace(
+        wavelength=(4e-7, 9e-7),
+        slit_separation=(5e-5, 2e-4),
+        screen_distance=(0.05, 0.2),
+        mirror_angle=(0.3, 1.2),
+        arm=(0.05, 10.0),
+        aperture=(3e-4, 5e-3),
+        x_max=2.1e-3,
+    )
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_same_best_apparatus(self, seed):
+        fast = design.design_search(self.SPACE, 24, seed)
+        slow = loop_design_search(self.SPACE, 24, seed)
+        assert fast is not None and slow is not None
+        (best, report), (expected, expected_report) = fast, slow
+        assert replace(best, mirror_width=expected.mirror_width) == expected
+        assert abs(best.mirror_width - expected.mirror_width) <= 2e-7
+        assert report.feasible and expected_report.feasible
+        assert report.detector_separation == expected_report.detector_separation

@@ -246,3 +246,54 @@ class TestRay2:
     def test_requires_unit_direction(self):
         with pytest.raises(geometry.GeometryError):
             Ray2(origin=point(0, 0), direction=np.array([1.0, 1.0]))
+
+
+def central_ray(app, x, slit):
+    """Mirror centre and reflected central-ray direction of one slit, built
+    one vector at a time."""
+    pl = geometry.mirror_placement(app, x)
+    source = app.slits()[slit - 1]
+    return pl.center, geometry.reflect_direction(unit(pl.center - source), pl.normal)
+
+
+class TestDetectorLayouts:
+    def test_matches_reflected_central_rays(self, app, f_s):
+        unequal = Apparatus(arm1=0.3, arm2=7.0, aperture=2e-3, mirror_angle=0.9)
+        xs = np.linspace(-3 * f_s, 3 * f_s, 13)
+        for a in (app, unequal):
+            lay = geometry.detector_layouts(a, xs)
+            for i, x in enumerate(xs):
+                for k, arm in ((0, a.arm1), (1, a.arm2)):
+                    center, d = central_ray(a, x, k + 1)
+                    det = center + arm * d
+                    edge = a.aperture / 2 * np.array([-d[1], d[0]])
+                    np.testing.assert_allclose(lay.directions[i, k], d, rtol=0, atol=1e-15)
+                    np.testing.assert_allclose(lay.detectors[i, k], det, rtol=0, atol=1e-14)
+                    np.testing.assert_allclose(lay.left[i, k], det + edge, rtol=0, atol=1e-14)
+                    np.testing.assert_allclose(lay.right[i, k], det - edge, rtol=0, atol=1e-14)
+
+    def test_reports_first_blocked_ray(self):
+        # shallow tilts: the layouts raise exactly when a central ray crosses
+        # y = 0 within 10 slit separations, naming the first such crossing
+        # in scan order, slit 1 before slit 2 at one position
+        xs = np.linspace(-2e-3, 2e-3, 9)
+        outcomes = set()
+        for theta in np.linspace(0.001, 0.05, 80):
+            app = Apparatus(mirror_angle=theta)
+            hits = []
+            for x in xs:
+                for slit in (1, 2):
+                    center, d = central_ray(app, x, slit)
+                    if d[1] < 0:
+                        x_hit = center[0] - center[1] * d[0] / d[1]
+                        if abs(x_hit) < 10 * app.slit_separation:
+                            hits.append(x_hit)
+            if not hits:
+                geometry.detector_layouts(app, xs)
+                outcomes.add("clear")
+                continue
+            message = f"x={hits[0]:.3g}$"
+            with pytest.raises(DiaphragmClearanceError, match=message.replace(".", r"\.")):
+                geometry.detector_layouts(app, xs)
+            outcomes.add("blocked")
+        assert outcomes == {"clear", "blocked"}

@@ -92,6 +92,28 @@ class TestDetectorIntensity:
             assert abs(2 * (g1 - g2)) < 0.1 * abs(k * (d1 - d2))
 
 
+class TestPhase:
+    def test_matches_hand_formula(self, app, f_s):
+        # k (|M - S1| - |M - S2|) + 2 (gamma1 - gamma2), gamma_i the signed
+        # angle from the mirror normal (-sin t, -cos t) to the ray toward slit i
+        half, length, tilt = app.slit_separation / 2, app.screen_distance, app.mirror_angle
+        n0, n1 = -math.sin(tilt), -math.cos(tilt)
+        xs = np.linspace(-3 * f_s, 3 * f_s, 31)
+        expected = []
+        for x in xs:
+            gamma = [
+                math.atan2(n0 * -length - n1 * (s - x), n0 * (s - x) + n1 * -length)
+                for s in (half, -half)
+            ]
+            path = math.hypot(x - half, length) - math.hypot(x + half, length)
+            expected.append(wavemodel.wave_number(app) * path + 2 * (gamma[0] - gamma[1]))
+        np.testing.assert_allclose(wavemodel.phase(app, xs), expected, rtol=0, atol=1e-9)
+        for x, phi in zip(xs, expected):
+            assert detector_intensity(app, x, 1) == pytest.approx(
+                2 * (1 + math.cos(phi)), abs=1e-9
+            )
+
+
 class TestVisibility:
     def test_full_contrast_cosine(self):
         x = np.linspace(0.0, 2.0, 65)  # grid hits both extrema exactly
