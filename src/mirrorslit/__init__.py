@@ -1,7 +1,7 @@
 """Mirror-modified two-slit experiment: geometry, wave model, design
 validation, and single-photon Monte Carlo."""
 
-from .geometry import Apparatus, Ray2, MirrorPlacement, DetectorLayout
+from .geometry import Apparatus, DetectorLayouts
 from .wavemodel import (
     FringePattern,
     DualityPoint,
@@ -14,9 +14,7 @@ from .montecarlo import ScanConfig, ScanRecord, ScanSummary
 
 __all__ = [
     "Apparatus",
-    "Ray2",
-    "MirrorPlacement",
-    "DetectorLayout",
+    "DetectorLayouts",
     "FringePattern",
     "DualityPoint",
     "HypothesisKind",

@@ -23,6 +23,7 @@ from .design import SearchSpace
 from .geometry import Apparatus
 from .wavemodel import (
     DualityPoint,
+    FitError,
     HypothesisKind,
     OutcomeHypothesis,
     duality_check,
@@ -206,11 +207,15 @@ def cmd_scan(config: dict, args, out: Path) -> int:
     if scan.max_spacing() > fringe_spacing(app) / 2.0:
         print("error: scan grid does not satisfy the sampling theorem", file=sys.stderr)
         return EXIT_INFEASIBLE
+    xs = scan.x_positions
     lines = _timestamp_lines(args) + [CURVES_HEADER]
-    for x in scan.x_positions:
-        # the two detector intensities are identical by construction
-        detector = f"{detector_intensity(app, float(x), 1):.9e}"
-        lines.append(f"{x:.9e},{screen_intensity(app, float(x)):.9e},{detector},{detector}")
+    # the two detector intensities are identical by construction
+    for x, screen, detector in zip(
+        xs.tolist(),
+        screen_intensity(app, xs).tolist(),
+        detector_intensity(app, xs, 1).tolist(),
+    ):
+        lines.append(f"{x:.9e},{screen:.9e},{detector:.9e},{detector:.9e}")
     (out / "curves.csv").write_text("\n".join(lines) + "\n")
     print(f"curves written to {out / 'curves.csv'}")
     return EXIT_OK
@@ -220,10 +225,11 @@ def cmd_simulate(config: dict, args, out: Path) -> int:
     app = load_apparatus(_require_mapping(config.get("apparatus"), "apparatus"))
     scan = load_scan(_require_mapping(config.get("scan"), "scan"), app, args)
     hyp = load_hypothesis(_require_mapping(config.get("hypothesis"), "hypothesis"), args)
-    if scan.max_spacing() > fringe_spacing(app) / 2.0:
-        print("error: scan grid does not satisfy the sampling theorem", file=sys.stderr)
+    try:
+        summary = montecarlo.simulate_scan(app, scan, hyp)
+    except (montecarlo.ScanError, FitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    summary = montecarlo.simulate_scan(app, scan, hyp)
 
     lines = _timestamp_lines(args) + [COUNTS_HEADER]
     for r in summary.records:

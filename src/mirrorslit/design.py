@@ -135,12 +135,12 @@ def limiting_half_width(app: Apparatus, x: float, slit: int) -> float:
     """
     if slit not in (1, 2):
         raise DesignError("slit must be 1 or 2")
-    layout = geometry.detector_layout(app, x)
-    edge = layout.d2_right if slit == 1 else layout.d1_left
-    (t_s, h_s), edge_frame = geometry.mirror_frame(
-        geometry.mirror_placement(app, x), [app.slits()[slit - 1], edge]
+    layouts = geometry.detector_layouts(app, x)
+    edge = layouts.right[0, 1] if slit == 1 else layouts.left[0, 0]
+    (t_s, t_e), (h_s, h_e) = geometry.mirror_frame(
+        app, layouts.centers[0], np.array([app.slits()[slit - 1], edge])
     )
-    along = geometry.project_from_image((t_s, -h_s), edge_frame)
+    along = float(geometry.project_from_image(t_s, -h_s, t_e, h_e))
     half_width = along if slit == 1 else -along
     lo, hi = _HALF_WIDTH_LO, _HALF_WIDTH_HI
     if not lo <= half_width <= hi:

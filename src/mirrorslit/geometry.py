@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-_UNIT_TOL = 1e-12
-
 
 class GeometryError(ValueError):
     """Base class for geometric configuration errors."""
@@ -31,10 +27,6 @@ class GrazingIncidenceError(GeometryError):
 
 class DiaphragmClearanceError(GeometryError):
     """A reflected central ray re-intersects the diaphragm plane."""
-
-
-class OffMirrorError(GeometryError):
-    """Probe point does not lie on the mirror segment."""
 
 
 def point(x: float, y: float) -> np.ndarray:
@@ -51,25 +43,6 @@ def _positions(x) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise GeometryError(f"non-finite coordinates: {xs}")
     return xs
-
-
-def unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise GeometryError("cannot normalize zero vector")
-    return v / n
-
-
-@dataclass(frozen=True)
-class Ray2:
-    """A ray with unit direction; carrier for slit-to-mirror and reflected paths."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        if abs(math.hypot(*self.direction) - 1.0) > _UNIT_TOL:
-            raise GeometryError("ray direction must be a unit vector")
 
 
 @dataclass(frozen=True)
@@ -129,48 +102,15 @@ class Apparatus:
 
 
 @dataclass(frozen=True)
-class MirrorPlacement:
-    """Mirror geometry for a scan position x on the screen line."""
-
-    x: float
-    center: np.ndarray
-    end_high: np.ndarray  # endpoint with larger x
-    end_low: np.ndarray
-    along: np.ndarray  # unit vector from center toward end_high
-    normal: np.ndarray  # unit normal facing the diaphragm (negative y)
-
-    @property
-    def half_width(self) -> float:
-        return float(np.linalg.norm(self.end_high - self.center))
-
-
-@dataclass(frozen=True)
-class DetectorLayout:
-    """Detector aperture centers and endpoints for a reference mirror position.
-
-    Edge points are labelled left/right looking along the arriving central
-    ray (left = counterclockwise perpendicular of the propagation direction).
-    """
-
-    d1: np.ndarray
-    d2: np.ndarray
-    d1_left: np.ndarray
-    d1_right: np.ndarray
-    d2_left: np.ndarray
-    d2_right: np.ndarray
-    arm1: float
-    arm2: float
-    ray1: Ray2  # central reflected ray toward detector 1
-    ray2: Ray2
-
-
-@dataclass(frozen=True)
 class DetectorLayouts:
-    """Re-aimed detector layouts for an array of mirror positions.
+    """Detector aperture centres and edges, re-aimed for each of an array
+    of mirror positions.
 
     Row i belongs to the mirror centred at ``centers[i]``; the second axis
     of the other arrays is the detector, so ``right[i, 1]`` is detector 2's
-    right aperture edge.  Left/right as in ``DetectorLayout``.
+    right aperture edge.  Edges are labelled left/right looking along the
+    arriving central ray (left = counterclockwise perpendicular of the
+    propagation direction).
     """
 
     centers: np.ndarray  # (n, 2)
@@ -180,23 +120,6 @@ class DetectorLayouts:
     right: np.ndarray  # (n, 2, 2)
     arm1: float
     arm2: float
-
-    def row(self, i: int) -> DetectorLayout:
-        """The layout for position i."""
-        (d1, d2), (l1, l2), (r1, r2) = self.detectors[i], self.left[i], self.right[i]
-        center, (dir1, dir2) = self.centers[i], self.directions[i]
-        return DetectorLayout(
-            d1=d1,
-            d2=d2,
-            d1_left=l1,
-            d1_right=r1,
-            d2_left=l2,
-            d2_right=r2,
-            arm1=self.arm1,
-            arm2=self.arm2,
-            ray1=Ray2(origin=center, direction=dir1),
-            ray2=Ray2(origin=center, direction=dir2),
-        )
 
 
 def path_lengths(app: Apparatus, x) -> tuple:
@@ -213,12 +136,6 @@ def path_lengths(app: Apparatus, x) -> tuple:
     return d1, d2
 
 
-def arrival_times(app: Apparatus, x: float) -> tuple[float, float]:
-    """Photon flight times slit -> mirror center -> detector, in seconds."""
-    d1, d2 = path_lengths(app, x)
-    return (d1 + app.arm1) / SPEED_OF_LIGHT, (d2 + app.arm2) / SPEED_OF_LIGHT
-
-
 def mirror_axes(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
     """Unit vector along the mirror toward its +x end, and the unit normal
     facing the diaphragm.
@@ -233,55 +150,32 @@ def mirror_axes(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
     return along, normal
 
 
-def mirror_placement(app: Apparatus, x: float) -> MirrorPlacement:
-    """Place the mirror centered at (x, L), oriented as in ``mirror_axes``."""
-    along, normal = mirror_axes(app)
-    center = point(x, app.screen_distance)
-    half = app.mirror_width / 2
-    return MirrorPlacement(
-        x=float(x),
-        center=center,
-        end_high=center + half * along,
-        end_low=center - half * along,
-        along=along,
-        normal=normal,
-    )
+def mirror_frame(app: Apparatus, centers, points) -> tuple[np.ndarray, np.ndarray]:
+    """(along, height) coordinates of points about mirror centres; both
+    arrays of shape (..., 2), broadcast against each other.
 
-
-def mirror_frame(pl: MirrorPlacement, points) -> list[tuple[float, float]]:
-    """(along, height) coordinates of points about the mirror centre.
-
-    ``along`` runs toward ``end_high`` and ``height`` along the normal, so
-    the diaphragm side has positive height.  In this frame the mirror image
-    of a point (the image-source method: a flat mirror makes reflected rays
-    look as if they come from the source's image) is the point with its
-    height negated.
+    ``along`` runs along ``mirror_axes`` toward the mirror's +x end and
+    ``height`` along its normal, so the diaphragm side has positive height.
+    In this frame the mirror image of a point (the image-source method: a
+    flat mirror makes reflected rays look as if they come from the source's
+    image) is the point with its height negated.
     """
-    rel = np.asarray(points) - pl.center
-    return list(zip((rel @ pl.along).tolist(), (rel @ pl.normal).tolist()))
+    along, normal = mirror_axes(app)
+    rel = np.asarray(points) - centers
+    return rel @ along, rel @ normal
 
 
-def project_from_image(image: tuple[float, float], p: tuple[float, float]) -> float:
-    """Along-coordinate at which the line from ``image`` through ``p``, both
-    in ``mirror_frame`` coordinates, crosses the mirror line.  The two points
-    must lie at different heights."""
-    t_img, h_img = image
-    t, h = p
+def project_from_image(t_img, h_img, t, h):
+    """Along-coordinate at which the line from the image (t_img, h_img)
+    through the point (t, h), both in ``mirror_frame`` coordinates, crosses
+    the mirror line.  The two points must lie at different heights."""
     return t_img + (t - t_img) * h_img / (h_img - h)
 
 
-def reflect_direction(v: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Specular reflection of direction v about unit normal n."""
-    vn = float(np.dot(v, n))
-    if abs(vn) < 1e-9:
-        raise GrazingIncidenceError("incident ray is parallel to the mirror surface")
-    return v - 2.0 * vn * n
-
-
-def signed_angle(reference: np.ndarray, v: np.ndarray) -> float:
-    """Counterclockwise-positive angle from ``reference`` to ``v``, in (-pi, pi]."""
-    cross = reference[0] * v[1] - reference[1] * v[0]
-    return math.atan2(cross, float(np.dot(reference, v)))
+def _normal_angle(app: Apparatus, vx, vy):
+    """Counterclockwise-positive angle from the mirror normal to (vx, vy)."""
+    _, (n0, n1) = mirror_axes(app)
+    return np.arctan2(n0 * vy - n1 * vx, n0 * vx + n1 * vy)
 
 
 def incidence_angles(app: Apparatus, x) -> tuple:
@@ -292,15 +186,12 @@ def incidence_angles(app: Apparatus, x) -> tuple:
     x, arrays for an array of positions.
     """
     xs = _positions(x)
-    _, (n0, n1) = mirror_axes(app)
     half = app.slit_separation / 2
     vy = -app.screen_distance
-    angles = []
-    for vx in (half - xs, -half - xs):
-        angles.append(np.arctan2(n0 * vy - n1 * vx, n0 * vx + n1 * vy))
+    g1, g2 = (_normal_angle(app, vx, vy) for vx in (half - xs, -half - xs))
     if xs.ndim == 0:
-        return float(angles[0]), float(angles[1])
-    return angles[0], angles[1]
+        return float(g1), float(g2)
+    return g1, g2
 
 
 def detector_layouts(app: Apparatus, xs) -> DetectorLayouts:
@@ -353,63 +244,32 @@ def detector_layouts(app: Apparatus, xs) -> DetectorLayouts:
     )
 
 
-def detector_layout(app: Apparatus, x_ref: float) -> DetectorLayout:
-    """The layout of ``detector_layouts`` for the single position ``x_ref``."""
-    return detector_layouts(app, x_ref).row(0)
-
-
 def detector_separation(app: Apparatus, x: float) -> tuple[float, float]:
     """Exact |D1 - D2| plus the small-angle estimate arm * (gamma1 - gamma2).
 
     The estimate assumes equal arms; with unequal arms the mean arm length
     is used, and the exact value remains authoritative.
     """
-    layout = detector_layout(app, x)
-    exact = float(np.linalg.norm(layout.d1 - layout.d2))
+    d1, d2 = detector_layouts(app, x).detectors[0]
+    exact = float(np.linalg.norm(d1 - d2))
     g1, g2 = incidence_angles(app, x)
     approx = 0.5 * (app.arm1 + app.arm2) * (g1 - g2)
     return exact, approx
 
 
-def _on_mirror(pl: MirrorPlacement, p: np.ndarray, slack: float = 1e-9) -> bool:
-    rel = p - pl.center
-    along = float(np.dot(rel, pl.along))
-    off = abs(float(rel[0] * pl.along[1] - rel[1] * pl.along[0]))
-    return off <= slack and abs(along) <= pl.half_width + slack
-
-
 def clearance_margins(
     app: Apparatus, p: np.ndarray, d2_right: np.ndarray, d1_left: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``clearance_angles`` for arrays of mirror points p (shape (..., 2)),
-    with the aperture edges broadcast against them."""
-    _, (n0, n1) = mirror_axes(app)
-    s1, s2 = app.slits()
-    v = np.stack(np.broadcast_arrays(s1 - p, d2_right - p, s2 - p, d1_left - p))
-    vx, vy = v[..., 0], v[..., 1]
-    a = np.abs(np.arctan2(n0 * vy - n1 * vx, n0 * vx + n1 * vy))
-    return a[0] - a[1], a[2] - a[3]
-
-
-def clearance_angles(
-    app: Apparatus,
-    x: float,
-    p: np.ndarray,
-    layout: DetectorLayout | None = None,
-) -> tuple[float, float]:
-    """Angular margins against mis-detection for a mirror point p.
+    """Angular margins against mis-detection for arrays of mirror points p
+    (shape (..., 2)), with the aperture edges broadcast against them.
 
     delta1 compares the incidence angle of the slit-1 ray at p with the
     angle subtended by the near edge of detector 2's aperture (both measured
     from the mirror normal): delta1 > 0 means the reflected slit-1 ray
     passes beyond that edge and clears detector 2.  delta2 is the analogous
-    margin for slit 2 against detector 1, safe when negative.  The detector
-    layout is the reference one for the same x unless supplied.
+    margin for slit 2 against detector 1, safe when negative.
     """
-    pl = mirror_placement(app, x)
-    if not _on_mirror(pl, p):
-        raise OffMirrorError(f"point {p} is not on the mirror segment at x={x}")
-    if layout is None:
-        layout = detector_layout(app, x)
-    delta1, delta2 = clearance_margins(app, p, layout.d2_right, layout.d1_left)
-    return float(delta1), float(delta2)
+    s1, s2 = app.slits()
+    v = np.stack(np.broadcast_arrays(s1 - p, d2_right - p, s2 - p, d1_left - p))
+    a = np.abs(_normal_angle(app, v[..., 0], v[..., 1]))
+    return a[0] - a[1], a[2] - a[3]

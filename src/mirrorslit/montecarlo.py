@@ -21,12 +21,12 @@ positions are evaluated in.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import design, geometry
-from .geometry import Apparatus, DetectorLayout
+from .geometry import Apparatus, DetectorLayouts
 from .wavemodel import (
     FringePattern,
     OutcomeHypothesis,
@@ -73,12 +73,6 @@ class ScanConfig:
                 f"grid spacing {self.max_spacing():.3g} m exceeds half the "
                 f"fringe period {f_s:.3g} m"
             )
-        if self.max_spacing() > f_s / 8.0:
-            warnings.warn(
-                "grid spacing is coarser than an eighth of the fringe period; "
-                "visibility estimates may degrade",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -116,144 +110,112 @@ def _position_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def _acceptance_rate(app: Apparatus, x: float, v: float) -> float:
-    """Fringe-modulated detection probability at the mirror, in [0, 1]."""
+def _acceptance_rate(app: Apparatus, x, v: float):
+    """Fringe-modulated detection probability at the mirror, in [0, 1], at
+    scan position(s) x."""
     return 0.5 * (1.0 + v * np.cos(phase(app, x)))
 
 
-def _mirror_interval(
-    half: float, image: tuple[float, float], a: tuple[float, float], b: tuple[float, float]
-) -> tuple[float, float]:
-    """Mirror coordinates, clipped to [-half, half], of the points whose
-    reflected rays cross the aperture segment a-b.
-
-    Points are (along, height) coordinates in ``geometry.mirror_frame``.
-    A reflected ray runs on the line from the source's image through the
-    mirror point, beyond it, so it can only reach the part of the segment
-    on the side of the mirror line opposite the image.  That part,
-    projected from the image onto the mirror line, is the interval.  It is
-    empty when the returned lower end is not below the upper one.
-    """
-    h_img = image[1]
-    (ta, ha), (tb, hb) = a, b
-    # negative on the reflecting side; the projection below divides by
-    # h_img - h, which is then never zero
-    ga, gb = ha * h_img, hb * h_img
-    if ga >= 0.0 and gb >= 0.0:
-        return half, -half
-    if ga >= 0.0 or gb >= 0.0:
-        k = ha / (ha - hb)
-        crossing = (ta + k * (tb - ta), 0.0)
-        if ga >= 0.0:
-            ta, ha = crossing
-        else:
-            tb, hb = crossing
-    ua = geometry.project_from_image(image, (ta, ha))
-    ub = geometry.project_from_image(image, (tb, hb))
-    return max(min(ua, ub), -half), min(max(ua, ub), half)
-
-
-def routing_fractions(app: Apparatus, x: float, layout: DetectorLayout) -> np.ndarray:
+def routing_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarray:
     """Share of the mirror length that routes each slit into each detector.
 
-    ``f[s - 1, d - 1]`` is the fraction of mirror points, uniform along the
-    mirror at scan position x, whose reflection of a ray from slit s
-    crosses the aperture of detector d.  A flat mirror reflects slit s as
-    its mirror image s' = s - 2((s - c).n) n (the image-source method), so
-    each (slit, detector) pair is hit from one interval of the mirror.  A
-    ray that crosses both apertures counts at detector 1.
+    ``f[i, s - 1, d - 1]`` is the fraction of mirror points, uniform along
+    the mirror at scan position ``xs[i]``, whose reflection of a ray from
+    slit s crosses the aperture of detector d, with the detectors of
+    ``layouts`` row i; a one-row layout serves every position.  A flat
+    mirror reflects slit s as its mirror image s' = s - 2((s - c).n) n (the
+    image-source method), so each (slit, detector) pair is hit from one
+    interval of the mirror.  A reflected ray runs on the line from the
+    image through the mirror point, beyond it, so it can only reach the
+    part of the aperture segment on the side of the mirror line opposite
+    the image; that part, projected from the image onto the mirror line
+    and clipped to the mirror, is the interval.  A ray that crosses both
+    apertures counts at detector 1.
     """
-    frame = geometry.mirror_frame(
-        geometry.mirror_placement(app, x),
-        [*app.slits(), layout.d1_left, layout.d1_right, layout.d2_left, layout.d2_right],
-    )
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    centers = np.stack([xs, np.full_like(xs, app.screen_distance)], axis=-1)[:, None, :]
+    # axis 1 is the slit, axis 2 the detector
+    t_s, h_s = geometry.mirror_frame(app, centers, np.array(app.slits()))
+    t_img, h_img = t_s[:, :, None], -h_s[:, :, None]
+    ta, ha = (c[:, None, :] for c in geometry.mirror_frame(app, centers, layouts.left))
+    tb, hb = (c[:, None, :] for c in geometry.mirror_frame(app, centers, layouts.right))
+    # an edge is off the reflecting side when its height has the image's
+    # sign; the segment then counts only up to where it crosses the mirror
+    a_off, b_off = ha * h_img >= 0.0, hb * h_img >= 0.0
+    empty = a_off & b_off
+    cut = a_off != b_off
+    t_cross = ta + ha / np.where(cut, ha - hb, 1.0) * (tb - ta)
+    ta, ha = np.where(cut & a_off, t_cross, ta), np.where(cut & a_off, 0.0, ha)
+    tb, hb = np.where(cut & b_off, t_cross, tb), np.where(cut & b_off, 0.0, hb)
+    # stand-in heights keep the unused projections of empty intervals finite
+    h_img = np.where(empty, 1.0, h_img)
+    ua = geometry.project_from_image(t_img, h_img, ta, np.where(empty, 0.0, ha))
+    ub = geometry.project_from_image(t_img, h_img, tb, np.where(empty, 0.0, hb))
     half = app.mirror_width / 2
-    f = np.zeros((2, 2))
-    for i, (t_s, h_s) in enumerate(frame[:2]):
-        image = (t_s, -h_s)
-        lo1, hi1 = _mirror_interval(half, image, frame[2], frame[3])
-        lo2, hi2 = _mirror_interval(half, image, frame[4], frame[5])
-        both = max(min(hi1, hi2) - max(lo1, lo2), 0.0)
-        f[i] = max(hi1 - lo1, 0.0), max(hi2 - lo2, 0.0) - both
+    # an empty interval starts at the mirror's upper end, so has no length
+    lo = np.where(empty, half, np.maximum(np.minimum(ua, ub), -half))
+    hi = np.minimum(np.maximum(ua, ub), half)
+    f = np.maximum(hi - lo, 0.0)
+    # rays that cross both apertures count at detector 1 only
+    f[..., 1] -= np.maximum(hi.min(axis=-1) - lo.max(axis=-1), 0.0)
     return f / app.mirror_width
-
-
-def _simulate_position(
-    app: Apparatus,
-    x: float,
-    n_photons: int,
-    v: float,
-    rng: np.random.Generator,
-    layout: DetectorLayout,
-) -> tuple[int, int, int]:
-    """Photon counts at one position: (n1, n2, misdetected).
-
-    Each photon takes either slit with probability 1/2 and survives the
-    fringe rate with probability r, so the outcome (slit s, detector d)
-    has probability r/2 f_sd; one multinomial draw gives every count.
-    """
-    p = 0.5 * _acceptance_rate(app, x, v) * routing_fractions(app, x, layout).ravel()
-    # rounding can carry the sum of p a hair past 1 when the routed shares
-    # cover the whole mirror; numpy rejects a negative last probability
-    c11, c12, c21, c22, _ = rng.multinomial(
-        n_photons, [*p.tolist(), max(1.0 - float(p.sum()), 0.0)]
-    ).tolist()
-    return c11 + c21, c12 + c22, c12 + c21
 
 
 def simulate_scan(
     app: Apparatus, config: ScanConfig, hyp: OutcomeHypothesis
 ) -> ScanSummary:
-    """Full photon-counting scan under an outcome hypothesis."""
+    """Full photon-counting scan under an outcome hypothesis.
+
+    Each photon takes either slit with probability 1/2 and survives the
+    fringe rate with probability r, so at each position the outcome (slit
+    s, detector d) has probability r/2 f_sd; one multinomial draw per
+    position gives every count.
+    """
     config.check_sampling(app)
-    x_max = float(max(abs(config.x_positions[0]), abs(config.x_positions[-1])))
+    xs = config.x_positions
+    x_max = float(max(abs(xs[0]), abs(xs[-1])))
     report = design.validate(app, x_max)
     if not report.feasible:
         warnings.warn("apparatus fails design validation; simulating anyway", stacklevel=2)
 
     v = hypothesis_visibility(hyp)
-    n_positions = len(config.x_positions)
-    if config.freeze_detectors:
-        layouts = [geometry.detector_layout(app, 0.0)] * n_positions
-    else:
-        aimed = geometry.detector_layouts(app, config.x_positions)
-        layouts = [aimed.row(i) for i in range(n_positions)]
-    records = []
-    total_mis = 0
-    total_n = 0
-    for i, (x, layout) in enumerate(zip(config.x_positions, layouts)):
-        rng = _position_rng(config.seed, i)
-        n1, n2, mis = _simulate_position(
-            app, float(x), config.photons_per_position, v, rng, layout
+    layouts = geometry.detector_layouts(app, 0.0 if config.freeze_detectors else xs)
+    p = (0.5 * _acceptance_rate(app, xs, v))[:, None] * routing_fractions(
+        app, xs, layouts
+    ).reshape(-1, 4)
+    # rounding can carry the sum of p a hair past 1 when the routed shares
+    # cover the whole mirror; numpy rejects a negative last probability
+    table = np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
+    counts = np.array(
+        [
+            _position_rng(config.seed, i).multinomial(config.photons_per_position, row)
+            for i, row in enumerate(table)
+        ]
+    )
+    c11, c12, c21, c22 = counts[:, :4].T
+    n1, n2, mis = c11 + c21, c12 + c22, c12 + c21
+    # detector 2 sees the mirror image of detector 1's phase, and cos is
+    # even, so one evaluation serves both columns
+    intensity = detector_intensity(app, xs, 1)
+    records = [
+        ScanRecord(x=x, n1=a, n2=b, misdetected=m, i1_theory=i, i2_theory=i)
+        for x, a, b, m, i in zip(
+            xs.tolist(), n1.tolist(), n2.tolist(), mis.tolist(), intensity.tolist()
         )
-        # detector 2 sees the mirror image of detector 1's phase, and cos is
-        # even, so one evaluation serves both columns
-        intensity = detector_intensity(app, float(x), 1)
-        records.append(
-            ScanRecord(
-                x=float(x),
-                n1=n1,
-                n2=n2,
-                misdetected=mis,
-                i1_theory=intensity,
-                i2_theory=intensity,
-            )
-        )
-        total_mis += mis
-        total_n += n1 + n2
+    ]
+    total_n = int(n1.sum() + n2.sum())
 
     f_s = fringe_spacing(app)
-    xs = config.x_positions
 
     def fitted(values: np.ndarray) -> float:
-        return fit_visibility(FringePattern(xs, values), f_s).visibility
+        return fit_visibility(FringePattern(xs, values.astype(float)), f_s).visibility
 
     return ScanSummary(
         records=records,
-        v_total=fitted(np.array([r.n for r in records], dtype=float)),
-        v_1=fitted(np.array([r.n1 for r in records], dtype=float)),
-        v_2=fitted(np.array([r.n2 for r in records], dtype=float)),
-        misdetection_rate=(total_mis / total_n) if total_n else 0.0,
+        v_total=fitted(n1 + n2),
+        v_1=fitted(n1),
+        v_2=fitted(n2),
+        misdetection_rate=(int(mis.sum()) / total_n) if total_n else 0.0,
         hypothesis=hyp,
         seed=config.seed,
     )
@@ -266,12 +228,12 @@ def conventional_scan(app: Apparatus, config: ScanConfig) -> FringePattern:
     two-beam screen intensity, with the same per-position substreams.
     """
     config.check_sampling(app)
-    counts = np.empty(len(config.x_positions))
-    for i, x in enumerate(config.x_positions):
-        rng = _position_rng(config.seed, i)
-        rate = screen_intensity(app, float(x)) / 4.0
-        counts[i] = np.sum(rng.random(config.photons_per_position) < rate)
-    return FringePattern(config.x_positions, counts)
+    rates = screen_intensity(app, config.x_positions) / 4.0
+    counts = [
+        np.sum(_position_rng(config.seed, i).random(config.photons_per_position) < rate)
+        for i, rate in enumerate(rates)
+    ]
+    return FringePattern(config.x_positions, np.array(counts, dtype=float))
 
 
 def compare_distributions(

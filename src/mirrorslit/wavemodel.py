@@ -107,14 +107,15 @@ def screen_intensity(app: Apparatus, x) -> np.ndarray | float:
     return out if np.ndim(x) else float(out[0])
 
 
-def detector_intensity(app: Apparatus, x: float, which: int) -> float:
-    """Intensity at detector 1 or 2: the screen pattern shifted by twice the
-    incidence-angle difference (the two formulas are mirror images and thus
-    numerically identical)."""
+def detector_intensity(app: Apparatus, x, which: int) -> np.ndarray | float:
+    """Intensity at detector 1 or 2 at scan position(s) x: the screen
+    pattern shifted by twice the incidence-angle difference (the two
+    formulas are mirror images and thus numerically identical)."""
     if which not in (1, 2):
         raise ValueError("detector index must be 1 or 2")
     p = phase(app, x)
-    return 2.0 * (1.0 + math.cos(p if which == 1 else -p))
+    out = 2.0 * (1.0 + np.cos(p if which == 1 else -p))
+    return out if np.ndim(x) else float(out)
 
 
 def visibility(pattern: FringePattern) -> float:

@@ -1,8 +1,11 @@
 """Direct, loop-by-loop references the closed forms are checked against.
 
-``montecarlo`` routes photons through mirror intervals found from the
-slits' mirror images; the per-photon ray tracer here does the same job one
-reflected ray at a time.  ``design`` finds grazing limits as one line
+The vector geometry here (mirror placement, unit vectors, specular
+reflection, signed angles, the clearance margin at one mirror point) builds
+the apparatus one point at a time.  ``montecarlo`` routes photons through
+mirror intervals found from the slits' mirror images over a whole scan
+grid; the per-photon ray tracer here does the same job one reflected ray
+at a time.  ``design`` finds grazing limits as one line
 intersection and checks feasibility over whole arrays of positions; the
 bisection, ``loop_validate`` and ``loop_design_search`` here do it by
 root finding and one scalar geometry call per point.
@@ -11,7 +14,7 @@ root finding and one scalar geometry call per point.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,15 +27,112 @@ from mirrorslit.design import (
     DesignReport,
     SearchSpace,
 )
-from mirrorslit.geometry import Apparatus, DetectorLayout, DiaphragmClearanceError
+from mirrorslit.geometry import (
+    Apparatus,
+    DetectorLayouts,
+    DiaphragmClearanceError,
+    GeometryError,
+    GrazingIncidenceError,
+)
 from mirrorslit.montecarlo import _acceptance_rate
 from mirrorslit.wavemodel import OutcomeHypothesis, fringe_spacing, hypothesis_visibility
 
 _BISECT_TOL = 1e-7
 
 
+class OffMirrorError(GeometryError):
+    """Probe point does not lie on the mirror segment."""
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(v)
+    if n == 0.0:
+        raise GeometryError("cannot normalize zero vector")
+    return v / n
+
+
+@dataclass(frozen=True)
+class MirrorPlacement:
+    """Mirror geometry for a scan position x on the screen line."""
+
+    x: float
+    center: np.ndarray
+    end_high: np.ndarray  # endpoint with larger x
+    end_low: np.ndarray
+    along: np.ndarray  # unit vector from center toward end_high
+    normal: np.ndarray  # unit normal facing the diaphragm (negative y)
+
+    @property
+    def half_width(self) -> float:
+        return float(np.linalg.norm(self.end_high - self.center))
+
+
+def mirror_placement(app: Apparatus, x: float) -> MirrorPlacement:
+    """Place the mirror centered at (x, L), oriented as in ``mirror_axes``."""
+    along, normal = geometry.mirror_axes(app)
+    center = geometry.point(x, app.screen_distance)
+    half = app.mirror_width / 2
+    return MirrorPlacement(
+        x=float(x),
+        center=center,
+        end_high=center + half * along,
+        end_low=center - half * along,
+        along=along,
+        normal=normal,
+    )
+
+
+def reflect_direction(v: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Specular reflection of direction v about unit normal n."""
+    vn = float(np.dot(v, n))
+    if abs(vn) < 1e-9:
+        raise GrazingIncidenceError("incident ray is parallel to the mirror surface")
+    return v - 2.0 * vn * n
+
+
+def signed_angle(reference: np.ndarray, v: np.ndarray) -> float:
+    """Counterclockwise-positive angle from ``reference`` to ``v``, in (-pi, pi]."""
+    cross = reference[0] * v[1] - reference[1] * v[0]
+    return math.atan2(cross, float(np.dot(reference, v)))
+
+
+def _on_mirror(pl: MirrorPlacement, p: np.ndarray, slack: float = 1e-9) -> bool:
+    rel = p - pl.center
+    along = float(np.dot(rel, pl.along))
+    off = abs(float(rel[0] * pl.along[1] - rel[1] * pl.along[0]))
+    return off <= slack and abs(along) <= pl.half_width + slack
+
+
+def clearance_angles(
+    app: Apparatus,
+    x: float,
+    p: np.ndarray,
+    layout: DetectorLayouts | None = None,
+) -> tuple[float, float]:
+    """``geometry.clearance_margins`` at one mirror point p, checked to lie
+    on the mirror at x.  The detector layout (one row) is the reference one
+    for the same x unless supplied."""
+    pl = mirror_placement(app, x)
+    if not _on_mirror(pl, p):
+        raise OffMirrorError(f"point {p} is not on the mirror segment at x={x}")
+    if layout is None:
+        layout = geometry.detector_layouts(app, x)
+    delta1, delta2 = geometry.clearance_margins(
+        app, p, layout.right[0, 1], layout.left[0, 0]
+    )
+    return float(delta1), float(delta2)
+
+
+def row_edges(layouts: DetectorLayouts, i: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right aperture edges, shape (2, 2) with the detector first,
+    of row i of ``layouts``."""
+    return layouts.left[i], layouts.right[i]
+
+
 def route_rays(
-    origins: np.ndarray, directions: np.ndarray, layout: DetectorLayout
+    origins: np.ndarray,
+    directions: np.ndarray,
+    edges: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Vectorized ray vs aperture-segment intersection.
 
@@ -40,10 +140,7 @@ def route_rays(
     A ray crossing both apertures counts at detector 1.
     """
     hit = np.zeros(len(origins), dtype=np.int64)
-    for idx, (left, right) in (
-        (1, (layout.d1_left, layout.d1_right)),
-        (2, (layout.d2_left, layout.d2_right)),
-    ):
+    for idx, left, right in zip((1, 2), *edges):
         seg = right - left
         rel = left - origins
         denom = directions[:, 0] * (-seg[1]) - directions[:, 1] * (-seg[0])
@@ -64,7 +161,7 @@ def photon_event(
     x: float,
     hyp: OutcomeHypothesis,
     rng: np.random.Generator,
-    layout: DetectorLayout | None = None,
+    edges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, int, bool]:
     """Simulate one photon at scan position x.
 
@@ -72,26 +169,26 @@ def photon_event(
     the photon is not detected (rejected by the fringe rate, or its
     reflected ray misses both apertures).
     """
-    if layout is None:
-        layout = geometry.detector_layout(app, x)
+    if edges is None:
+        edges = row_edges(geometry.detector_layouts(app, x))
     slit = 1 if rng.random() < 0.5 else 2
     v = hypothesis_visibility(hyp)
     if rng.random() >= _acceptance_rate(app, x, v):
         return 0, slit, False
-    pl = geometry.mirror_placement(app, x)
+    pl = mirror_placement(app, x)
     p = pl.end_low + rng.random() * (pl.end_high - pl.end_low)
     source = app.slits()[slit - 1]
-    direction = geometry.reflect_direction(geometry.unit(p - source), pl.normal)
-    detector = int(route_rays(p[None, :], direction[None, :], layout)[0])
+    direction = reflect_direction(unit(p - source), pl.normal)
+    detector = int(route_rays(p[None, :], direction[None, :], edges)[0])
     misdetected = detector != 0 and detector != slit
     return detector, slit, misdetected
 
 
 def _trace(
-    pl: geometry.MirrorPlacement,
+    pl: MirrorPlacement,
     sources: np.ndarray,
     mirror_frac: np.ndarray,
-    layout: DetectorLayout,
+    edges: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Detector (1, 2, or 0 for neither) reached by the ray from each source
     reflected at the mirror point a fraction ``mirror_frac`` along the mirror
@@ -101,13 +198,13 @@ def _trace(
     incident /= np.linalg.norm(incident, axis=1, keepdims=True)
     n = pl.normal
     directions = incident - 2.0 * (incident @ n)[:, None] * n[None, :]
-    return route_rays(points, directions, layout)
+    return route_rays(points, directions, edges)
 
 
 def traced_fractions(
     app: Apparatus,
     x: float,
-    layout: DetectorLayout,
+    edges: tuple[np.ndarray, np.ndarray],
     n_rays: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -117,10 +214,10 @@ def traced_fractions(
     mirror; ``f[s - 1, d - 1]`` is the share of them whose reflected ray
     crosses detector d's aperture.
     """
-    pl = geometry.mirror_placement(app, x)
+    pl = mirror_placement(app, x)
     f = np.zeros((2, 2))
     for i, source in enumerate(app.slits()):
-        hits = _trace(pl, source[None, :], rng.random(n_rays), layout)
+        hits = _trace(pl, source[None, :], rng.random(n_rays), edges)
         f[i] = np.mean(hits == 1), np.mean(hits == 2)
     return f
 
@@ -131,7 +228,7 @@ def traced_position(
     n_photons: int,
     v: float,
     rng: np.random.Generator,
-    layout: DetectorLayout,
+    edges: tuple[np.ndarray, np.ndarray],
 ) -> tuple[int, int, int]:
     """Per-photon counts at one position, (n1, n2, misdetected): a slit,
     an acceptance test and a uniform mirror point drawn for every photon,
@@ -143,7 +240,7 @@ def traced_position(
     slits = slits[accept]
     s1, s2 = app.slits()
     sources = np.where((slits == 1)[:, None], s1[None, :], s2[None, :])
-    hits = _trace(geometry.mirror_placement(app, x), sources, mirror_frac[accept], layout)
+    hits = _trace(mirror_placement(app, x), sources, mirror_frac[accept], edges)
     n1 = int(np.sum(hits == 1))
     n2 = int(np.sum(hits == 2))
     mis = int(np.sum((hits != 0) & (hits != slits)))
@@ -151,7 +248,7 @@ def traced_position(
 
 
 def clearance_at_half_width(
-    app: Apparatus, x: float, slit: int, h: float, layout: DetectorLayout | None = None
+    app: Apparatus, x: float, slit: int, h: float, layout: DetectorLayouts | None = None
 ) -> float:
     """Clearance margin at probe point M1 (slit 1) or M2 (slit 2) for a
     hypothetical mirror of half-width h, detectors fixed at the same x.
@@ -159,11 +256,11 @@ def clearance_at_half_width(
     same thing for both: positive = safe, negative = mis-detection.  The
     layout does not depend on h; pass it to save rebuilding it."""
     widened = replace(app, mirror_width=2.0 * h)
-    pl = geometry.mirror_placement(widened, x)
+    pl = mirror_placement(widened, x)
     if layout is None:
-        layout = geometry.detector_layout(widened, x)
+        layout = geometry.detector_layouts(widened, x)
     p = pl.end_high if slit == 1 else pl.end_low
-    d1, d2 = geometry.clearance_angles(widened, x, p, layout)
+    d1, d2 = clearance_angles(widened, x, p, layout)
     return d1 if slit == 1 else -d2
 
 
@@ -172,7 +269,7 @@ def bisect_half_width(app: Apparatus, x: float, slit: int) -> float:
     over [1 um, 2 mm] to 0.1 um."""
     if slit not in (1, 2):
         raise DesignError("slit must be 1 or 2")
-    layout = geometry.detector_layout(app, x)
+    layout = geometry.detector_layouts(app, x)
     lo, hi = _HALF_WIDTH_LO, _HALF_WIDTH_HI
     f_lo = clearance_at_half_width(app, x, slit, lo, layout)
     f_hi = clearance_at_half_width(app, x, slit, hi, layout)
@@ -209,7 +306,7 @@ def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
     s1, s2 = app.slits()
     worst = 0.0
     for x in np.linspace(0.0, x0, 101):
-        pl = geometry.mirror_placement(app, x)
+        pl = mirror_placement(app, x)
         feet = []
         for endpoint, slit in ((pl.end_high, s1), (pl.end_low, s2)):
             direction = endpoint - slit
@@ -220,8 +317,8 @@ def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
 
 
 def loop_validate(app: Apparatus, x_max: float) -> DesignReport:
-    """``design.validate`` with bisection limits, and one scalar layout and
-    ``clearance_angles`` call per position and probe point."""
+    """``design.validate`` with bisection limits, and one single-position
+    layout and ``clearance_angles`` call per position and probe point."""
     f_s = fringe_spacing(app)
     w_prime, _ = design.default_mirror_params(app)
     warnings_list = app.regime_warnings()
@@ -251,10 +348,10 @@ def loop_validate(app: Apparatus, x_max: float) -> DesignReport:
     try:
         separation, _ = geometry.detector_separation(app, 0.0)
         for x in np.linspace(0.0, x_max, 61):
-            layout = geometry.detector_layout(app, x)
-            pl = geometry.mirror_placement(app, x)
+            layout = geometry.detector_layouts(app, x)
+            pl = mirror_placement(app, x)
             for p in (pl.end_low, pl.center, pl.end_high):
-                d1, d2 = geometry.clearance_angles(app, x, p, layout)
+                d1, d2 = clearance_angles(app, x, p, layout)
                 if not (d1 > 0 and d2 < 0):
                     misdetection_free = False
     except DiaphragmClearanceError as exc:

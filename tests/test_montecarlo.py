@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,14 +17,26 @@ from mirrorslit.wavemodel import (
     FringePattern,
     HypothesisKind,
     OutcomeHypothesis,
+    detector_intensity,
     duality_check,
     DualityPoint,
     hypothesis_visibility,
 )
-from oracle import photon_event, traced_fractions, traced_position
+from oracle import photon_event, row_edges, traced_fractions, traced_position
 
 FULL = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
 EXCLUSIVE = OutcomeHypothesis(HypothesisKind.EXCLUSIVE)
+
+
+def closed_position(app, x, n_photons, v, rng, layout):
+    """Counts at one position, (n1, n2, misdetected), from one multinomial
+    draw over the closed-form outcome probabilities, as ``simulate_scan``
+    makes it: outcome (slit s, detector d) has probability r/2 f_sd."""
+    p = 0.5 * montecarlo._acceptance_rate(app, x, v) * montecarlo.routing_fractions(
+        app, x, layout
+    )[0].ravel()
+    c11, c12, c21, c22, _ = rng.multinomial(n_photons, [*p, max(1.0 - p.sum(), 0.0)])
+    return c11 + c21, c12 + c22, c12 + c21
 
 
 @pytest.fixture
@@ -44,6 +57,12 @@ class TestScanConfig:
         with pytest.raises(ScanError):
             ScanConfig(scan_grid, 10, -1)
 
+    def test_default_grid_accepted_without_warning(self, app, scan_grid):
+        # 41 positions over +-3 F_s, 0.15 F_s apart
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ScanConfig(scan_grid, 10, 0).check_sampling(app)
+
     def test_coarse_grid_rejected(self, app, f_s):
         cfg = ScanConfig(np.linspace(-3 * f_s, 3 * f_s, 7), 10, 0)
         with pytest.raises(ScanError):
@@ -53,20 +72,20 @@ class TestScanConfig:
 class TestPhotonEvent:
     def test_no_misdetection_on_bench_design(self, app):
         rng = np.random.default_rng(3)
-        layout = geometry.detector_layout(app, 0.0)
+        edges = row_edges(geometry.detector_layouts(app, 0.0))
         for _ in range(2000):
-            detector, slit, mis = photon_event(app, 0.0, FULL, rng, layout)
+            detector, slit, mis = photon_event(app, 0.0, FULL, rng, edges)
             assert not mis
             if detector:
                 assert detector == slit
 
     def test_exclusive_acceptance_is_one_half(self, app, f_s):
         rng = np.random.default_rng(4)
-        layout = geometry.detector_layout(app, f_s / 2)
+        edges = row_edges(geometry.detector_layouts(app, f_s / 2))
         detected = sum(
             1
             for _ in range(4000)
-            if photon_event(app, f_s / 2, EXCLUSIVE, rng, layout)[0] == 0
+            if photon_event(app, f_s / 2, EXCLUSIVE, rng, edges)[0] == 0
         )
         # "none" includes both rate rejection (1/2) and aperture misses
         assert detected / 4000 > 0.5
@@ -82,8 +101,8 @@ def assert_matches_ray_trace(app, x, layout):
     # 2e5 rays per slit, seed 12, tolerance 5 sigma of the binomial
     # estimate around the closed form (exact agreement where it is 0)
     n_rays = 200_000
-    exact = montecarlo.routing_fractions(app, x, layout)
-    traced = traced_fractions(app, x, layout, n_rays, np.random.default_rng(12))
+    exact = montecarlo.routing_fractions(app, x, layout)[0]
+    traced = traced_fractions(app, x, row_edges(layout), n_rays, np.random.default_rng(12))
     sigma = np.sqrt(exact * (1.0 - exact) / n_rays)
     assert np.all(np.abs(traced - exact) <= 5.0 * sigma), (exact, traced)
 
@@ -97,7 +116,7 @@ class TestClosedFormRouting:
         # ends clip the intervals and slit 1 is routed into detector 2.
         app = replace(app, mirror_width=width)
         x = x_over_fs * f_s
-        layout = geometry.detector_layout(app, 0.0 if frozen else x)
+        layout = geometry.detector_layouts(app, 0.0 if frozen else x)
         assert_matches_ray_trace(app, x, layout)
 
     @pytest.mark.parametrize(
@@ -112,7 +131,7 @@ class TestClosedFormRouting:
     )
     def test_matches_ray_trace_unusual_layouts(self, app, changes):
         app = replace(app, **changes)
-        assert_matches_ray_trace(app, 0.0, geometry.detector_layout(app, 0.0))
+        assert_matches_ray_trace(app, 0.0, geometry.detector_layouts(app, 0.0))
 
     @pytest.mark.parametrize(
         "width,x_over_fs,frozen",
@@ -126,27 +145,74 @@ class TestClosedFormRouting:
         # 5 sigma of the difference of two binomial counts.
         app = replace(app, mirror_width=width)
         x = x_over_fs * f_s
-        layout = geometry.detector_layout(app, 0.0 if frozen else x)
+        layout = geometry.detector_layouts(app, 0.0 if frozen else x)
         v = hypothesis_visibility(OutcomeHypothesis(HypothesisKind.PARTIAL, 0.6))
         n = 1_000_000
         rng = np.random.default_rng(13)
-        traced = np.array(traced_position(app, x, n, v, rng, layout))
-        closed = np.array(montecarlo._simulate_position(app, x, n, v, rng, layout))
+        traced = np.array(traced_position(app, x, n, v, rng, row_edges(layout)))
+        closed = np.array(closed_position(app, x, n, v, rng, layout))
         assert traced[1] > 0 and traced[2] > 0
         p = (traced + closed) / (2 * n)
         sigma = np.sqrt(2 * n * p * (1.0 - p))
         assert np.all(np.abs(traced - closed) <= 5.0 * sigma), (traced, closed)
 
+    def test_whole_grid_in_one_call(self, app, f_s):
+        # One call over a grid whose rows carry different layouts, so every
+        # branch of the interval clipping runs together: re-aimed rows (the
+        # intervals clipped at both mirror ends), frozen rows off-centre
+        # (intervals wholly off the mirror), a shadowed detector 2 (rays
+        # crossing both apertures), and frozen straddling apertures: at
+        # x = 0 and -2 mm the right edge lies behind the mirror line, and
+        # with the edges listed in the other order the left edge; at
+        # -2.35 mm both edges lie behind, in front of the mirror's upper
+        # half (empty).  Each row against 2e5 traced rays per slit, seed
+        # 12, tolerance 5 sigma of the binomial estimate.
+        app = replace(app, mirror_width=0.26e-3)
+        shadowed = replace(app, arm2=10.0, aperture=8e-3)
+        straddling = geometry.detector_layouts(
+            replace(app, arm1=1e-3, arm2=1e-3, aperture=2.5e-3), np.zeros(3)
+        )
+        # the same apertures with their edges listed in the other order
+        swapped = replace(straddling, left=straddling.right[1:], right=straddling.left[1:])
+        rows = [
+            ([0.0, 3 * f_s], geometry.detector_layouts(app, [0.0, 3 * f_s])),
+            ([0.05 * f_s, 0.2 * f_s, 3 * f_s], geometry.detector_layouts(app, np.zeros(3))),
+            ([0.0, 0.5 * f_s], geometry.detector_layouts(shadowed, [0.0, 0.5 * f_s])),
+            ([-2.35e-3, -2e-3, 0.0], straddling),
+            ([-2e-3, 0.0], swapped),
+        ]
+        xs = np.concatenate([x for x, _ in rows])
+        layouts = replace(
+            straddling,
+            left=np.concatenate([layout.left for _, layout in rows]),
+            right=np.concatenate([layout.right for _, layout in rows]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = montecarlo.routing_fractions(app, xs, layouts)
+        assert grid.shape == (len(xs), 2, 2)
+        n_rays = 200_000
+        rng = np.random.default_rng(12)
+        for i, x in enumerate(xs):
+            traced = traced_fractions(app, x, row_edges(layouts, i), n_rays, rng)
+            sigma = np.sqrt(grid[i] * (1.0 - grid[i]) / n_rays)
+            assert np.all(np.abs(traced - grid[i]) <= 5.0 * sigma), (x, grid[i], traced)
+        # the shadowed rows route slit 1 into both detectors, the empty row
+        # nowhere, the straddling rows at x = 0 everything into detector 1
+        assert np.all(grid[5:7, 0] > 0.0)
+        assert np.all(grid[7] == 0.0)
+        assert np.all(grid[[9, 11], :, 0] == 1.0)
+
     def test_cross_routing_exactly_zero_on_bench_grid(self, app, scan_grid):
         # criterion 05 without sampling noise: on the re-aimed 41-point
         # +-3 F_s grid no mirror point sends a slit into the other detector
         for x in scan_grid:
-            f = montecarlo.routing_fractions(app, x, geometry.detector_layout(app, x))
+            f = montecarlo.routing_fractions(app, x, geometry.detector_layouts(app, x))[0]
             assert f[0, 1] == 0.0 and f[1, 0] == 0.0
             assert f[0, 0] > 0.0 and f[1, 1] > 0.0
         wide = replace(app, mirror_width=0.6e-3)
         for x in scan_grid:
-            f = montecarlo.routing_fractions(wide, x, geometry.detector_layout(wide, x))
+            f = montecarlo.routing_fractions(wide, x, geometry.detector_layouts(wide, x))[0]
             assert f[0, 1] > 0.0 and f[1, 0] > 0.0
 
 
@@ -207,14 +273,31 @@ class TestSimulateScan:
         for record in summary.records:
             assert record.n == record.n1 + record.n2
 
+    def test_frozen_detectors_use_the_centre_layout(self, app, config):
+        # every position draws from its own substream over the x = 0
+        # layout; off-centre that layout routes slits into the wrong
+        # detector, so detector and slit tallies differ
+        frozen = ScanConfig(
+            config.x_positions, config.photons_per_position, config.seed, True
+        )
+        summary = simulate_scan(app, frozen, FULL)
+        layout = geometry.detector_layouts(app, 0.0)
+        for i, (x, record) in enumerate(zip(config.x_positions, summary.records)):
+            rng = montecarlo._position_rng(config.seed, i)
+            n = config.photons_per_position
+            expected = closed_position(app, x, n, 1.0, rng, layout)
+            assert (record.n1, record.n2, record.misdetected) == expected
+            assert record.i1_theory == record.i2_theory == detector_intensity(app, x, 1)
+        assert summary.misdetection_rate > 0.0
+
     def test_order_independent_substreams(self, app, config):
         # simulating a single position in isolation matches the full scan
         summary = simulate_scan(app, config, FULL)
         i = 17
         x = float(config.x_positions[i])
         rng = montecarlo._position_rng(config.seed, i)
-        layout = geometry.detector_layout(app, x)
-        n1, n2, mis = montecarlo._simulate_position(
+        layout = geometry.detector_layouts(app, x)
+        n1, n2, mis = closed_position(
             app, x, config.photons_per_position, 1.0, rng, layout
         )
         assert (n1, n2, mis) == (

@@ -82,6 +82,13 @@ class TestDetectorIntensity:
         with pytest.raises(ValueError):
             detector_intensity(app, 0.0, 3)
 
+    def test_array_matches_pointwise(self, app, f_s):
+        xs = np.linspace(-3 * f_s, 3 * f_s, 1001)
+        for which in (1, 2):
+            pointwise = [detector_intensity(app, x, which) for x in xs.tolist()]
+            assert all(isinstance(v, float) for v in pointwise)
+            np.testing.assert_array_equal(detector_intensity(app, xs, which), pointwise)
+
     def test_phase_shift_much_smaller_than_path_phase(self, app, f_s):
         from mirrorslit.geometry import incidence_angles, path_lengths
 
