@@ -114,7 +114,9 @@ def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
         "photons_per_position", section.get("photons_per_position", 10_000), int
     )
     seed = _load_seed(section, args)
-    freeze = bool(section.get("freeze_detectors", False)) or args.freeze_detectors
+    freeze = section.get("freeze_detectors", False)
+    if not isinstance(freeze, bool):
+        raise ConfigError(f"field 'freeze_detectors' must be true or false, got {freeze!r}")
     if x_min >= x_max:
         raise ConfigError("scan x_min must be below x_max")
     try:
@@ -122,7 +124,7 @@ def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
             x_positions=np.linspace(x_min, x_max, positions),
             photons_per_position=photons,
             seed=seed,
-            freeze_detectors=freeze,
+            freeze_detectors=freeze or args.freeze_detectors,
         )
     except ValueError as exc:  # ScanError, or a negative count from linspace
         raise ConfigError(str(exc)) from exc
@@ -204,8 +206,10 @@ def cmd_validate(config: dict, args, out: Path) -> int:
 def cmd_scan(config: dict, args, out: Path) -> int:
     app = load_apparatus(_require_mapping(config.get("apparatus"), "apparatus"))
     scan = load_scan(_require_mapping(config.get("scan"), "scan"), app, args)
-    if scan.max_spacing() > fringe_spacing(app) / 2.0:
-        print("error: scan grid does not satisfy the sampling theorem", file=sys.stderr)
+    try:
+        scan.check_sampling(app)
+    except montecarlo.ScanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     xs = scan.x_positions
     lines = _timestamp_lines(args) + [CURVES_HEADER]
@@ -227,7 +231,7 @@ def cmd_simulate(config: dict, args, out: Path) -> int:
     hyp = load_hypothesis(_require_mapping(config.get("hypothesis"), "hypothesis"), args)
     try:
         summary = montecarlo.simulate_scan(app, scan, hyp)
-    except (montecarlo.ScanError, FitError) as exc:
+    except (montecarlo.ScanError, FitError, geometry.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

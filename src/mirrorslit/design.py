@@ -168,14 +168,23 @@ def required_mirror_width(app: Apparatus) -> float:
     return _required_width(app, *_grazing_limits(app))
 
 
+def no_cross_routing(fractions: np.ndarray) -> bool:
+    """True when, at every position of ``geometry.routing_fractions``
+    output, no mirror point sends either slit into the other slit's
+    detector: f12 = f21 = 0."""
+    return not fractions[:, [0, 1], [1, 0]].any()
+
+
 def validate(
     app: Apparatus, x_max: float, limits: tuple[float, float] | None = None
 ) -> DesignReport:
     """Assemble the full feasibility report for a scan over [0, x_max].
 
-    Failures are recorded in the report rather than raised; only malformed
-    inputs raise.  ``limits`` passes grazing limits (w1, w2) already solved
-    for this apparatus; they do not depend on the mirror width.
+    Mis-detection is judged from the exact routing fractions with the
+    detectors re-aimed at 61 positions.  Failures are recorded in the
+    report rather than raised; only malformed inputs raise.  ``limits``
+    passes grazing limits (w1, w2) already solved for this apparatus; they
+    do not depend on the mirror width.
     """
     f_s = fringe_spacing(app)
     w_prime, _ = default_mirror_params(app)
@@ -208,15 +217,9 @@ def validate(
     separation = math.nan
     try:
         separation, _ = geometry.detector_separation(app, 0.0)
-        layouts = geometry.detector_layouts(app, np.linspace(0.0, x_max, 61))
-        # probes: low end, centre and high end of the mirror at each x
-        along, _ = geometry.mirror_axes(app)
-        offsets = app.mirror_width / 2 * np.array([-1.0, 0.0, 1.0])
-        probes = layouts.centers[:, None, :] + offsets[:, None] * along
-        d1, d2 = geometry.clearance_margins(
-            app, probes, layouts.right[:, None, 1], layouts.left[:, None, 0]
-        )
-        misdetection_free = bool(np.all((d1 > 0) & (d2 < 0)))
+        xs = np.linspace(0.0, x_max, 61)
+        fractions = geometry.routing_fractions(app, xs, geometry.detector_layouts(app, xs))
+        misdetection_free = no_cross_routing(fractions)
     except DiaphragmClearanceError as exc:
         diaphragm_clear = False
         misdetection_free = False

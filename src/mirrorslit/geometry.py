@@ -172,12 +172,6 @@ def project_from_image(t_img, h_img, t, h):
     return t_img + (t - t_img) * h_img / (h_img - h)
 
 
-def _normal_angle(app: Apparatus, vx, vy):
-    """Counterclockwise-positive angle from the mirror normal to (vx, vy)."""
-    _, (n0, n1) = mirror_axes(app)
-    return np.arctan2(n0 * vy - n1 * vx, n0 * vx + n1 * vy)
-
-
 def incidence_angles(app: Apparatus, x) -> tuple:
     """Signed angles at the mirror center between the normal and each slit ray.
 
@@ -187,8 +181,11 @@ def incidence_angles(app: Apparatus, x) -> tuple:
     """
     xs = _positions(x)
     half = app.slit_separation / 2
+    _, (n0, n1) = mirror_axes(app)
     vy = -app.screen_distance
-    g1, g2 = (_normal_angle(app, vx, vy) for vx in (half - xs, -half - xs))
+    g1, g2 = (
+        np.arctan2(n0 * vy - n1 * vx, n0 * vx + n1 * vy) for vx in (half - xs, -half - xs)
+    )
     if xs.ndim == 0:
         return float(g1), float(g2)
     return g1, g2
@@ -257,19 +254,47 @@ def detector_separation(app: Apparatus, x: float) -> tuple[float, float]:
     return exact, approx
 
 
-def clearance_margins(
-    app: Apparatus, p: np.ndarray, d2_right: np.ndarray, d1_left: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Angular margins against mis-detection for arrays of mirror points p
-    (shape (..., 2)), with the aperture edges broadcast against them.
+def routing_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarray:
+    """Share of the mirror length that routes each slit into each detector.
 
-    delta1 compares the incidence angle of the slit-1 ray at p with the
-    angle subtended by the near edge of detector 2's aperture (both measured
-    from the mirror normal): delta1 > 0 means the reflected slit-1 ray
-    passes beyond that edge and clears detector 2.  delta2 is the analogous
-    margin for slit 2 against detector 1, safe when negative.
+    ``f[i, s - 1, d - 1]`` is the fraction of mirror points, uniform along
+    the mirror at scan position ``xs[i]``, whose reflection of a ray from
+    slit s crosses the aperture of detector d, with the detectors of
+    ``layouts`` row i; a one-row layout serves every position.  A flat
+    mirror reflects slit s as its mirror image s' = s - 2((s - c).n) n (the
+    image-source method), so each (slit, detector) pair is hit from one
+    interval of the mirror.  A reflected ray runs on the line from the
+    image through the mirror point, beyond it, so it can only reach the
+    part of the aperture segment on the side of the mirror line opposite
+    the image; that part, projected from the image onto the mirror line
+    and clipped to the mirror, is the interval.  A ray that crosses both
+    apertures counts at detector 1.
     """
-    s1, s2 = app.slits()
-    v = np.stack(np.broadcast_arrays(s1 - p, d2_right - p, s2 - p, d1_left - p))
-    a = np.abs(_normal_angle(app, v[..., 0], v[..., 1]))
-    return a[0] - a[1], a[2] - a[3]
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    centers = np.stack([xs, np.full_like(xs, app.screen_distance)], axis=-1)
+    # axis 1: slits, left edges, right edges; axis 2: slit or detector
+    points = np.broadcast_arrays(np.array(app.slits()), layouts.left, layouts.right)
+    t, h = mirror_frame(app, centers[:, None, None, :], np.stack(points, axis=1))
+    # below, axis 1 is the slit and axis 2 the detector
+    t_img, h_img = t[:, 0, :, None], -h[:, 0, :, None]
+    ta, ha, tb, hb = t[:, None, 1], h[:, None, 1], t[:, None, 2], h[:, None, 2]
+    # an edge is off the reflecting side when its height has the image's
+    # sign; the segment then counts only up to where it crosses the mirror
+    a_off, b_off = ha * h_img >= 0.0, hb * h_img >= 0.0
+    empty = a_off & b_off
+    cut = a_off != b_off
+    t_cross = ta + ha / np.where(cut, ha - hb, 1.0) * (tb - ta)
+    ta, ha = np.where(cut & a_off, t_cross, ta), np.where(cut & a_off, 0.0, ha)
+    tb, hb = np.where(cut & b_off, t_cross, tb), np.where(cut & b_off, 0.0, hb)
+    # stand-in heights keep the unused projections of empty intervals finite
+    h_img = np.where(empty, 1.0, h_img)
+    ua = project_from_image(t_img, h_img, ta, np.where(empty, 0.0, ha))
+    ub = project_from_image(t_img, h_img, tb, np.where(empty, 0.0, hb))
+    half = app.mirror_width / 2
+    # an empty interval starts at the mirror's upper end, so has no length
+    lo = np.where(empty, half, np.maximum(np.minimum(ua, ub), -half))
+    hi = np.minimum(np.maximum(ua, ub), half)
+    f = np.maximum(hi - lo, 0.0)
+    # rays that cross both apertures count at detector 1 only
+    f[..., 1] -= np.maximum(hi.min(axis=-1) - lo.max(axis=-1), 0.0)
+    return f / app.mirror_width

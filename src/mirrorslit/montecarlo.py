@@ -9,9 +9,9 @@ therefore an emergent geometric event, not a modelling input.
 Routing is computed in closed form rather than ray by ray.  A flat mirror
 reflects each slit as a mirror-image source, so the mirror points that send
 slit s into detector d form one interval of the mirror; its length fraction
-f_sd, the slit probability 1/2 and the fringe rate give the probability of
-each outcome, and one multinomial draw per scan position yields all the
-counts.  The cost per position does not depend on the photon count.
+f_sd (``geometry.routing_fractions``), the slit probability 1/2 and the
+fringe rate give the probability of each outcome, and one multinomial draw
+per scan position yields all the counts.  The cost per position does not depend on the photon count.
 
 Every scan position owns an independent random substream keyed by
 (seed, position index), so totals are reproducible regardless of the order
@@ -21,12 +21,12 @@ positions are evaluated in.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import design, geometry
-from .geometry import Apparatus, DetectorLayouts
+from .geometry import Apparatus
 from .wavemodel import (
     FringePattern,
     OutcomeHypothesis,
@@ -116,51 +116,6 @@ def _acceptance_rate(app: Apparatus, x, v: float):
     return 0.5 * (1.0 + v * np.cos(phase(app, x)))
 
 
-def routing_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarray:
-    """Share of the mirror length that routes each slit into each detector.
-
-    ``f[i, s - 1, d - 1]`` is the fraction of mirror points, uniform along
-    the mirror at scan position ``xs[i]``, whose reflection of a ray from
-    slit s crosses the aperture of detector d, with the detectors of
-    ``layouts`` row i; a one-row layout serves every position.  A flat
-    mirror reflects slit s as its mirror image s' = s - 2((s - c).n) n (the
-    image-source method), so each (slit, detector) pair is hit from one
-    interval of the mirror.  A reflected ray runs on the line from the
-    image through the mirror point, beyond it, so it can only reach the
-    part of the aperture segment on the side of the mirror line opposite
-    the image; that part, projected from the image onto the mirror line
-    and clipped to the mirror, is the interval.  A ray that crosses both
-    apertures counts at detector 1.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    centers = np.stack([xs, np.full_like(xs, app.screen_distance)], axis=-1)[:, None, :]
-    # axis 1 is the slit, axis 2 the detector
-    t_s, h_s = geometry.mirror_frame(app, centers, np.array(app.slits()))
-    t_img, h_img = t_s[:, :, None], -h_s[:, :, None]
-    ta, ha = (c[:, None, :] for c in geometry.mirror_frame(app, centers, layouts.left))
-    tb, hb = (c[:, None, :] for c in geometry.mirror_frame(app, centers, layouts.right))
-    # an edge is off the reflecting side when its height has the image's
-    # sign; the segment then counts only up to where it crosses the mirror
-    a_off, b_off = ha * h_img >= 0.0, hb * h_img >= 0.0
-    empty = a_off & b_off
-    cut = a_off != b_off
-    t_cross = ta + ha / np.where(cut, ha - hb, 1.0) * (tb - ta)
-    ta, ha = np.where(cut & a_off, t_cross, ta), np.where(cut & a_off, 0.0, ha)
-    tb, hb = np.where(cut & b_off, t_cross, tb), np.where(cut & b_off, 0.0, hb)
-    # stand-in heights keep the unused projections of empty intervals finite
-    h_img = np.where(empty, 1.0, h_img)
-    ua = geometry.project_from_image(t_img, h_img, ta, np.where(empty, 0.0, ha))
-    ub = geometry.project_from_image(t_img, h_img, tb, np.where(empty, 0.0, hb))
-    half = app.mirror_width / 2
-    # an empty interval starts at the mirror's upper end, so has no length
-    lo = np.where(empty, half, np.maximum(np.minimum(ua, ub), -half))
-    hi = np.minimum(np.maximum(ua, ub), half)
-    f = np.maximum(hi - lo, 0.0)
-    # rays that cross both apertures count at detector 1 only
-    f[..., 1] -= np.maximum(hi.min(axis=-1) - lo.max(axis=-1), 0.0)
-    return f / app.mirror_width
-
-
 def simulate_scan(
     app: Apparatus, config: ScanConfig, hyp: OutcomeHypothesis
 ) -> ScanSummary:
@@ -169,20 +124,23 @@ def simulate_scan(
     Each photon takes either slit with probability 1/2 and survives the
     fringe rate with probability r, so at each position the outcome (slit
     s, detector d) has probability r/2 f_sd; one multinomial draw per
-    position gives every count.
+    position gives every count.  The design is validated with its
+    mis-detection verdict taken from the routing of the layouts simulated
+    (re-aimed, or frozen at x = 0), and a failure is warned about.
     """
     config.check_sampling(app)
     xs = config.x_positions
+    layouts = geometry.detector_layouts(app, 0.0 if config.freeze_detectors else xs)
+    fractions = geometry.routing_fractions(app, xs, layouts)
     x_max = float(max(abs(xs[0]), abs(xs[-1])))
-    report = design.validate(app, x_max)
+    report = replace(
+        design.validate(app, x_max), misdetection_free=design.no_cross_routing(fractions)
+    )
     if not report.feasible:
         warnings.warn("apparatus fails design validation; simulating anyway", stacklevel=2)
 
     v = hypothesis_visibility(hyp)
-    layouts = geometry.detector_layouts(app, 0.0 if config.freeze_detectors else xs)
-    p = (0.5 * _acceptance_rate(app, xs, v))[:, None] * routing_fractions(
-        app, xs, layouts
-    ).reshape(-1, 4)
+    p = (0.5 * _acceptance_rate(app, xs, v))[:, None] * fractions.reshape(-1, 4)
     # rounding can carry the sum of p a hair past 1 when the routed shares
     # cover the whole mirror; numpy rejects a negative last probability
     table = np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
@@ -224,13 +182,14 @@ def simulate_scan(
 def conventional_scan(app: Apparatus, config: ScanConfig) -> FringePattern:
     """Reference mirror-free experiment: one detector stepped along y = L.
 
-    Counts are drawn with acceptance probability proportional to the plain
-    two-beam screen intensity, with the same per-position substreams.
+    Each position's count is one binomial draw, with acceptance probability
+    proportional to the plain two-beam screen intensity, from the same
+    per-position substreams.
     """
     config.check_sampling(app)
     rates = screen_intensity(app, config.x_positions) / 4.0
     counts = [
-        np.sum(_position_rng(config.seed, i).random(config.photons_per_position) < rate)
+        _position_rng(config.seed, i).binomial(config.photons_per_position, rate)
         for i, rate in enumerate(rates)
     ]
     return FringePattern(config.x_positions, np.array(counts, dtype=float))

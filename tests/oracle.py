@@ -2,12 +2,13 @@
 
 The vector geometry here (mirror placement, unit vectors, specular
 reflection, signed angles, the clearance margin at one mirror point) builds
-the apparatus one point at a time.  ``montecarlo`` routes photons through
-mirror intervals found from the slits' mirror images over a whole scan
-grid; the per-photon ray tracer here does the same job one reflected ray
-at a time.  ``design`` finds grazing limits as one line
+the apparatus one point at a time.  ``geometry.routing_fractions`` routes
+photons through mirror intervals found from the slits' mirror images over a
+whole scan grid; the per-photon ray tracer here does the same job one
+reflected ray at a time.  ``design`` finds grazing limits as one line
 intersection and checks feasibility over whole arrays of positions; the
-bisection, ``loop_validate`` and ``loop_design_search`` here do it by
+bisection, ``loop_validate`` (which judges mis-detection by tracing rays
+from evenly spaced mirror points) and ``loop_design_search`` here do it by
 root finding and one scalar geometry call per point.
 """
 
@@ -103,23 +104,38 @@ def _on_mirror(pl: MirrorPlacement, p: np.ndarray, slack: float = 1e-9) -> bool:
     return off <= slack and abs(along) <= pl.half_width + slack
 
 
+def clearance_margins(
+    app: Apparatus, p: np.ndarray, d2_right: np.ndarray, d1_left: np.ndarray
+) -> tuple[float, float]:
+    """Angular margins against mis-detection at one mirror point p.
+
+    delta1 compares the incidence angle of the slit-1 ray at p with the
+    angle subtended by the near edge of detector 2's aperture (both measured
+    from the mirror normal, unsigned): delta1 > 0 means the reflected slit-1
+    ray passes beyond that edge and clears detector 2.  delta2 is the
+    analogous margin for slit 2 against detector 1, safe when negative.
+    """
+    _, normal = geometry.mirror_axes(app)
+    s1, s2 = app.slits()
+    a = [abs(signed_angle(normal, v - p)) for v in (s1, d2_right, s2, d1_left)]
+    return a[0] - a[1], a[2] - a[3]
+
+
 def clearance_angles(
     app: Apparatus,
     x: float,
     p: np.ndarray,
     layout: DetectorLayouts | None = None,
 ) -> tuple[float, float]:
-    """``geometry.clearance_margins`` at one mirror point p, checked to lie
-    on the mirror at x.  The detector layout (one row) is the reference one
+    """``clearance_margins`` at one mirror point p, checked to lie on the
+    mirror at x.  The detector layout (one row) is the reference one
     for the same x unless supplied."""
     pl = mirror_placement(app, x)
     if not _on_mirror(pl, p):
         raise OffMirrorError(f"point {p} is not on the mirror segment at x={x}")
     if layout is None:
         layout = geometry.detector_layouts(app, x)
-    delta1, delta2 = geometry.clearance_margins(
-        app, p, layout.right[0, 1], layout.left[0, 0]
-    )
+    delta1, delta2 = clearance_margins(app, p, layout.right[0, 1], layout.left[0, 0])
     return float(delta1), float(delta2)
 
 
@@ -208,7 +224,7 @@ def traced_fractions(
     n_rays: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Ray-traced estimate of ``montecarlo.routing_fractions``.
+    """Ray-traced estimate of ``geometry.routing_fractions``.
 
     For each slit, ``n_rays`` mirror points are drawn uniformly along the
     mirror; ``f[s - 1, d - 1]`` is the share of them whose reflected ray
@@ -316,9 +332,22 @@ def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
     return bool(worst < f_s / 2.0), float(worst)
 
 
+def traced_misdetection_free(app: Apparatus, x: float, n_points: int = 2001) -> bool:
+    """True when no ray reflected at ``n_points`` evenly spaced mirror
+    points, both ends included, reaches the other slit's detector, with the
+    detectors re-aimed at x.  A ray crossing both apertures counts at
+    detector 1, as in ``route_rays``."""
+    edges = row_edges(geometry.detector_layouts(app, x))
+    slits = np.repeat([1, 2], n_points)
+    sources = np.array(app.slits())[slits - 1]
+    mirror_frac = np.tile(np.linspace(0.0, 1.0, n_points), 2)
+    hits = _trace(mirror_placement(app, x), sources, mirror_frac, edges)
+    return bool(np.all((hits == 0) | (hits == slits)))
+
+
 def loop_validate(app: Apparatus, x_max: float) -> DesignReport:
     """``design.validate`` with bisection limits, and one single-position
-    layout and ``clearance_angles`` call per position and probe point."""
+    layout and ``traced_misdetection_free`` call per position."""
     f_s = fringe_spacing(app)
     w_prime, _ = design.default_mirror_params(app)
     warnings_list = app.regime_warnings()
@@ -348,12 +377,8 @@ def loop_validate(app: Apparatus, x_max: float) -> DesignReport:
     try:
         separation, _ = geometry.detector_separation(app, 0.0)
         for x in np.linspace(0.0, x_max, 61):
-            layout = geometry.detector_layouts(app, x)
-            pl = mirror_placement(app, x)
-            for p in (pl.end_low, pl.center, pl.end_high):
-                d1, d2 = clearance_angles(app, x, p, layout)
-                if not (d1 > 0 and d2 < 0):
-                    misdetection_free = False
+            if not traced_misdetection_free(app, x):
+                misdetection_free = False
     except DiaphragmClearanceError as exc:
         diaphragm_clear = False
         misdetection_free = False

@@ -153,9 +153,11 @@ class TestScanCommand:
         np.testing.assert_allclose(rows[:, 1], screen_intensity(app, xs), atol=1e-8)
         np.testing.assert_allclose(rows[:, 2], detector_intensity(app, xs, 1), atol=1e-8)
 
-    def test_coarse_grid_exits_two(self, tmp_path):
+    def test_coarse_grid_exits_two(self, tmp_path, capsys):
         code, _ = run(tmp_path, "scan", {"scan": {"positions": 7}})
         assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "fringe period" in err[0]
 
 
 class TestSimulateCommand:
@@ -232,6 +234,30 @@ class TestSimulateCommand:
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "fringe period" in err[0]
+
+    def test_blocked_beam_exits_two_with_error_line(self, tmp_path, capsys):
+        # at a 0.01 rad tilt the reflected central rays re-enter the diaphragm
+        code, _ = self.simulate(tmp_path, {"apparatus": {"mirror_angle": 0.01}})
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "diaphragm" in err[0]
+
+    def test_frozen_detectors_warn(self, tmp_path):
+        # off-centre the x = 0 layout routes slits into the wrong detector
+        payload = {"scan": {"photons_per_position": 500, "seed": 3}}
+        with pytest.warns(UserWarning, match="fails design validation"):
+            code, out = self.simulate(tmp_path, payload, "--freeze-detectors")
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["misdetection_rate"] > 0.0
+
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_freeze_detectors_must_be_boolean(self, tmp_path, capsys, value):
+        payload = {"scan": {"photons_per_position": 10, "freeze_detectors": value}}
+        code, _ = self.simulate(tmp_path, payload)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "freeze_detectors" in err[0]
 
 
 class TestNegativeSeed:

@@ -11,12 +11,14 @@ from mirrorslit.geometry import Apparatus
 from mirrorslit.wavemodel import fringe_spacing
 from oracle import (
     bisect_half_width,
+    clearance_angles,
     clearance_at_half_width,
     loop_design_search,
     loop_sampling_constraint,
     loop_validate,
     mirror_placement,
     signed_angle,
+    traced_misdetection_free,
 )
 
 
@@ -319,7 +321,9 @@ class TestValidateAgainstLoop:
 
     def test_random_apparatus(self):
         # seed 403: bench-like, wide-mirror and shallow-angle draws, scan
-        # extents from 1.5 (too short) to 6 fringe periods
+        # extents from 1.5 (too short) to 6 fringe periods; loop_validate
+        # judges mis-detection by tracing 2001 evenly spaced mirror points
+        # per slit at each of the 61 positions
         rng = np.random.default_rng(403)
         seen = collections.defaultdict(set)
         same_limits = 0
@@ -362,6 +366,39 @@ class TestValidateAgainstLoop:
         # every check both passes and fails somewhere
         assert all(seen[name] == {True, False} for name in self.VERDICTS), seen
         assert same_limits >= 290
+
+
+class TestShallowTiltMisdetection:
+    # draw 125 of TestValidateAgainstLoop's seed-403 set: at a 0.0166 rad
+    # tilt the unsigned-angle margin at the three probe points reads safe
+    # everywhere, yet the whole mirror sends slit 2 into detector 1
+    APP = Apparatus(
+        wavelength=9.195580773282826e-07,
+        slit_separation=0.0002787504505711096,
+        screen_distance=0.21261868846088844,
+        mirror_width=5.648723302923788e-05,
+        mirror_angle=0.016597026713608517,
+        arm1=0.05243106835015981,
+        arm2=5.057436905421007,
+        aperture=0.004275455817898247,
+    )
+    X_MAX = 0.0012653840702019584
+
+    def test_margin_said_free(self):
+        for x in np.linspace(0.0, self.X_MAX, 61):
+            pl = mirror_placement(self.APP, x)
+            for p in (pl.end_low, pl.center, pl.end_high):
+                d1, d2 = clearance_angles(self.APP, x, p)
+                assert d1 > 0 and d2 < 0
+
+    def test_validate_finds_the_cross_routing(self):
+        report = design.validate(self.APP, self.X_MAX)
+        assert report.diaphragm_clear and not report.misdetection_free
+        assert not report.feasible
+        xs = np.linspace(0.0, self.X_MAX, 61)
+        f = geometry.routing_fractions(self.APP, xs, geometry.detector_layouts(self.APP, xs))
+        assert f[:, 1, 0].max() == pytest.approx(1.0)
+        assert not any(traced_misdetection_free(self.APP, x) for x in xs)
 
 
 class TestSearchAgainstOracle:

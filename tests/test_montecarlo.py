@@ -32,7 +32,7 @@ def closed_position(app, x, n_photons, v, rng, layout):
     """Counts at one position, (n1, n2, misdetected), from one multinomial
     draw over the closed-form outcome probabilities, as ``simulate_scan``
     makes it: outcome (slit s, detector d) has probability r/2 f_sd."""
-    p = 0.5 * montecarlo._acceptance_rate(app, x, v) * montecarlo.routing_fractions(
+    p = 0.5 * montecarlo._acceptance_rate(app, x, v) * geometry.routing_fractions(
         app, x, layout
     )[0].ravel()
     c11, c12, c21, c22, _ = rng.multinomial(n_photons, [*p, max(1.0 - p.sum(), 0.0)])
@@ -101,7 +101,7 @@ def assert_matches_ray_trace(app, x, layout):
     # 2e5 rays per slit, seed 12, tolerance 5 sigma of the binomial
     # estimate around the closed form (exact agreement where it is 0)
     n_rays = 200_000
-    exact = montecarlo.routing_fractions(app, x, layout)[0]
+    exact = geometry.routing_fractions(app, x, layout)[0]
     traced = traced_fractions(app, x, row_edges(layout), n_rays, np.random.default_rng(12))
     sigma = np.sqrt(exact * (1.0 - exact) / n_rays)
     assert np.all(np.abs(traced - exact) <= 5.0 * sigma), (exact, traced)
@@ -189,7 +189,7 @@ class TestClosedFormRouting:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = montecarlo.routing_fractions(app, xs, layouts)
+            grid = geometry.routing_fractions(app, xs, layouts)
         assert grid.shape == (len(xs), 2, 2)
         n_rays = 200_000
         rng = np.random.default_rng(12)
@@ -207,12 +207,12 @@ class TestClosedFormRouting:
         # criterion 05 without sampling noise: on the re-aimed 41-point
         # +-3 F_s grid no mirror point sends a slit into the other detector
         for x in scan_grid:
-            f = montecarlo.routing_fractions(app, x, geometry.detector_layouts(app, x))[0]
+            f = geometry.routing_fractions(app, x, geometry.detector_layouts(app, x))[0]
             assert f[0, 1] == 0.0 and f[1, 0] == 0.0
             assert f[0, 0] > 0.0 and f[1, 1] > 0.0
         wide = replace(app, mirror_width=0.6e-3)
         for x in scan_grid:
-            f = montecarlo.routing_fractions(wide, x, geometry.detector_layouts(wide, x))[0]
+            f = geometry.routing_fractions(wide, x, geometry.detector_layouts(wide, x))[0]
             assert f[0, 1] > 0.0 and f[1, 0] > 0.0
 
 
@@ -268,7 +268,8 @@ class TestSimulateScan:
         frozen = ScanConfig(
             config.x_positions, config.photons_per_position, config.seed, True
         )
-        summary = simulate_scan(app, frozen, FULL)
+        with pytest.warns(UserWarning, match="fails design validation"):
+            summary = simulate_scan(app, frozen, FULL)
         assert sum(r.n for r in summary.records) > 0
         for record in summary.records:
             assert record.n == record.n1 + record.n2
@@ -280,7 +281,8 @@ class TestSimulateScan:
         frozen = ScanConfig(
             config.x_positions, config.photons_per_position, config.seed, True
         )
-        summary = simulate_scan(app, frozen, FULL)
+        with pytest.warns(UserWarning, match="fails design validation"):
+            summary = simulate_scan(app, frozen, FULL)
         layout = geometry.detector_layouts(app, 0.0)
         for i, (x, record) in enumerate(zip(config.x_positions, summary.records)):
             rng = montecarlo._position_rng(config.seed, i)
@@ -333,6 +335,20 @@ class TestConventionalScan:
         for left, right in zip(counts, counts[::-1]):
             sigma = math.sqrt(max(left + right, 1.0))
             assert abs(left - right) <= 3 * sigma
+
+
+    def test_counts_follow_the_screen_rate(self, app, scan_grid):
+        # seed 14, 10^5 photons per position: each count within 5 sigma of
+        # the binomial mean n I/4, and the total within 5 sigma of its sum
+        from mirrorslit.wavemodel import screen_intensity
+
+        n = 100_000
+        pattern = conventional_scan(app, ScanConfig(scan_grid, n, 14))
+        rate = screen_intensity(app, scan_grid) / 4.0
+        variance = n * rate * (1.0 - rate)
+        deviation = pattern.intensities - n * rate
+        assert np.all(np.abs(deviation) <= 5.0 * np.sqrt(variance))
+        assert abs(deviation.sum()) <= 5.0 * math.sqrt(variance.sum())
 
 
 class TestCompareDistributions:
