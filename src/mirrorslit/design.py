@@ -9,16 +9,20 @@ photon from one slit into the other slit's detector over the scan range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
-from .geometry import Apparatus, DiaphragmClearanceError
+from .geometry import Apparatus, DetectorLayouts, DiaphragmClearanceError
 from .wavemodel import fringe_spacing
 
 _HALF_WIDTH_LO = 1e-6
 _HALF_WIDTH_HI = 2e-3
+# the searched parameters, in the column order of design_search's draws
+_SEARCHED = ("wavelength", "slit_separation", "screen_distance", "mirror_angle", "arm", "aperture")
+# candidates judged per array pass of design_search; bounds its peak memory
+_BLOCK = 16
 
 
 class DesignError(ValueError):
@@ -63,6 +67,22 @@ class DesignReport:
 
 
 @dataclass(frozen=True)
+class Verdicts:
+    """What ``judge`` found for a scan over [0, x_max]: numpy bools and
+    floats for one apparatus, arrays over the candidates of a batch."""
+
+    long_scan: np.ndarray  # x_max exceeds two fringe periods
+    sampling_ok: np.ndarray
+    diaphragm_clear: np.ndarray
+    misdetection_free: np.ndarray
+    separation: np.ndarray  # |D1 - D2| at x = 0; NaN where that layout fails
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.sampling_ok & self.diaphragm_clear & self.misdetection_free
+
+
+@dataclass(frozen=True)
 class SearchSpace:
     """Closed intervals for the searchable parameters; scan extent is fixed."""
 
@@ -75,17 +95,13 @@ class SearchSpace:
     x_max: float
 
     def __post_init__(self):
-        for name in (
-            "wavelength",
-            "slit_separation",
-            "screen_distance",
-            "mirror_angle",
-            "arm",
-            "aperture",
-        ):
+        for name in _SEARCHED:
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):
                 raise DesignError(f"invalid interval for {name}: [{lo}, {hi}]")
+        lo, hi = self.mirror_angle
+        if not hi < math.pi / 2:
+            raise DesignError(f"mirror_angle interval [{lo}, {hi}] must lie inside (0, pi/2)")
         if self.x_max <= 0:
             raise DesignError("x_max must be positive")
 
@@ -95,29 +111,49 @@ def default_mirror_params(app: Apparatus) -> tuple[float, float]:
     return fringe_spacing(app) / 7.0, math.pi / 4
 
 
+def _short_scan(x0: float, app: Apparatus) -> str:
+    """Why a scan over [0, x0] that fails ``_sampling``'s length rule is
+    too short to sample the fringes."""
+    return f"scan extent {x0} must exceed two fringe periods {2 * fringe_spacing(app)}"
+
+
+def _sampling(app: Apparatus, x0: float):
+    """The sampling rule for a scan over [0, x0], per candidate of a batch:
+    whether the scan exceeds two fringe periods, whether it also keeps the
+    mirror footprint on the screen line (``geometry.mirror_footprint`` on
+    a grid 0 <= x <= x0) under F_s / 2, and the worst footprint."""
+    f_s = fringe_spacing(app)
+    worst = np.max(geometry.mirror_footprint(app, np.linspace(0.0, x0, 101)), axis=-1)
+    long_scan = x0 > 2.0 * f_s
+    return long_scan, long_scan & (worst < f_s / 2.0), worst
+
+
 def sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
     """Check that the mirror footprint on the screen line stays under F_s / 2.
 
-    The footprint at scan position x is the span between the projections of
-    the two mirror endpoints onto y = L, each along its illuminating ray
-    (slit 1 for the high end, slit 2 for the low end).  Evaluated on a grid
-    0 <= x <= x0; x0 must exceed two fringe periods for the scan to be
-    meaningful at all.
+    The footprint is evaluated on a grid 0 <= x <= x0; x0 must exceed two
+    fringe periods for the scan to be meaningful at all.
     """
-    f_s = fringe_spacing(app)
-    if x0 <= 2.0 * f_s:
-        raise DesignError(f"scan extent {x0} must exceed two fringe periods {2 * f_s}")
-    slits = np.array(app.slits())
-    along, _ = geometry.mirror_axes(app)
-    xs = np.linspace(0.0, x0, 101)
-    centers = np.column_stack([xs, np.full_like(xs, app.screen_distance)])
-    # axis 1: (high end, slit 1) and (low end, slit 2)
-    half = np.array([app.mirror_width / 2, -app.mirror_width / 2])
-    direction = centers[:, None, :] + half[:, None] * along - slits
-    t = (app.screen_distance - slits[:, 1]) / direction[..., 1]
-    feet = slits[:, 0] + t * direction[..., 0]
-    worst = float(np.max(np.abs(feet[:, 0] - feet[:, 1])))
-    return bool(worst < f_s / 2.0), worst
+    long_scan, ok, worst = _sampling(app, x0)
+    if not long_scan:
+        raise DesignError(_short_scan(x0, app))
+    return bool(ok), float(worst)
+
+
+def _grazing_half_width(app: Apparatus, x, slit: int) -> tuple[np.ndarray, DetectorLayouts]:
+    """``limiting_half_width`` without its checks: the half-width per
+    candidate of a batch (x then of shape (c, 1), one position each), and
+    the unchecked layouts it was solved on."""
+    layouts = geometry.aim_detectors(app, x)
+    edge = layouts.right[..., 0, 1, :] if slit == 1 else layouts.left[..., 0, 0, :]
+    points = np.stack([app.slits()[slit - 1], edge], axis=-2)
+    t, h = geometry.mirror_frame(app, layouts.centers[..., 0, None, :], points)
+    along = geometry.project_from_image(t[..., 0], -h[..., 0], t[..., 1], h[..., 1])
+    return (along if slit == 1 else -along), layouts
+
+
+def _bracketed(half_width) -> np.ndarray:
+    return (_HALF_WIDTH_LO <= half_width) & (half_width <= _HALF_WIDTH_HI)
 
 
 def limiting_half_width(app: Apparatus, x: float, slit: int) -> float:
@@ -135,25 +171,20 @@ def limiting_half_width(app: Apparatus, x: float, slit: int) -> float:
     """
     if slit not in (1, 2):
         raise DesignError("slit must be 1 or 2")
-    layouts = geometry.detector_layouts(app, x)
-    edge = layouts.right[0, 1] if slit == 1 else layouts.left[0, 0]
-    (t_s, t_e), (h_s, h_e) = geometry.mirror_frame(
-        app, layouts.centers[0], np.array([app.slits()[slit - 1], edge])
-    )
-    along = float(geometry.project_from_image(t_s, -h_s, t_e, h_e))
-    half_width = along if slit == 1 else -along
-    lo, hi = _HALF_WIDTH_LO, _HALF_WIDTH_HI
-    if not lo <= half_width <= hi:
+    half_width, layouts = _grazing_half_width(app, x, slit)
+    layouts.raise_first_failure()
+    half_width = float(half_width)
+    if not _bracketed(half_width):
         raise BracketError(
-            f"grazing limit {half_width:.3g} m not within [{lo}, {hi}] m; "
+            f"grazing limit {half_width:.3g} m not within [{_HALF_WIDTH_LO}, {_HALF_WIDTH_HI}] m; "
             "width is limited by the sampling constraint instead"
         )
     return half_width
 
 
-def _required_width(app: Apparatus, w1: float, w2: float) -> float:
+def _required_width(app: Apparatus, w1, w2):
     w_prime, _ = default_mirror_params(app)
-    return 2.0 * min(w_prime / 2.0, w1, w2)
+    return 2.0 * np.minimum(np.minimum(w_prime / 2.0, w1), w2)
 
 
 def _grazing_limits(app: Apparatus) -> tuple[float, float]:
@@ -165,14 +196,41 @@ def _grazing_limits(app: Apparatus) -> tuple[float, float]:
 def required_mirror_width(app: Apparatus) -> float:
     """Full mirror width 2 min(w'/2, w1, w2) combining the sampling width with
     both grazing limits (evaluated at x = 0 and x = 3 F_s)."""
-    return _required_width(app, *_grazing_limits(app))
+    return float(_required_width(app, *_grazing_limits(app)))
 
 
-def no_cross_routing(fractions: np.ndarray) -> bool:
+def no_cross_routing(fractions: np.ndarray):
     """True when, at every position of ``geometry.routing_fractions``
     output, no mirror point sends either slit into the other slit's
-    detector: f12 = f21 = 0."""
-    return not fractions[:, [0, 1], [1, 0]].any()
+    detector: f12 = f21 = 0.  One bool, or one per candidate of a batch."""
+    free = ~fractions[..., [0, 1], [1, 0]].any(axis=(-2, -1))
+    return free if free.ndim else bool(free)
+
+
+def judge(app: Apparatus, x_max: float) -> tuple[Verdicts, DetectorLayouts]:
+    """Sampling, clearance, mis-detection and separation verdicts for a
+    scan over [0, x_max], of one apparatus or of every candidate of a
+    batch, and the layouts judged.
+
+    Sampling follows ``sampling_constraint``'s rule.  The detectors are
+    re-aimed at 61 positions; the beams clear the diaphragm when no layout
+    fails, and mis-detection is judged from the exact routing fractions
+    there.
+    """
+    long_scan, sampling_ok, _ = _sampling(app, x_max)
+    xs = np.linspace(0.0, x_max, 61)
+    layouts = geometry.aim_detectors(app, xs)
+    failed = layouts.failed()
+    clear = ~failed.any(axis=-1)
+    free = no_cross_routing(geometry.routing_fractions(app, xs, layouts))
+    verdicts = Verdicts(
+        long_scan=long_scan,
+        sampling_ok=sampling_ok,
+        diaphragm_clear=clear,
+        misdetection_free=clear & free,
+        separation=np.where(failed[..., 0], np.nan, geometry.separations(layouts)),
+    )
+    return verdicts, layouts
 
 
 def validate(
@@ -180,9 +238,9 @@ def validate(
 ) -> DesignReport:
     """Assemble the full feasibility report for a scan over [0, x_max].
 
-    Mis-detection is judged from the exact routing fractions with the
-    detectors re-aimed at 61 positions.  Failures are recorded in the
-    report rather than raised; only malformed inputs raise.  ``limits``
+    The verdicts are ``judge``'s; this adds the grazing limits and the
+    warnings.  Failures are recorded in the report rather than raised; only
+    malformed inputs, and a slit on the mirror line, raise.  ``limits``
     passes grazing limits (w1, w2) already solved for this apparatus; they
     do not depend on the mirror width.
     """
@@ -204,25 +262,12 @@ def validate(
     if limits is None:
         limits = grazing_limit(3.0 * f_s, 1), grazing_limit(0.0, 2)
     w1, w2 = limits
-    required = _required_width(app, w1, w2)
-
+    verdicts, layouts = judge(app, x_max)
+    if not verdicts.long_scan:
+        warnings_list.append(_short_scan(x_max, app))
     try:
-        sampling_ok, _ = sampling_constraint(app, x_max)
-    except DesignError as exc:
-        sampling_ok = False
-        warnings_list.append(str(exc))
-
-    diaphragm_clear = True
-    misdetection_free = True
-    separation = math.nan
-    try:
-        separation, _ = geometry.detector_separation(app, 0.0)
-        xs = np.linspace(0.0, x_max, 61)
-        fractions = geometry.routing_fractions(app, xs, geometry.detector_layouts(app, xs))
-        misdetection_free = no_cross_routing(fractions)
+        layouts.raise_first_failure()
     except DiaphragmClearanceError as exc:
-        diaphragm_clear = False
-        misdetection_free = False
         warnings_list.append(str(exc))
 
     return DesignReport(
@@ -230,13 +275,41 @@ def validate(
         default_width=w_prime,
         w1_limit=w1,
         w2_limit=w2,
-        required_width=required,
-        detector_separation=separation,
-        sampling_ok=sampling_ok,
-        misdetection_free=misdetection_free,
-        diaphragm_clear=diaphragm_clear,
+        required_width=float(_required_width(app, w1, w2)),
+        detector_separation=float(verdicts.separation),
+        sampling_ok=bool(verdicts.sampling_ok),
+        misdetection_free=bool(verdicts.misdetection_free),
+        diaphragm_clear=bool(verdicts.diaphragm_clear),
         warnings=warnings_list,
     )
+
+
+def _candidates(draws, **fields) -> Apparatus:
+    """The apparatus of one row of ``design_search``'s draws, or the batch
+    of a block of rows given column by column, with any further fields."""
+    fields.update(zip(_SEARCHED, draws))
+    arm = fields.pop("arm")
+    return Apparatus(**fields, arm1=arm, arm2=arm)
+
+
+def judge_block(draws: np.ndarray, x_max: float):
+    """Judge a block of ``design_search``'s draws (one row per candidate)
+    in one array pass.
+
+    Returns the mask of candidates whose grazing limits both solve (the
+    others are skipped), their limits (w1, w2), the mirror widths the
+    limits require, and the ``judge`` verdicts of those candidates with
+    those widths.
+    """
+    batch = _candidates(draws.T)
+    w1, layouts1 = _grazing_half_width(batch, 3.0 * fringe_spacing(batch)[:, None], 1)
+    w2, layouts2 = _grazing_half_width(batch, 0.0, 2)
+    solved = (
+        ~layouts1.failed()[:, 0] & ~layouts2.failed()[:, 0] & _bracketed(w1) & _bracketed(w2)
+    )
+    width = _required_width(batch, w1, w2)[solved]
+    verdicts, _ = judge(_candidates(draws[solved].T, mirror_width=width), x_max)
+    return solved, (w1[solved], w2[solved]), width, verdicts
 
 
 def design_search(
@@ -245,43 +318,29 @@ def design_search(
     """Seeded uniform random search maximizing detector separation.
 
     The mirror width is always derived from required_mirror_width, never
-    sampled.  Returns None when no sampled point is feasible.  Ties are
-    broken by the lowest sample index, so results are reproducible and
-    independent of any evaluation reordering.
+    sampled.  Candidates are drawn and judged in blocks of ``_BLOCK``, so
+    memory does not grow with ``samples``.  Returns None when no sampled
+    point is feasible.  Ties are broken by the lowest sample index, so
+    results are reproducible and independent of the block size.
     """
     if samples < 1:
         raise DesignError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    best: tuple[Apparatus, DesignReport] | None = None
-    best_sep = -math.inf
-    for _ in range(samples):
-        draws = {
-            name: float(rng.uniform(*getattr(space, name)))
-            for name in (
-                "wavelength",
-                "slit_separation",
-                "screen_distance",
-                "mirror_angle",
-                "arm",
-                "aperture",
-            )
-        }
-        candidate = Apparatus(
-            wavelength=draws["wavelength"],
-            slit_separation=draws["slit_separation"],
-            screen_distance=draws["screen_distance"],
-            mirror_angle=draws["mirror_angle"],
-            arm1=draws["arm"],
-            arm2=draws["arm"],
-            aperture=draws["aperture"],
-        )
-        try:
-            limits = _grazing_limits(candidate)
-            candidate = replace(candidate, mirror_width=_required_width(candidate, *limits))
-            report = validate(candidate, space.x_max, limits)
-        except (DesignError, geometry.GeometryError):
+    lo, hi = np.array([getattr(space, name) for name in _SEARCHED]).T
+    best, best_sep = None, -math.inf
+    for start in range(0, samples, _BLOCK):
+        # one stream: the same values as one draw per sample and parameter
+        draws = rng.uniform(lo, hi, size=(min(_BLOCK, samples - start), len(_SEARCHED)))
+        solved, (w1, w2), width, verdicts = judge_block(draws, space.x_max)
+        if not solved.any():
             continue
-        if report.feasible and report.detector_separation > best_sep:
-            best = (candidate, report)
-            best_sep = report.detector_separation
-    return best
+        separation = np.where(verdicts.feasible, verdicts.separation, -math.inf)
+        i = int(np.argmax(separation))
+        if separation[i] > best_sep:
+            best_sep = separation[i]
+            best = draws[solved][i].tolist(), float(width[i]), (float(w1[i]), float(w2[i]))
+    if best is None:
+        return None
+    row, width, limits = best
+    candidate = _candidates(row, mirror_width=width)
+    return candidate, validate(candidate, space.x_max, limits)

@@ -7,6 +7,11 @@ arriving from either slit are reflected sideways onto two separated
 detectors.  All functions here are pure and operate on exact coordinates;
 small-angle approximations are offered only as explicitly labelled
 cross-check outputs.
+
+An ``Apparatus`` whose fields are equal-length 1-D arrays is a *batch* of
+candidate apparatus (a scalar field is shared by every candidate).  The
+layout, mirror-frame and routing kernels broadcast over a batch, with its
+candidate axis leading their output arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +32,33 @@ class GrazingIncidenceError(GeometryError):
 
 class DiaphragmClearanceError(GeometryError):
     """A reflected central ray re-intersects the diaphragm plane."""
+
+
+# slit 1 at (+d/2, 0) and slit 2 at (-d/2, 0), in units of d/2
+_SLITS = np.array([[1.0, 0.0], [-1.0, 0.0]])
+_X, _Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+
+def _inside(value, hi: float, shapes: set) -> bool:
+    """0 < value < hi for a float, or for every entry of a batch field,
+    whose shape joins ``shapes``."""
+    if isinstance(value, np.ndarray):
+        shapes.add(value.shape)
+        return bool(np.all((0.0 < value) & (value < hi)))
+    return 0.0 < value < hi
+
+
+def _batched(value, trailing: int):
+    """A batch field with ``trailing`` unit axes appended, so that its
+    candidate axis leads arrays with that many more axes; a scalar as is."""
+    if isinstance(value, np.ndarray):
+        return value.reshape(value.shape + (1,) * trailing)
+    return value
+
+
+def _dot(a, b):
+    """Dot product over the last axis (length 2), broadcast elementwise."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 def point(x: float, y: float) -> np.ndarray:
@@ -50,7 +82,8 @@ class Apparatus:
     """Physical parameters of the setup, all in SI units (meters, radians).
 
     ``arm1``/``arm2`` are the reflected-path lengths from the mirror center
-    to detectors 1 and 2; ``aperture`` is the detector aperture width.
+    to detectors 1 and 2; ``aperture`` is the detector aperture width.  In
+    a batch, each field is a float or a 1-D array of the common length.
     """
 
     wavelength: float = 700e-9
@@ -64,21 +97,14 @@ class Apparatus:
     aperture: float = 1e-3
 
     def __post_init__(self):
-        lengths = {
-            "wavelength": self.wavelength,
-            "slit_separation": self.slit_separation,
-            "slit_width": self.slit_width,
-            "screen_distance": self.screen_distance,
-            "mirror_width": self.mirror_width,
-            "arm1": self.arm1,
-            "arm2": self.arm2,
-            "aperture": self.aperture,
-        }
-        for name, value in lengths.items():
-            if not (math.isfinite(value) and value > 0):
+        shapes = set()
+        for name, value in vars(self).items():
+            if name != "mirror_angle" and not _inside(value, math.inf, shapes):
                 raise GeometryError(f"{name} must be strictly positive, got {value}")
-        if not 0 < self.mirror_angle < math.pi / 2:
+        if not _inside(self.mirror_angle, math.pi / 2, shapes):
             raise GeometryError("mirror_angle must lie in (0, pi/2)")
+        if shapes and (len(shapes) > 1 or len(shapes.pop()) != 1):
+            raise GeometryError("batch fields must be 1-D arrays of one length")
 
     def regime_warnings(self) -> list[str]:
         """Soft checks of the thin-slit / far-field regime assumptions."""
@@ -96,9 +122,27 @@ class Apparatus:
         return out
 
     def slits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of slit 1 (+d/2) and slit 2 (-d/2) on the diaphragm."""
-        half = self.slit_separation / 2
-        return point(half, 0.0), point(-half, 0.0)
+        """Positions of slit 1 (+d/2) and slit 2 (-d/2) on the diaphragm,
+        each of shape (2,), or (c, 2) for a batch of c."""
+        both = _slit_points(self, 0)
+        return both[..., 0, :], both[..., 1, :]
+
+
+def _slit_points(app: Apparatus, trailing: int) -> np.ndarray:
+    """Both slits, shape (..., 2, 2) with the slit on axis -2; a batch's
+    candidate axis leads ``trailing`` unit axes."""
+    return _batched(app.slit_separation / 2, trailing + 2) * _SLITS
+
+
+def _centers(app: Apparatus, xs: np.ndarray) -> np.ndarray:
+    """Mirror centres (x, L), shape (..., 2): xs.shape for one apparatus,
+    (c, len(xs)) for a batch, or (c, 1) for one position per candidate."""
+    length = _batched(app.screen_distance, 1)
+    shape = np.broadcast_shapes(xs.shape, length.shape) if np.ndim(length) else xs.shape
+    centers = np.empty(shape + (2,))
+    centers[..., 0] = xs
+    centers[..., 1] = length
+    return centers
 
 
 @dataclass(frozen=True)
@@ -110,7 +154,12 @@ class DetectorLayouts:
     of the other arrays is the detector, so ``right[i, 1]`` is detector 2's
     right aperture edge.  Edges are labelled left/right looking along the
     arriving central ray (left = counterclockwise perpendicular of the
-    propagation direction).
+    propagation direction).  For a batch of apparatus every array gains a
+    leading candidate axis.
+
+    ``grazing`` marks, per row and slit, a slit lying on the mirror line;
+    ``blocked`` a central reflected ray that crosses the diaphragm plane
+    y = 0 within 10 slit separations of the axis, at ``x_hit``.
     """
 
     centers: np.ndarray  # (n, 2)
@@ -118,8 +167,30 @@ class DetectorLayouts:
     detectors: np.ndarray  # (n, 2, 2) aperture centres
     left: np.ndarray  # (n, 2, 2)
     right: np.ndarray  # (n, 2, 2)
-    arm1: float
-    arm2: float
+    grazing: np.ndarray  # (n, 2)
+    blocked: np.ndarray  # (n, 2)
+    x_hit: np.ndarray  # (n, 2), meaningful where blocked
+
+    def failed(self) -> np.ndarray:
+        """Per row: does either slit graze the mirror or either ray re-enter
+        the diaphragm?"""
+        return (self.grazing | self.blocked).any(axis=-1)
+
+    def raise_first_failure(self) -> None:
+        """Raise the error of the first failing row, if any:
+        GrazingIncidenceError if a slit lies on the mirror line there, else
+        DiaphragmClearanceError.  Within a row grazing incidence comes
+        before clearance and slit 1 before slit 2."""
+        failed = self.failed().ravel()
+        if not failed.any():
+            return
+        i = np.argmax(failed)
+        if self.grazing.reshape(-1, 2)[i].any():
+            raise GrazingIncidenceError("incident ray is parallel to the mirror surface")
+        x_bad = self.x_hit.reshape(-1, 2)[i, np.argmax(self.blocked.reshape(-1, 2)[i])]
+        raise DiaphragmClearanceError(
+            f"reflected central ray re-enters the diaphragm at x={x_bad:.3g}"
+        )
 
 
 def path_lengths(app: Apparatus, x) -> tuple:
@@ -138,21 +209,28 @@ def path_lengths(app: Apparatus, x) -> tuple:
 
 def mirror_axes(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
     """Unit vector along the mirror toward its +x end, and the unit normal
-    facing the diaphragm.
+    facing the diaphragm; shape (2,), or (c, 2) for a batch.
 
     The mirror line makes ``mirror_angle`` with the screen line; the +x end
     dips toward the diaphragm, so the surface normal sends central reflected
     rays off to the -x side, well away from the diaphragm plane.
     """
-    theta = app.mirror_angle
-    along = np.array([math.cos(theta), -math.sin(theta)])
-    normal = np.array([-math.sin(theta), -math.cos(theta)])
-    return along, normal
+    return _axes(app, 0)
+
+
+def _axes(app: Apparatus, trailing: int) -> tuple[np.ndarray, np.ndarray]:
+    """``mirror_axes`` with, for a batch, ``trailing`` unit axes between the
+    candidate axis and the vector axis."""
+    theta = _batched(app.mirror_angle, trailing + 1)
+    cos, sin = np.cos(theta), np.sin(theta)
+    # exact: products with 0 and 1 and sums with 0 round nothing
+    return cos * _X - sin * _Y, -sin * _X - cos * _Y
 
 
 def mirror_frame(app: Apparatus, centers, points) -> tuple[np.ndarray, np.ndarray]:
     """(along, height) coordinates of points about mirror centres; both
-    arrays of shape (..., 2), broadcast against each other.
+    arrays of shape (..., 2), broadcast against each other, with a batch's
+    candidate axis leading.
 
     ``along`` runs along ``mirror_axes`` toward the mirror's +x end and
     ``height`` along its normal, so the diaphragm side has positive height.
@@ -160,9 +238,9 @@ def mirror_frame(app: Apparatus, centers, points) -> tuple[np.ndarray, np.ndarra
     flat mirror makes reflected rays look as if they come from the source's
     image) is the point with its height negated.
     """
-    along, normal = mirror_axes(app)
     rel = np.asarray(points) - centers
-    return rel @ along, rel @ normal
+    along, normal = _axes(app, rel.ndim - 2)
+    return _dot(rel, along), _dot(rel, normal)
 
 
 def project_from_image(t_img, h_img, t, h):
@@ -191,54 +269,64 @@ def incidence_angles(app: Apparatus, x) -> tuple:
     return g1, g2
 
 
-def detector_layouts(app: Apparatus, xs) -> DetectorLayouts:
-    """Build both detectors for the mirror placed at each position in ``xs``.
+def aim_detectors(app: Apparatus, xs) -> DetectorLayouts:
+    """Both detectors for the mirror placed at each position in ``xs``,
+    with failures marked rather than raised.
 
     Detector i sits at distance arm_i from the mirror center along the
     reflection of the central ray from slit i; its aperture is a segment of
-    width ``aperture`` perpendicular to that ray.  Raises
-    DiaphragmClearanceError if a central reflected ray crosses the diaphragm
-    plane y = 0 within 10 slit separations of the axis, and
-    GrazingIncidenceError if a slit lies on the mirror line; the error
-    reported is that of the first failing position, and at one position
-    grazing incidence comes before clearance and slit 1 before slit 2.
+    width ``aperture`` perpendicular to that ray.  For a batch, ``xs`` is
+    shared by every candidate, or has shape (c, 1) for one position each.
     """
-    xs = np.atleast_1d(_positions(xs))
-    _, normal = mirror_axes(app)
-    length = app.screen_distance
-    centers = np.stack([xs, np.full_like(xs, length)], axis=-1)
-    half_d = app.slit_separation / 2
-    # unit incident directions slit -> mirror centre; axis 1 is the slit
-    incident = centers[:, None, :] - np.array([[half_d, 0.0], [-half_d, 0.0]])
-    incident /= np.sqrt(np.sum(incident * incident, axis=-1, keepdims=True))
-    vn = incident @ normal
-    directions = incident - 2.0 * vn[..., None] * normal
+    centers = _centers(app, np.atleast_1d(_positions(xs)))
+    # unit incident directions slit -> mirror centre, reflected in place
+    # below; axis -2 is the slit
+    directions = centers[..., None, :] - _slit_points(app, 1)
+    directions /= np.sqrt(_dot(directions, directions))[..., None]
+    _, normal = _axes(app, 2)
+    vn = _dot(directions, normal)
+    directions -= 2.0 * vn[..., None] * normal
     # the rays start on y = L > 0, so they reach y = 0 only when heading down
     dy = directions[..., 1]
     down = dy < 0
-    x_hit = xs[:, None] - length * directions[..., 0] / np.where(down, dy, -1.0)
-    grazing = np.abs(vn) < 1e-9
-    blocked = down & (np.abs(x_hit) < 10 * app.slit_separation)
-    if grazing.any() or blocked.any():
-        i = np.flatnonzero(grazing.any(axis=1) | blocked.any(axis=1))[0]
-        if grazing[i].any():
-            raise GrazingIncidenceError("incident ray is parallel to the mirror surface")
-        x_bad = x_hit[i, np.argmax(blocked[i])]
-        raise DiaphragmClearanceError(
-            f"reflected central ray re-enters the diaphragm at x={x_bad:.3g}"
-        )
-    detectors = centers[:, None, :] + np.array([[app.arm1], [app.arm2]]) * directions
+    x_hit = centers[..., None, 0] - centers[..., None, 1] * directions[..., 0] / np.where(
+        down, dy, -1.0
+    )
+    arms = _batched(app.arm1, 3) * _X[:, None] + _batched(app.arm2, 3) * _Y[:, None]
+    detectors = centers[..., None, :] + arms * directions
     # half the aperture along each ray's counterclockwise perpendicular
-    offset = (app.aperture / 2) * directions[..., ::-1] * np.array([-1.0, 1.0])
+    offset = _batched(app.aperture / 2, 3) * directions[..., ::-1] * np.array([-1.0, 1.0])
     return DetectorLayouts(
         centers=centers,
         directions=directions,
         detectors=detectors,
         left=detectors + offset,
         right=detectors - offset,
-        arm1=app.arm1,
-        arm2=app.arm2,
+        grazing=np.abs(vn) < 1e-9,
+        blocked=down & (np.abs(x_hit) < 10 * _batched(app.slit_separation, 2)),
+        x_hit=x_hit,
     )
+
+
+def detector_layouts(app: Apparatus, xs) -> DetectorLayouts:
+    """``aim_detectors``, raising the first failure: DiaphragmClearanceError
+    if a central reflected ray crosses the diaphragm plane y = 0 within 10
+    slit separations of the axis, and GrazingIncidenceError if a slit lies
+    on the mirror line; the error reported is that of the first failing
+    position, and at one position grazing incidence comes before clearance
+    and slit 1 before slit 2.
+    """
+    layouts = aim_detectors(app, xs)
+    layouts.raise_first_failure()
+    return layouts
+
+
+def separations(layouts: DetectorLayouts) -> np.ndarray:
+    """Exact |D1 - D2| in the first row of ``layouts``, per candidate for a
+    batch.  A (1, 2) @ (2, 1) product takes the BLAS dot of one vector, so
+    a batch and a single apparatus agree to the last bit."""
+    d = layouts.detectors[..., 0, 0, :] - layouts.detectors[..., 0, 1, :]
+    return np.sqrt((d[..., None, :] @ d[..., None])[..., 0, 0])
 
 
 def detector_separation(app: Apparatus, x: float) -> tuple[float, float]:
@@ -247,11 +335,47 @@ def detector_separation(app: Apparatus, x: float) -> tuple[float, float]:
     The estimate assumes equal arms; with unequal arms the mean arm length
     is used, and the exact value remains authoritative.
     """
-    d1, d2 = detector_layouts(app, x).detectors[0]
-    exact = float(np.linalg.norm(d1 - d2))
+    exact = float(separations(detector_layouts(app, x)))
     g1, g2 = incidence_angles(app, x)
     approx = 0.5 * (app.arm1 + app.arm2) * (g1 - g2)
     return exact, approx
+
+
+def mirror_footprint(app: Apparatus, xs) -> np.ndarray:
+    """Footprint of the mirror on the screen line at each scan position:
+    the span between the projections of the two mirror endpoints onto
+    y = L, each along its illuminating ray (slit 1 for the high end, slit 2
+    for the low end).  For a batch the candidate axis leads."""
+    slits = _slit_points(app, 1)
+    along, _ = _axes(app, 2)
+    centers = _centers(app, np.atleast_1d(np.asarray(xs, dtype=float)))
+    # axis -2: (high end, slit 1) and (low end, slit 2)
+    half = _batched(app.mirror_width / 2, 2) * _SLITS[:, 0]
+    direction = centers[..., None, :] + half[..., None] * along - slits
+    t = (centers[..., None, 1] - slits[..., 1]) / direction[..., 1]
+    feet = slits[..., 0] + t * direction[..., 0]
+    return np.abs(feet[..., 0] - feet[..., 1])
+
+
+def _projected_segment(t_img, h_img, ta, ha, tb, hb):
+    """Ends (ua, ub) on the mirror line of the aperture segment a-b
+    projected from the image, keeping only the part on the reflecting side,
+    and whether no part is; all in ``mirror_frame`` coordinates."""
+    # an edge is off the reflecting side when its height has the image's
+    # sign; the segment then counts only up to where it crosses the mirror
+    a_off, b_off = ha * h_img >= 0.0, hb * h_img >= 0.0
+    empty = a_off & b_off
+    cut = a_off != b_off
+    t_cross = ta + ha / np.where(cut, ha - hb, 1.0) * (tb - ta)
+    # stand-in heights keep the unused projections of empty intervals finite
+    h_img = np.where(empty, 1.0, h_img)
+
+    def project(t, h, off):
+        clip = cut & off
+        t, h = np.where(clip, t_cross, t), np.where(clip | empty, 0.0, h)
+        return project_from_image(t_img, h_img, t, h)
+
+    return project(ta, ha, a_off), project(tb, hb, b_off), empty
 
 
 def routing_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarray:
@@ -260,41 +384,31 @@ def routing_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarra
     ``f[i, s - 1, d - 1]`` is the fraction of mirror points, uniform along
     the mirror at scan position ``xs[i]``, whose reflection of a ray from
     slit s crosses the aperture of detector d, with the detectors of
-    ``layouts`` row i; a one-row layout serves every position.  A flat
-    mirror reflects slit s as its mirror image s' = s - 2((s - c).n) n (the
-    image-source method), so each (slit, detector) pair is hit from one
-    interval of the mirror.  A reflected ray runs on the line from the
-    image through the mirror point, beyond it, so it can only reach the
-    part of the aperture segment on the side of the mirror line opposite
-    the image; that part, projected from the image onto the mirror line
-    and clipped to the mirror, is the interval.  A ray that crosses both
-    apertures counts at detector 1.
+    ``layouts`` row i; a one-row layout serves every position.  For a batch
+    the candidate axis leads.  A flat mirror reflects slit s as its mirror
+    image s' = s - 2((s - c).n) n (the image-source method), so each
+    (slit, detector) pair is hit from one interval of the mirror.  A
+    reflected ray runs on the line from the image through the mirror point,
+    beyond it, so it can only reach the part of the aperture segment on the
+    side of the mirror line opposite the image; that part, projected from
+    the image onto the mirror line and clipped to the mirror, is the
+    interval.  A ray that crosses both apertures counts at detector 1.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    centers = np.stack([xs, np.full_like(xs, app.screen_distance)], axis=-1)
-    # axis 1: slits, left edges, right edges; axis 2: slit or detector
-    points = np.broadcast_arrays(np.array(app.slits()), layouts.left, layouts.right)
-    t, h = mirror_frame(app, centers[:, None, None, :], np.stack(points, axis=1))
-    # below, axis 1 is the slit and axis 2 the detector
-    t_img, h_img = t[:, 0, :, None], -h[:, 0, :, None]
-    ta, ha, tb, hb = t[:, None, 1], h[:, None, 1], t[:, None, 2], h[:, None, 2]
-    # an edge is off the reflecting side when its height has the image's
-    # sign; the segment then counts only up to where it crosses the mirror
-    a_off, b_off = ha * h_img >= 0.0, hb * h_img >= 0.0
-    empty = a_off & b_off
-    cut = a_off != b_off
-    t_cross = ta + ha / np.where(cut, ha - hb, 1.0) * (tb - ta)
-    ta, ha = np.where(cut & a_off, t_cross, ta), np.where(cut & a_off, 0.0, ha)
-    tb, hb = np.where(cut & b_off, t_cross, tb), np.where(cut & b_off, 0.0, hb)
-    # stand-in heights keep the unused projections of empty intervals finite
-    h_img = np.where(empty, 1.0, h_img)
-    ua = project_from_image(t_img, h_img, ta, np.where(empty, 0.0, ha))
-    ub = project_from_image(t_img, h_img, tb, np.where(empty, 0.0, hb))
-    half = app.mirror_width / 2
+    centers = _centers(app, np.atleast_1d(np.asarray(xs, dtype=float)))[..., None, :]
+    # below, axis -2 is the slit and axis -1 the detector
+    t_img, h_img = mirror_frame(app, centers, _slit_points(app, 1))
+    t_img, h_img = t_img[..., None], -h_img[..., None]
+    ta, ha = mirror_frame(app, centers, layouts.left)
+    tb, hb = mirror_frame(app, centers, layouts.right)
+    ua, ub, empty = _projected_segment(
+        t_img, h_img, ta[..., None, :], ha[..., None, :], tb[..., None, :], hb[..., None, :]
+    )
+    width = _batched(app.mirror_width, 3)
+    half = width / 2
     # an empty interval starts at the mirror's upper end, so has no length
     lo = np.where(empty, half, np.maximum(np.minimum(ua, ub), -half))
     hi = np.minimum(np.maximum(ua, ub), half)
     f = np.maximum(hi - lo, 0.0)
     # rays that cross both apertures count at detector 1 only
     f[..., 1] -= np.maximum(hi.min(axis=-1) - lo.max(axis=-1), 0.0)
-    return f / app.mirror_width
+    return f / width

@@ -67,11 +67,11 @@ class ScanConfig:
 
     def check_sampling(self, app: Apparatus) -> None:
         """Grid must resolve the fringe period (a few samples per period)."""
-        f_s = fringe_spacing(app)
-        if self.max_spacing() > f_s / 2.0:
+        half_period = fringe_spacing(app) / 2.0
+        if self.max_spacing() > half_period:
             raise ScanError(
                 f"grid spacing {self.max_spacing():.3g} m exceeds half the "
-                f"fringe period {f_s:.3g} m"
+                f"fringe period, {half_period:.3g} m"
             )
 
 

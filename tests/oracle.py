@@ -9,7 +9,9 @@ reflected ray at a time.  ``design`` finds grazing limits as one line
 intersection and checks feasibility over whole arrays of positions; the
 bisection, ``loop_validate`` (which judges mis-detection by tracing rays
 from evenly spaced mirror points) and ``loop_design_search`` here do it by
-root finding and one scalar geometry call per point.
+root finding and one scalar geometry call per point.  ``design_search``
+judges its candidates in blocks, as batches; ``scalar_design_search`` here
+draws and judges one candidate at a time with the scalar ``validate``.
 """
 
 from __future__ import annotations
@@ -407,26 +409,7 @@ def loop_design_search(
     best = None
     best_sep = -math.inf
     for _ in range(samples):
-        draws = {
-            name: float(rng.uniform(*getattr(space, name)))
-            for name in (
-                "wavelength",
-                "slit_separation",
-                "screen_distance",
-                "mirror_angle",
-                "arm",
-                "aperture",
-            )
-        }
-        candidate = Apparatus(
-            wavelength=draws["wavelength"],
-            slit_separation=draws["slit_separation"],
-            screen_distance=draws["screen_distance"],
-            mirror_angle=draws["mirror_angle"],
-            arm1=draws["arm"],
-            arm2=draws["arm"],
-            aperture=draws["aperture"],
-        )
+        candidate = _draw_candidate(space, rng)
         try:
             candidate = replace(candidate, mirror_width=bisect_required_width(candidate))
             report = loop_validate(candidate, space.x_max)
@@ -436,3 +419,62 @@ def loop_design_search(
             best = (candidate, report)
             best_sep = report.detector_separation
     return best
+
+
+def _draw_candidate(space: SearchSpace, rng: np.random.Generator) -> Apparatus:
+    """One sample of the search: one scalar draw per parameter, in order."""
+    names = ("wavelength", "slit_separation", "screen_distance", "mirror_angle", "arm", "aperture")
+    draws = {name: float(rng.uniform(*getattr(space, name))) for name in names}
+    return Apparatus(
+        wavelength=draws["wavelength"],
+        slit_separation=draws["slit_separation"],
+        screen_distance=draws["screen_distance"],
+        mirror_angle=draws["mirror_angle"],
+        arm1=draws["arm"],
+        arm2=draws["arm"],
+        aperture=draws["aperture"],
+    )
+
+
+def scalar_search_steps(space: SearchSpace, samples: int, seed: int):
+    """Each sample of the per-sample search loop, as (candidate, limits,
+    report): the candidate with its required mirror width, its grazing
+    limits and its scalar ``validate`` report.  When the limits raise, the
+    candidate keeps the default width; when the limits or ``validate``
+    raise, the type of the error stands in place of the limits and the
+    report is None."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        candidate = _draw_candidate(space, rng)
+        try:
+            limits = design._grazing_limits(candidate)
+        except (DesignError, GeometryError) as exc:
+            yield candidate, type(exc), None
+            continue
+        width = float(design._required_width(candidate, *limits))
+        candidate = replace(candidate, mirror_width=width)
+        try:
+            report = design.validate(candidate, space.x_max, limits)
+        except GeometryError as exc:
+            yield candidate, type(exc), None
+            continue
+        yield candidate, limits, report
+
+
+def best_step(steps) -> tuple[Apparatus, DesignReport] | None:
+    """The (candidate, report) of the first of ``scalar_search_steps`` with
+    the largest feasible detector separation, or None."""
+    best = None
+    best_sep = -math.inf
+    for candidate, _, report in steps:
+        if report is not None and report.feasible and report.detector_separation > best_sep:
+            best = (candidate, report)
+            best_sep = report.detector_separation
+    return best
+
+
+def scalar_design_search(
+    space: SearchSpace, samples: int, seed: int
+) -> tuple[Apparatus, DesignReport] | None:
+    """``design.design_search`` one candidate at a time."""
+    return best_step(scalar_search_steps(space, samples, seed))

@@ -154,10 +154,12 @@ class TestScanCommand:
         np.testing.assert_allclose(rows[:, 2], detector_intensity(app, xs, 1), atol=1e-8)
 
     def test_coarse_grid_exits_two(self, tmp_path, capsys):
+        # 7 positions over +-3 F_s are 0.7 mm apart, above F_s / 2 = 0.35 mm
         code, _ = run(tmp_path, "scan", {"scan": {"positions": 7}})
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "fringe period" in err[0]
+        assert err[0].endswith("0.0007 m exceeds half the fringe period, 0.00035 m")
 
 
 class TestSimulateCommand:
@@ -234,6 +236,7 @@ class TestSimulateCommand:
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "fringe period" in err[0]
+        assert err[0].endswith("0.0007 m exceeds half the fringe period, 0.00035 m")
 
     def test_blocked_beam_exits_two_with_error_line(self, tmp_path, capsys):
         # at a 0.01 rad tilt the reflected central rays re-enter the diaphragm
@@ -312,6 +315,14 @@ class TestSearchCommand:
         payload = {"search": {"aperture": 1.0, "samples": 4}}
         code, _ = run(tmp_path, "search", payload)
         assert code == EXIT_NO_RESULT
+
+    def test_angle_interval_outside_quadrant_exits_one(self, tmp_path, capsys):
+        # candidates drawn above pi/2 used to end in a GeometryError traceback
+        code, _ = run(tmp_path, "search", {"search": {"mirror_angle": [1.0, 2.0]}})
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "mirror_angle" in err[0]
 
 
 class TestTimestamps:

@@ -1,5 +1,8 @@
 import collections
+import json
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ from mirrorslit.design import BracketError, DesignError, SearchSpace
 from mirrorslit.geometry import Apparatus
 from mirrorslit.wavemodel import fringe_spacing
 from oracle import (
+    best_step,
     bisect_half_width,
     clearance_angles,
     clearance_at_half_width,
@@ -17,6 +21,7 @@ from oracle import (
     loop_sampling_constraint,
     loop_validate,
     mirror_placement,
+    scalar_search_steps,
     signed_angle,
     traced_misdetection_free,
 )
@@ -220,6 +225,11 @@ class TestDesignSearch:
         with pytest.raises(DesignError):
             design.design_search(self.bench_space(f_s), 0, seed=0)
 
+    @pytest.mark.parametrize("angle", [(1.0, 2.0), (1.0, math.pi / 2)])
+    def test_angle_interval_must_lie_inside_quadrant(self, f_s, angle):
+        with pytest.raises(DesignError, match="mirror_angle"):
+            self.bench_space(f_s, mirror_angle=angle)
+
 
 def random_apparatus(rng, angle=(0.3, 1.2), width=None):
     """An apparatus drawn around the bench: arms log-uniform in 0.05-10 m,
@@ -422,3 +432,96 @@ class TestSearchAgainstOracle:
         assert abs(best.mirror_width - expected.mirror_width) <= 2e-7
         assert report.feasible and expected_report.feasible
         assert report.detector_separation == expected_report.detector_separation
+
+
+class TestBatchAgainstScalarLoop:
+    # seeds 0-7, 256 samples each.  F_s = lambda L / d spans 0.1-3.6 mm, so
+    # the candidates with F_s > x_max / 2 = 1.05 mm fail sampling on a scan
+    # too short; tilts down to 0.01 rad send beams into the diaphragm
+    SPACE = SearchSpace(
+        wavelength=(4e-7, 9e-7),
+        slit_separation=(5e-5, 2e-4),
+        screen_distance=(0.05, 0.2),
+        mirror_angle=(0.01, 1.5),
+        arm=(0.05, 10.0),
+        aperture=(1e-4, 5e-3),
+        x_max=2.1e-3,
+    )
+    VERDICTS = ("sampling_ok", "diaphragm_clear", "misdetection_free")
+
+    def test_same_best_and_verdicts_as_scalar_validate(self):
+        branches = collections.Counter()
+        for seed in range(8):
+            steps = list(scalar_search_steps(self.SPACE, 256, seed))
+            fast = design.design_search(self.SPACE, 256, seed)
+            slow = best_step(steps)
+            assert fast is not None and slow is not None
+            assert fast[0] == slow[0], seed
+            assert json.dumps(fast[1].to_dict()) == json.dumps(slow[1].to_dict())
+
+            # the block draws are the per-sample draws, bit for bit
+            bounds = np.array([getattr(self.SPACE, name) for name in design._SEARCHED])
+            draws = np.random.default_rng(seed).uniform(*bounds.T, size=(256, 6))
+            drawn = [
+                [a.wavelength, a.slit_separation, a.screen_distance, a.mirror_angle, a.arm1, a.aperture]
+                for a, _, _ in steps
+            ]
+            assert draws.tolist() == drawn
+            solved, (w1, w2), width, verdicts = design.judge_block(draws, self.SPACE.x_max)
+            k = 0
+            for i, (candidate, limits, report) in enumerate(steps):
+                if not solved[i]:
+                    assert limits in (BracketError, geometry.DiaphragmClearanceError), limits
+                    branches["bracket skip" if limits is BracketError else "blocked skip"] += 1
+                    continue
+                assert limits == (w1[k], w2[k]), (seed, i)
+                assert candidate.mirror_width == width[k], (seed, i)
+                assert report is not None, (seed, i)
+                for name in self.VERDICTS:
+                    assert getattr(report, name) == getattr(verdicts, name)[k], (seed, i)
+                    if not getattr(report, name):
+                        branches[name + " fail"] += 1
+                separation = verdicts.separation[k]
+                assert report.detector_separation == separation or (
+                    math.isnan(separation) and math.isnan(report.detector_separation)
+                )
+                branches["feasible"] += report.feasible
+                k += 1
+            assert k == len(verdicts.sampling_ok)
+        assert all(
+            branches[name] > 0
+            for name in (
+                "bracket skip",
+                "blocked skip",
+                "sampling_ok fail",
+                "diaphragm_clear fail",
+                "misdetection_free fail",
+                "feasible",
+            )
+        ), branches
+
+
+class TestSearchMemory:
+    # extreme tilts, arms and apertures: every branch and no numpy warning
+    SPACE = SearchSpace(
+        wavelength=(4e-7, 9e-7),
+        slit_separation=(5e-5, 2e-4),
+        screen_distance=(0.05, 0.2),
+        mirror_angle=(1e-6, 1.5707963),
+        arm=(1e-3, 100.0),
+        aperture=(1e-6, 0.1),
+        x_max=2.1e-3,
+    )
+
+    def test_peak_memory_bounded_and_no_runtime_warning(self):
+        # judged all at once, 5000 candidates would need about 190 MB
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tracemalloc.start()
+            try:
+                result = design.design_search(self.SPACE, 5_000, 7)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert result is not None and result[1].feasible
+        assert peak < 16e6, peak
