@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -89,7 +90,8 @@ def _number(key: str, value, convert=float):
         number = convert(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
-    if not math.isfinite(number):
+    # an int of any size is finite; float() of one past 1e308 would overflow
+    if not isinstance(number, int) and not math.isfinite(number):
         raise ConfigError(f"field '{key}' must be a finite number, got {value!r}")
     return number
 
@@ -230,7 +232,14 @@ def cmd_simulate(config: dict, args, out: Path) -> int:
     scan = load_scan(_require_mapping(config.get("scan"), "scan"), app, args)
     hyp = load_hypothesis(_require_mapping(config.get("hypothesis"), "hypothesis"), args)
     try:
-        summary = montecarlo.simulate_scan(app, scan, hyp)
+        # each warning, such as a failed design validation, is one stderr line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                summary = montecarlo.simulate_scan(app, scan, hyp)
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
     except (montecarlo.ScanError, FitError, geometry.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

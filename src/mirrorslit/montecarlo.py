@@ -14,8 +14,11 @@ fringe rate give the probability of each outcome, and one multinomial draw
 per scan position yields all the counts.  The cost per position does not depend on the photon count.
 
 Every scan position owns an independent random substream keyed by
-(seed, position index), so totals are reproducible regardless of the order
-positions are evaluated in.
+(seed, position index): the stream of ``np.random.default_rng([seed, i])``,
+so totals are reproducible regardless of the order positions are evaluated
+in.  The PCG64 states of those streams are computed for the whole grid at
+once, by NumPy's fixed ``SeedSequence`` hash and PCG64 seeding step run on
+arrays, and one reused generator is set to each in turn.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ class ScanError(ValueError):
     pass
 
 
+_MAX_PHOTONS = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     x_positions: np.ndarray
@@ -59,6 +65,11 @@ class ScanConfig:
             raise ScanError("scan positions must be strictly increasing")
         if self.photons_per_position < 1:
             raise ScanError("photons_per_position must be >= 1")
+        if self.photons_per_position > _MAX_PHOTONS:
+            raise ScanError(
+                f"photons_per_position must be <= {_MAX_PHOTONS}, the largest "
+                f"count numpy can draw, got {self.photons_per_position}"
+            )
         if self.seed < 0:
             raise ScanError(f"seed must be >= 0, got {self.seed}")
 
@@ -106,8 +117,88 @@ class ScanSummary:
         return np.array([r.n for r in self.records], dtype=float)
 
 
-def _position_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(index)])
+# NumPy's SeedSequence hash (pool of four 32-bit words) and the 128-bit
+# PCG64 multiplier; NEP 19 keeps the streams they define stable
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hash of one word per position: XOR with a running
+    constant, advance the constant, multiply by it, fold the high half
+    down.  The constants do not depend on the data, so they stay ints."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _pcg64_states(seed: int, n: int) -> tuple[list[int], list[int]]:
+    """PCG64 (state, inc) of ``np.random.default_rng([seed, i])`` for each
+    i < n (indices below 2**32, one entropy word each).
+
+    SeedSequence mixes the entropy words (the seed's, then i) into a pool
+    of four, each an array over i; ``generate_state(4, uint64)`` hashes the
+    pool out to s and seq, and PCG64 seeding sets inc = 2 seq + 1 and
+    state = (inc + s) M + inc mod 2**128.
+    """
+    seed = int(seed)
+    # the seed's little-endian 32-bit words ([0] for 0), then the index
+    entropy = [
+        np.full(n, seed >> 32 * k & _MASK32, dtype=np.uint32)
+        for k in range(max(1, (seed.bit_length() + 31) // 32))
+    ]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    output = _hashmix(_INIT_B, _MULT_B)
+    out = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # four little-endian uint64 words, as Python ints for 128-bit arithmetic
+    s_hi, s_lo, seq_hi, seq_lo = (
+        (out[2 * k] | out[2 * k + 1] << np.uint64(32)).astype(object) for k in range(4)
+    )
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    return state.tolist(), inc.tolist()
+
+
+def _position_streams(seed: int, n: int):
+    """One generator per scan position i < n, in the state
+    ``np.random.default_rng([seed, i])`` starts in.  The same generator is
+    yielded each time, re-set, so draw from it before advancing."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in zip(*_pcg64_states(seed, n)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _acceptance_rate(app: Apparatus, x, v: float):
@@ -146,8 +237,8 @@ def simulate_scan(
     table = np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
     counts = np.array(
         [
-            _position_rng(config.seed, i).multinomial(config.photons_per_position, row)
-            for i, row in enumerate(table)
+            rng.multinomial(config.photons_per_position, row)
+            for rng, row in zip(_position_streams(config.seed, len(table)), table)
         ]
     )
     c11, c12, c21, c22 = counts[:, :4].T
@@ -189,8 +280,8 @@ def conventional_scan(app: Apparatus, config: ScanConfig) -> FringePattern:
     config.check_sampling(app)
     rates = screen_intensity(app, config.x_positions) / 4.0
     counts = [
-        _position_rng(config.seed, i).binomial(config.photons_per_position, rate)
-        for i, rate in enumerate(rates)
+        rng.binomial(config.photons_per_position, rate)
+        for rng, rate in zip(_position_streams(config.seed, len(rates)), rates)
     ]
     return FringePattern(config.x_positions, np.array(counts, dtype=float))
 

@@ -12,6 +12,8 @@ from evenly spaced mirror points) and ``loop_design_search`` here do it by
 root finding and one scalar geometry call per point.  ``design_search``
 judges its candidates in blocks, as batches; ``scalar_design_search`` here
 draws and judges one candidate at a time with the scalar ``validate``.
+``montecarlo`` computes every scan position's PCG64 state in one array
+pass; ``position_rng`` here is NumPy's own seeding of the same substream.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ _BISECT_TOL = 1e-7
 
 class OffMirrorError(GeometryError):
     """Probe point does not lie on the mirror segment."""
+
+
+def position_rng(seed: int, index: int) -> np.random.Generator:
+    """The random substream of scan position ``index``, seeded by NumPy."""
+    return np.random.default_rng([int(seed), int(index)])
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -154,21 +161,29 @@ def route_rays(
 ) -> np.ndarray:
     """Vectorized ray vs aperture-segment intersection.
 
-    Returns the detector index (1 or 2) crossed by each ray, 0 for neither.
-    A ray crossing both apertures counts at detector 1.
+    ``edges`` holds the left and right aperture edges, each of shape
+    (..., 2, 2) with the detector on axis -2, broadcast against the rays'
+    leading axes.  Returns the detector index (1 or 2) crossed by each ray,
+    0 for neither.  A ray crossing both apertures counts at detector 1.
     """
-    hit = np.zeros(len(origins), dtype=np.int64)
-    for idx, left, right in zip((1, 2), *edges):
-        seg = right - left
-        rel = left - origins
-        denom = directions[:, 0] * (-seg[1]) - directions[:, 1] * (-seg[0])
-        ok = np.abs(denom) > 0
-        t = np.where(ok, (rel[:, 0] * (-seg[1]) + rel[:, 1] * seg[0]) / denom, -1.0)
-        s = np.where(
-            ok,
-            (directions[:, 0] * rel[:, 1] - directions[:, 1] * rel[:, 0]) / denom,
-            -1.0,
-        )
+    return _first_crossing(
+        origins[..., 0], origins[..., 1], directions[..., 0], directions[..., 1], edges
+    )
+
+
+def _first_crossing(ox, oy, dx, dy, edges: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``route_rays`` for rays from (ox, oy) heading along (dx, dy), given
+    as one array per coordinate."""
+    hit = np.zeros(np.broadcast_shapes(np.shape(ox), np.shape(dx)), dtype=np.int64)
+    for idx in (1, 2):
+        left, right = (e[..., idx - 1, :] for e in edges)
+        lx, ly = left[..., 0], left[..., 1]
+        gx, gy = right[..., 0] - lx, right[..., 1] - ly
+        rx, ry = lx - ox, ly - oy
+        # a ray parallel to the aperture gives s = +-inf or nan: no crossing
+        denom = dy * gx - dx * gy
+        t = (ry * gx - rx * gy) / denom
+        s = (dx * ry - dy * rx) / denom
         crossed = (t > 0) & (s >= 0.0) & (s <= 1.0)
         hit = np.where(crossed & (hit == 0), idx, hit)
     return hit
@@ -212,11 +227,21 @@ def _trace(
     reflected at the mirror point a fraction ``mirror_frac`` along the mirror
     from ``end_low``."""
     points = pl.end_low[None, :] + mirror_frac[:, None] * (pl.end_high - pl.end_low)
-    incident = points - sources
-    incident /= np.linalg.norm(incident, axis=1, keepdims=True)
-    n = pl.normal
-    directions = incident - 2.0 * (incident @ n)[:, None] * n[None, :]
-    return route_rays(points, directions, edges)
+    return _reflect_and_route(
+        points[:, 0], points[:, 1], sources[:, 0], sources[:, 1], pl.normal, edges
+    )
+
+
+def _reflect_and_route(px, py, sx, sy, normal: np.ndarray, edges) -> np.ndarray:
+    """``route_rays`` for the rays from (sx, sy) reflected at mirror points
+    (px, py), one array per coordinate.  Reflection is linear and whether a
+    ray crosses a segment does not depend on its length, so the incident
+    directions are not normalized."""
+    ix, iy = px - sx, py - sy
+    twice_normal = 2.0 * (ix * normal[0] + iy * normal[1])
+    return _first_crossing(
+        px, py, ix - twice_normal * normal[0], iy - twice_normal * normal[1], edges
+    )
 
 
 def traced_fractions(
@@ -334,22 +359,33 @@ def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
     return bool(worst < f_s / 2.0), float(worst)
 
 
-def traced_misdetection_free(app: Apparatus, x: float, n_points: int = 2001) -> bool:
-    """True when no ray reflected at ``n_points`` evenly spaced mirror
-    points, both ends included, reaches the other slit's detector, with the
-    detectors re-aimed at x.  A ray crossing both apertures counts at
+def traced_misdetection_free(app: Apparatus, xs, n_points: int = 2001) -> bool:
+    """True when, at every position in ``xs`` with the detectors re-aimed
+    there, no ray reflected at ``n_points`` evenly spaced mirror points,
+    both ends included, reaches the other slit's detector.  Every position
+    is traced in one array call; a ray crossing both apertures counts at
     detector 1, as in ``route_rays``."""
-    edges = row_edges(geometry.detector_layouts(app, x))
-    slits = np.repeat([1, 2], n_points)
-    sources = np.array(app.slits())[slits - 1]
-    mirror_frac = np.tile(np.linspace(0.0, 1.0, n_points), 2)
-    hits = _trace(mirror_placement(app, x), sources, mirror_frac, edges)
-    return bool(np.all((hits == 0) | (hits == slits)))
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    layouts = geometry.detector_layouts(app, xs)
+    along, normal = geometry.mirror_axes(app)
+    half = app.mirror_width / 2
+    frac = np.linspace(0.0, 1.0, n_points)
+    # mirror points as in ``mirror_placement``, axes (position, point)
+    low_x, high_x = xs - half * along[0], xs + half * along[0]
+    low_y, high_y = app.screen_distance - half * along[1], app.screen_distance + half * along[1]
+    px = low_x[:, None] + frac * (high_x - low_x)[:, None]
+    py = np.broadcast_to(low_y + frac * (high_y - low_y), px.shape)
+    edges = (layouts.left[:, None], layouts.right[:, None])
+    for slit, (sx, sy) in zip((1, 2), app.slits()):
+        hits = _reflect_and_route(px, py, sx, sy, normal, edges)
+        if np.any((hits != 0) & (hits != slit)):
+            return False
+    return True
 
 
 def loop_validate(app: Apparatus, x_max: float) -> DesignReport:
-    """``design.validate`` with bisection limits, and one single-position
-    layout and ``traced_misdetection_free`` call per position."""
+    """``design.validate`` with bisection limits, and mis-detection judged
+    by ``traced_misdetection_free`` over the 61 positions at once."""
     f_s = fringe_spacing(app)
     w_prime, _ = design.default_mirror_params(app)
     warnings_list = app.regime_warnings()
@@ -374,13 +410,10 @@ def loop_validate(app: Apparatus, x_max: float) -> DesignReport:
         warnings_list.append(str(exc))
 
     diaphragm_clear = True
-    misdetection_free = True
     separation = math.nan
     try:
         separation, _ = geometry.detector_separation(app, 0.0)
-        for x in np.linspace(0.0, x_max, 61):
-            if not traced_misdetection_free(app, x):
-                misdetection_free = False
+        misdetection_free = traced_misdetection_free(app, np.linspace(0.0, x_max, 61))
     except DiaphragmClearanceError as exc:
         diaphragm_clear = False
         misdetection_free = False

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -225,11 +226,11 @@ class TestSimulateCommand:
     def test_short_scan_exits_two_with_error_line(self, tmp_path, capsys):
         # +-0.3 mm spans less than two fringe periods: validation fails, a
         # warning, and the visibility fit rejects the pattern
-        with pytest.warns(UserWarning, match="fails design validation"):
-            code, _ = self.simulate(tmp_path, {"scan": {"x_min": -3e-4, "x_max": 3e-4}})
+        code, _ = self.simulate(tmp_path, {"scan": {"x_min": -3e-4, "x_max": 3e-4}})
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 2 and re.fullmatch("warning: .*fails design validation.*", err[0])
+        assert err[1].startswith("error: ")
 
     def test_coarse_grid_exits_two_with_error_line(self, tmp_path, capsys):
         code, _ = self.simulate(tmp_path, {"scan": {"positions": 7}})
@@ -245,14 +246,45 @@ class TestSimulateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "diaphragm" in err[0]
 
-    def test_frozen_detectors_warn(self, tmp_path):
+    def test_frozen_detectors_warn(self, tmp_path, capsys):
         # off-centre the x = 0 layout routes slits into the wrong detector
         payload = {"scan": {"photons_per_position": 500, "seed": 3}}
-        with pytest.warns(UserWarning, match="fails design validation"):
-            code, out = self.simulate(tmp_path, payload, "--freeze-detectors")
+        code, out = self.simulate(tmp_path, payload, "--freeze-detectors")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and re.fullmatch("warning: .*fails design validation.*", err[0])
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["misdetection_rate"] > 0.0
+
+    def test_infeasible_design_warns_in_one_line(self, tmp_path, capsys):
+        # a 1 mm wavelength fails validation; the run goes on and exits 0
+        code, out = self.simulate(tmp_path, {"apparatus": {"wavelength": 1e-3}})
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert err == "warning: apparatus fails design validation; simulating anyway\n"
+        assert (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("photons", [1e19, 1e30])
+    def test_huge_photon_count_exits_one_without_drawing(
+        self, tmp_path, capsys, monkeypatch, photons
+    ):
+        def no_draws(*args):
+            raise AssertionError("simulate_scan called")
+
+        monkeypatch.setattr(cli.montecarlo, "simulate_scan", no_draws)
+        code, _ = self.simulate(tmp_path, {"scan": {"photons_per_position": photons}})
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "photons_per_position" in err[0]
+
+    def test_seed_beyond_float_range(self, tmp_path, capsys):
+        # JSON integers are unbounded and so are numpy seeds
+        seed = 10**400
+        payload = {"scan": {"photons_per_position": 10, "seed": seed}}
+        code, out = self.simulate(tmp_path, payload)
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        assert json.loads((out / "summary.json").read_text())["seed"] == seed
 
     @pytest.mark.parametrize("value", ["no", 0, None])
     def test_freeze_detectors_must_be_boolean(self, tmp_path, capsys, value):

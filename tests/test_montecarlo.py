@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mirrorslit import geometry, montecarlo
 from mirrorslit.montecarlo import (
@@ -21,8 +22,9 @@ from mirrorslit.wavemodel import (
     duality_check,
     DualityPoint,
     hypothesis_visibility,
+    screen_intensity,
 )
-from oracle import photon_event, row_edges, traced_fractions, traced_position
+from oracle import photon_event, position_rng, row_edges, traced_fractions, traced_position
 
 FULL = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
 EXCLUSIVE = OutcomeHypothesis(HypothesisKind.EXCLUSIVE)
@@ -56,6 +58,12 @@ class TestScanConfig:
     def test_negative_seed_rejected(self, scan_grid):
         with pytest.raises(ScanError):
             ScanConfig(scan_grid, 10, -1)
+
+    @pytest.mark.parametrize("photons", [10**19, 10**30])
+    def test_photon_count_fits_int64(self, scan_grid, photons):
+        # numpy draws counts as int64: 1e19 and 1e30 would overflow
+        with pytest.raises(ScanError, match="photons_per_position"):
+            ScanConfig(scan_grid, photons, 0)
 
     def test_default_grid_accepted_without_warning(self, app, scan_grid):
         # 41 positions over +-3 F_s, 0.15 F_s apart
@@ -285,7 +293,7 @@ class TestSimulateScan:
             summary = simulate_scan(app, frozen, FULL)
         layout = geometry.detector_layouts(app, 0.0)
         for i, (x, record) in enumerate(zip(config.x_positions, summary.records)):
-            rng = montecarlo._position_rng(config.seed, i)
+            rng = position_rng(config.seed, i)
             n = config.photons_per_position
             expected = closed_position(app, x, n, 1.0, rng, layout)
             assert (record.n1, record.n2, record.misdetected) == expected
@@ -297,7 +305,7 @@ class TestSimulateScan:
         summary = simulate_scan(app, config, FULL)
         i = 17
         x = float(config.x_positions[i])
-        rng = montecarlo._position_rng(config.seed, i)
+        rng = position_rng(config.seed, i)
         layout = geometry.detector_layouts(app, x)
         n1, n2, mis = closed_position(
             app, x, config.photons_per_position, 1.0, rng, layout
@@ -307,6 +315,56 @@ class TestSimulateScan:
             summary.records[i].n2,
             summary.records[i].misdetected,
         )
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 1, 10**41]
+
+
+def assert_same_stream(rng, reference):
+    """Same PCG64 state, then the same first draws."""
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.random(3).tolist() == reference.random(3).tolist()
+    assert rng.binomial(1000, 0.3) == reference.binomial(1000, 0.3)
+    assert rng.multinomial(500, [0.2, 0.3, 0.5]).tolist() == (
+        reference.multinomial(500, [0.2, 0.3, 0.5]).tolist()
+    )
+
+
+class TestPositionStreams:
+    @pytest.mark.parametrize("n", [1, 2, 41, 1001])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_match_numpy_seeding(self, seed, n):
+        # seeds of one to five 32-bit words: 2**96 + 1 and 10**41 overrun
+        # SeedSequence's four-word pool
+        for i, rng in enumerate(montecarlo._position_streams(seed, n)):
+            if i in (0, 1, n - 1):
+                assert_same_stream(rng, position_rng(seed, i))
+
+    @given(st.integers(0, 2**160), st.integers(1, 50))
+    def test_any_seed(self, seed, n):
+        streams = list(zip(*montecarlo._pcg64_states(seed, n)))
+        for i in (0, n - 1):
+            state, inc = streams[i]
+            assert position_rng(seed, i).bit_generator.state["state"] == {
+                "state": state,
+                "inc": inc,
+            }
+
+    def test_simulate_scan_above_2_64(self, app, scan_grid):
+        seed = 2**64 + 77
+        config = ScanConfig(scan_grid, 3000, seed)
+        summary = simulate_scan(app, config, FULL)
+        for i, (x, record) in enumerate(zip(config.x_positions, summary.records)):
+            layout = geometry.detector_layouts(app, x)
+            expected = closed_position(app, x, 3000, 1.0, position_rng(seed, i), layout)
+            assert (record.n1, record.n2, record.misdetected) == expected
+
+    def test_conventional_scan_above_2_64(self, app, scan_grid):
+        seed = 2**64 + 77
+        pattern = conventional_scan(app, ScanConfig(scan_grid, 3000, seed))
+        rates = screen_intensity(app, scan_grid) / 4.0
+        expected = [position_rng(seed, i).binomial(3000, r) for i, r in enumerate(rates)]
+        assert pattern.intensities.tolist() == expected
 
 
 class TestConventionalScan:
