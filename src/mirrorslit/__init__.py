@@ -10,7 +10,7 @@ from .wavemodel import (
     fringe_spacing,
 )
 from .design import DesignReport, SearchSpace
-from .montecarlo import ScanConfig, ScanRecord, ScanSummary
+from .montecarlo import ScanConfig, ScanSummary
 
 __all__ = [
     "Apparatus",
@@ -23,6 +23,5 @@ __all__ = [
     "DesignReport",
     "SearchSpace",
     "ScanConfig",
-    "ScanRecord",
     "ScanSummary",
 ]

@@ -38,6 +38,9 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_RESULT = 3
 
+# scan.positions above this are refused before the grid is allocated
+MAX_POSITIONS = 1_000_000
+
 COUNTS_HEADER = "x_m,N,N1,N2,misdetected,I1_theory,I2_theory"
 CURVES_HEADER = "x_m,I,I1,I2"
 
@@ -85,9 +88,9 @@ def load_apparatus(section: dict) -> Apparatus:
 
 def _number(key: str, value, convert=float):
     """``convert(value)`` for config field ``key``, reporting a value that is
-    not a finite number as a ConfigError."""
+    not a finite number, JSON booleans included, as a ConfigError."""
     try:
-        number = convert(value)
+        number = math.nan if isinstance(value, bool) else convert(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     # an int of any size is finite; float() of one past 1e308 would overflow
@@ -112,6 +115,8 @@ def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
     x_min = _number("x_min", section.get("x_min", -3.0 * f_s))
     x_max = _number("x_max", section.get("x_max", 3.0 * f_s))
     positions = _number("positions", section.get("positions", 41), int)
+    if positions > MAX_POSITIONS:
+        raise ConfigError(f"scan positions must be <= {MAX_POSITIONS}, got {positions}")
     photons = _number(
         "photons_per_position", section.get("photons_per_position", 10_000), int
     )
@@ -134,13 +139,11 @@ def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
 
 def load_hypothesis(section: dict, args) -> OutcomeHypothesis:
     spec = args.hypothesis or section.get("kind", "full")
+    if not isinstance(spec, str):
+        raise ConfigError(f"hypothesis field 'kind' must be a string, got {spec!r}")
     d_value = section.get("distinguishability", 0.0)
-    if isinstance(spec, str) and spec.startswith("partial:"):
-        spec, _, d_text = spec.partition(":")
-        try:
-            d_value = float(d_text)
-        except ValueError as exc:
-            raise ConfigError(f"bad distinguishability: {d_text!r}") from exc
+    if spec.startswith("partial:"):
+        spec, _, d_value = spec.partition(":")
     kinds = {
         "full": HypothesisKind.FULL_DUALITY,
         "exclusive": HypothesisKind.EXCLUSIVE,
@@ -148,8 +151,9 @@ def load_hypothesis(section: dict, args) -> OutcomeHypothesis:
     }
     if spec not in kinds:
         raise ConfigError(f"unknown hypothesis {spec!r}")
+    d_value = _number("distinguishability", d_value)
     try:
-        return OutcomeHypothesis(kinds[spec], float(d_value))
+        return OutcomeHypothesis(kinds[spec], d_value)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -197,7 +201,11 @@ def _write_json(path: Path, payload: dict, args) -> None:
 def cmd_validate(config: dict, args, out: Path) -> int:
     app = load_apparatus(_require_mapping(config.get("apparatus"), "apparatus"))
     x_max = _number("x_max", config.get("x_max", 3.0 * fringe_spacing(app)))
-    report = design.validate(app, x_max)
+    try:
+        report = design.validate(app, x_max)
+    except geometry.GeometryError as exc:  # a slit on the mirror line
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     _write_json(out / "report.json", report.to_dict(), args)
     for line in report.warnings:
         print(f"warning: {line}", file=sys.stderr)
@@ -245,17 +253,13 @@ def cmd_simulate(config: dict, args, out: Path) -> int:
         return EXIT_INFEASIBLE
 
     lines = _timestamp_lines(args) + [COUNTS_HEADER]
-    for r in summary.records:
-        lines.append(
-            f"{r.x:.9e},{r.n},{r.n1},{r.n2},{r.misdetected},"
-            f"{r.i1_theory:.9e},{r.i2_theory:.9e}"
-        )
+    for x, n, n1, n2, mis, i1, i2 in summary.records.tolist():
+        lines.append(f"{x:.9e},{n},{n1},{n2},{mis},{i1:.9e},{i2:.9e}")
     (out / "counts.csv").write_text("\n".join(lines) + "\n")
 
     ok, _ = duality_check(
         DualityPoint(hyp.distinguishability, min(summary.v_total, 1.0)), tol=0.05
     )
-    exact_sep, _ = geometry.detector_separation(app, 0.0)
     _write_json(
         out / "summary.json",
         {
@@ -265,7 +269,7 @@ def cmd_simulate(config: dict, args, out: Path) -> int:
             "misdetection_rate": summary.misdetection_rate,
             "duality_satisfied": ok,
             "F_s_m": fringe_spacing(app),
-            "L12_m": exact_sep,
+            "L12_m": float(summary.verdicts.separation),
             "seed": summary.seed,
         },
         args,

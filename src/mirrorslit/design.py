@@ -199,35 +199,33 @@ def required_mirror_width(app: Apparatus) -> float:
     return float(_required_width(app, *_grazing_limits(app)))
 
 
-def no_cross_routing(fractions: np.ndarray):
-    """True when, at every position of ``geometry.routing_fractions``
-    output, no mirror point sends either slit into the other slit's
-    detector: f12 = f21 = 0.  One bool, or one per candidate of a batch."""
-    free = ~fractions[..., [0, 1], [1, 0]].any(axis=(-2, -1))
-    return free if free.ndim else bool(free)
-
-
-def judge(app: Apparatus, x_max: float) -> tuple[Verdicts, DetectorLayouts]:
+def judge(
+    app: Apparatus, x_max: float, fractions: np.ndarray | None = None
+) -> tuple[Verdicts, DetectorLayouts]:
     """Sampling, clearance, mis-detection and separation verdicts for a
     scan over [0, x_max], of one apparatus or of every candidate of a
     batch, and the layouts judged.
 
     Sampling follows ``sampling_constraint``'s rule.  The detectors are
     re-aimed at 61 positions; the beams clear the diaphragm when no layout
-    fails, and mis-detection is judged from the exact routing fractions
-    there.
+    fails.  Mis-detection is judged from exact routing fractions: no
+    position may send either slit into the other slit's detector,
+    f12 = f21 = 0.  The fractions are ``fractions`` when given (the
+    ``geometry.routing_fractions`` of the layouts a scan simulates), else
+    those of the 61 re-aimed layouts.
     """
     long_scan, sampling_ok, _ = _sampling(app, x_max)
     xs = np.linspace(0.0, x_max, 61)
     layouts = geometry.aim_detectors(app, xs)
     failed = layouts.failed()
     clear = ~failed.any(axis=-1)
-    free = no_cross_routing(geometry.routing_fractions(app, xs, layouts))
+    if fractions is None:
+        fractions = geometry.routing_fractions(app, xs, layouts)
     verdicts = Verdicts(
         long_scan=long_scan,
         sampling_ok=sampling_ok,
         diaphragm_clear=clear,
-        misdetection_free=clear & free,
+        misdetection_free=clear & ~fractions[..., [0, 1], [1, 0]].any(axis=(-2, -1)),
         separation=np.where(failed[..., 0], np.nan, geometry.separations(layouts)),
     )
     return verdicts, layouts

@@ -24,7 +24,7 @@ arrays, and one reused generator is set to each in turn.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,34 +87,26 @@ class ScanConfig:
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    x: float
-    n1: int
-    n2: int
-    misdetected: int
-    i1_theory: float
-    i2_theory: float
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-
-@dataclass(frozen=True)
 class ScanSummary:
-    records: list[ScanRecord]
+    """A simulated scan.  ``records`` holds one row per position, with the
+    fields x, n (= n1 + n2), n1, n2, misdetected, i1_theory and i2_theory;
+    ``verdicts`` is the feasibility ``design.judge`` found for the layouts
+    simulated."""
+
+    records: np.recarray
     v_total: float
     v_1: float
     v_2: float
     misdetection_rate: float
     hypothesis: OutcomeHypothesis
+    verdicts: design.Verdicts
     seed: int = 0
 
     def positions(self) -> np.ndarray:
-        return np.array([r.x for r in self.records])
+        return self.records.x
 
     def counts(self) -> np.ndarray:
-        return np.array([r.n for r in self.records], dtype=float)
+        return self.records.n.astype(float)
 
 
 # NumPy's SeedSequence hash (pool of four 32-bit words) and the 128-bit
@@ -215,7 +207,7 @@ def simulate_scan(
     Each photon takes either slit with probability 1/2 and survives the
     fringe rate with probability r, so at each position the outcome (slit
     s, detector d) has probability r/2 f_sd; one multinomial draw per
-    position gives every count.  The design is validated with its
+    position gives every count.  The design is judged once, its
     mis-detection verdict taken from the routing of the layouts simulated
     (re-aimed, or frozen at x = 0), and a failure is warned about.
     """
@@ -224,10 +216,8 @@ def simulate_scan(
     layouts = geometry.detector_layouts(app, 0.0 if config.freeze_detectors else xs)
     fractions = geometry.routing_fractions(app, xs, layouts)
     x_max = float(max(abs(xs[0]), abs(xs[-1])))
-    report = replace(
-        design.validate(app, x_max), misdetection_free=design.no_cross_routing(fractions)
-    )
-    if not report.feasible:
+    verdicts, _ = design.judge(app, x_max, fractions)
+    if not verdicts.feasible:
         warnings.warn("apparatus fails design validation; simulating anyway", stacklevel=2)
 
     v = hypothesis_visibility(hyp)
@@ -243,16 +233,15 @@ def simulate_scan(
     )
     c11, c12, c21, c22 = counts[:, :4].T
     n1, n2, mis = c11 + c21, c12 + c22, c12 + c21
+    n = n1 + n2
     # detector 2 sees the mirror image of detector 1's phase, and cos is
     # even, so one evaluation serves both columns
     intensity = detector_intensity(app, xs, 1)
-    records = [
-        ScanRecord(x=x, n1=a, n2=b, misdetected=m, i1_theory=i, i2_theory=i)
-        for x, a, b, m, i in zip(
-            xs.tolist(), n1.tolist(), n2.tolist(), mis.tolist(), intensity.tolist()
-        )
-    ]
-    total_n = int(n1.sum() + n2.sum())
+    records = np.rec.fromarrays(
+        [xs, n, n1, n2, mis, intensity, intensity],
+        names="x,n,n1,n2,misdetected,i1_theory,i2_theory",
+    )
+    total_n = int(n.sum())
 
     f_s = fringe_spacing(app)
 
@@ -261,11 +250,12 @@ def simulate_scan(
 
     return ScanSummary(
         records=records,
-        v_total=fitted(n1 + n2),
+        v_total=fitted(n),
         v_1=fitted(n1),
         v_2=fitted(n2),
         misdetection_rate=(int(mis.sum()) / total_n) if total_n else 0.0,
         hypothesis=hyp,
+        verdicts=verdicts,
         seed=config.seed,
     )
 

@@ -11,6 +11,25 @@ settings.load_profile("derandomized")
 
 
 @pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.name`` for the test and
+    returns the list each call appends its arguments to."""
+
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
+@pytest.fixture
 def app():
     """Standard bench apparatus (700 nm, 100 um slits, 10 cm throw, 5 m arms)."""
     return Apparatus()

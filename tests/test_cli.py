@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import re
 
 import numpy as np
@@ -107,6 +109,16 @@ class TestValidateCommand:
     def test_bad_config_exits_one(self, tmp_path):
         code, _ = run(tmp_path, "validate", {"apparatus": {"wavelength": None}})
         assert code == EXIT_USAGE
+
+    def test_slit_on_mirror_line_exits_two_with_error_line(self, tmp_path, capsys):
+        # at this tilt slit 1 lies on the mirror line at x = 3 F_s, where
+        # its grazing limit is solved
+        payload = {"apparatus": {"slit_separation": 0.01, "mirror_angle": 1.5210474095731559}}
+        code, _ = run(tmp_path, "validate", payload)
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "parallel to the mirror" in err[0]
 
     def test_missing_config_file_exits_one(self, tmp_path):
         code = main(
@@ -286,6 +298,35 @@ class TestSimulateCommand:
         assert code == EXIT_OK and capsys.readouterr().err == ""
         assert json.loads((out / "summary.json").read_text())["seed"] == seed
 
+    def test_separation_from_the_judged_layouts(self, tmp_path, count_calls):
+        separations = count_calls(cli.geometry, "detector_separation")
+        code, out = self.simulate(tmp_path, {"scan": {"photons_per_position": 100}})
+        assert code == EXIT_OK and separations == []
+        summary = json.loads((out / "summary.json").read_text())
+        exact, _ = cli.geometry.detector_separation(cli.Apparatus(), 0.0)
+        assert summary["L12_m"] == exact
+
+    def test_failed_centre_layout_writes_nan_separation(self, tmp_path, capsys):
+        # the x = 0 layout sends a reflected beam back into the diaphragm,
+        # outside the simulated grid: the run warns and goes on
+        payload = {
+            "apparatus": {
+                "mirror_angle": 0.002508672859226761,
+                "slit_separation": 1.9366792042939736e-05,
+                "screen_distance": 0.02734422723576615,
+            },
+            "scan": {
+                "x_min": 0.0004941695822053874,
+                "x_max": 0.0029650174932323247,
+                "photons_per_position": 100,
+            },
+        }
+        code, out = self.simulate(tmp_path, payload)
+        assert code == EXIT_OK
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and re.fullmatch("warning: .*fails design validation.*", err[0])
+        assert math.isnan(json.loads((out / "summary.json").read_text())["L12_m"])
+
     @pytest.mark.parametrize("value", ["no", 0, None])
     def test_freeze_detectors_must_be_boolean(self, tmp_path, capsys, value):
         payload = {"scan": {"photons_per_position": 10, "freeze_detectors": value}}
@@ -321,8 +362,24 @@ class TestMalformedConfig:
             ("search", {"search": {"samples": 0}}, "samples"),
             ("simulate", {"scan": {"positions": "abc"}}, "positions"),
             ("simulate", {"scan": {"photons_per_position": 10, "seed": "abc"}}, "seed"),
+            ("simulate", {"hypothesis": {"distinguishability": None}}, "distinguishability"),
+            ("simulate", {"hypothesis": {"distinguishability": []}}, "distinguishability"),
+            ("simulate", {"hypothesis": {"distinguishability": {}}}, "distinguishability"),
+            ("simulate", {"hypothesis": {"kind": []}}, "kind"),
+            ("simulate", {"hypothesis": {"kind": {}}}, "kind"),
+            ("simulate", {"scan": {"photons_per_position": True}}, "photons_per_position"),
         ],
-        ids=["search-zero-samples", "scan-non-numeric-positions", "scan-non-numeric-seed"],
+        ids=[
+            "search-zero-samples",
+            "scan-non-numeric-positions",
+            "scan-non-numeric-seed",
+            "hypothesis-null-distinguishability",
+            "hypothesis-list-distinguishability",
+            "hypothesis-object-distinguishability",
+            "hypothesis-list-kind",
+            "hypothesis-object-kind",
+            "scan-boolean-photons",
+        ],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, command, section, fragment):
         code, _ = run(tmp_path, command, section)
@@ -330,6 +387,78 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert fragment in err[0]
+
+
+class TestPositionCount:
+    @pytest.mark.parametrize("positions", [cli.MAX_POSITIONS + 1, 10**9])
+    @pytest.mark.parametrize("command", ["scan", "simulate"])
+    def test_exits_one_without_allocating(
+        self, tmp_path, capsys, monkeypatch, command, positions
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        code, _ = run(tmp_path, command, {"scan": {"positions": positions}})
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "positions" in err[0]
+
+
+# every config field each command reads, as (section, key, command); a
+# section of None is the config root
+COMMANDS_READING = (
+    [
+        ("apparatus", key, command)
+        for key in sorted(cli._APPARATUS_KEYS)
+        for command in ("validate", "scan", "simulate", "search")
+    ]
+    + [
+        ("scan", key, command)
+        for key in ("x_min", "x_max", "positions", "photons_per_position", "seed", "freeze_detectors")
+        for command in ("scan", "simulate")
+    ]
+    + [("hypothesis", key, "simulate") for key in ("kind", "distinguishability")]
+    + [
+        ("search", key, "search")
+        for key in (
+            "wavelength",
+            "slit_separation",
+            "screen_distance",
+            "mirror_angle",
+            "arm",
+            "aperture",
+            "x_max",
+            "samples",
+            "seed",
+        )
+    ]
+    + [(None, "x_max", "validate")]
+)
+
+
+class TestWrongTypeSweep:
+    BASE = {"scan": {"photons_per_position": 100}, "search": {"samples": 4}}
+
+    @pytest.mark.parametrize(
+        "value", [None, "text", [], {}, True], ids=["null", "text", "list", "object", "true"]
+    )
+    @pytest.mark.parametrize(
+        "section,key,command",
+        COMMANDS_READING,
+        ids=[f"{command}-{section or 'root'}.{key}" for section, key, command in COMMANDS_READING],
+    )
+    def test_exit_code_and_stderr(self, tmp_path, capsys, section, key, command, value):
+        payload = copy.deepcopy(self.BASE)
+        (payload.setdefault(section, {}) if section else payload)[key] = value
+        code, _ = run(tmp_path, command, payload)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_NO_RESULT)
+        # warning lines, then at most one error line or search's empty result
+        err = capsys.readouterr().err.splitlines()
+        if err and (err[-1].startswith("error: ") or err[-1] == "no feasible apparatus found"):
+            err = err[:-1]
+        assert all(line.startswith("warning: ") for line in err)
 
 
 class TestSearchCommand:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mirrorslit import geometry, montecarlo
+from mirrorslit import design, geometry, montecarlo
 from mirrorslit.montecarlo import (
     ScanConfig,
     ScanError,
@@ -253,8 +253,24 @@ class TestSimulateScan:
     def test_deterministic(self, app, config):
         a = simulate_scan(app, config, FULL)
         b = simulate_scan(app, config, FULL)
-        assert a.records == b.records
+        assert np.array_equal(a.records, b.records)
         assert a.v_total == b.v_total
+
+    def test_judged_once_from_the_simulated_routing(self, app, config, count_calls):
+        # one routing pass serves the draws and the mis-detection verdict;
+        # no grazing solve, and the separation comes from the judged layouts
+        routed = count_calls(geometry, "routing_fractions")
+        unused = [
+            count_calls(design, "validate"),
+            count_calls(design, "limiting_half_width"),
+            count_calls(geometry, "detector_separation"),
+        ]
+        summary = simulate_scan(app, config, FULL)
+        assert len(routed) == 1
+        assert unused == [[], [], []]
+        assert summary.verdicts.feasible
+        exact, _ = geometry.detector_separation(app, 0.0)
+        assert summary.verdicts.separation == exact
 
     def test_detectors_balanced(self, app, config):
         # equal expected rates at both detectors: |N1 - N2| within 4 sigma
