@@ -88,7 +88,8 @@ def load_apparatus(section: dict) -> Apparatus:
 
 def _number(key: str, value, convert=float):
     """``convert(value)`` for config field ``key``, reporting a value that is
-    not a finite number, JSON booleans included, as a ConfigError."""
+    not a finite number, JSON booleans included, as a ConfigError, and for
+    ``int`` one that ``int`` would truncate, such as 41.9 (41.0 passes)."""
     try:
         number = math.nan if isinstance(value, bool) else convert(value)
     except (TypeError, ValueError, OverflowError):
@@ -96,6 +97,8 @@ def _number(key: str, value, convert=float):
     # an int of any size is finite; float() of one past 1e308 would overflow
     if not isinstance(number, int) and not math.isfinite(number):
         raise ConfigError(f"field '{key}' must be a finite number, got {value!r}")
+    if isinstance(value, float) and number != value:
+        raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
     return number
 
 
@@ -326,8 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.config is not None:
             try:
@@ -348,9 +354,15 @@ def main(argv: list[str] | None = None) -> int:
             "simulate": cmd_simulate,
             "search": cmd_search,
         }[args.command]
-        return handler(config, args, out)
+        # lengths such as 1e308 overflow the geometry: one error line, not
+        # numpy's RuntimeWarnings and a misleading verdict on inf or NaN
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handler(config, args, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"error: config values out of numeric range: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -21,8 +21,10 @@ _HALF_WIDTH_LO = 1e-6
 _HALF_WIDTH_HI = 2e-3
 # the searched parameters, in the column order of design_search's draws
 _SEARCHED = ("wavelength", "slit_separation", "screen_distance", "mirror_angle", "arm", "aperture")
-# candidates judged per array pass of design_search; bounds its peak memory
-_BLOCK = 16
+# candidates design_search draws and solves per array pass, and the most
+# it judges in one; together they bound its peak memory
+_BLOCK = 1024
+_CHUNK = 16
 
 
 class DesignError(ValueError):
@@ -290,14 +292,15 @@ def _candidates(draws, **fields) -> Apparatus:
     return Apparatus(**fields, arm1=arm, arm2=arm)
 
 
-def judge_block(draws: np.ndarray, x_max: float):
-    """Judge a block of ``design_search``'s draws (one row per candidate)
-    in one array pass.
+def solve_block(draws: np.ndarray):
+    """The cheap pass of ``design_search`` over a block of its draws (one
+    row per candidate): both grazing solves, and no routing table.
 
-    Returns the mask of candidates whose grazing limits both solve (the
-    others are skipped), their limits (w1, w2), the mirror widths the
-    limits require, and the ``judge`` verdicts of those candidates with
-    those widths.
+    Returns, per row, whether both grazing limits solve (the other rows are
+    skipped), the limits (w1, w2), the mirror width they require, and the
+    detector separation L12 of the x = 0 layouts the slit-2 solve aims.
+    L12 does not depend on the mirror width and equals ``judge``'s
+    ``separation`` of the solved rows bit for bit.
     """
     batch = _candidates(draws.T)
     w1, layouts1 = _grazing_half_width(batch, 3.0 * fringe_spacing(batch)[:, None], 1)
@@ -305,9 +308,7 @@ def judge_block(draws: np.ndarray, x_max: float):
     solved = (
         ~layouts1.failed()[:, 0] & ~layouts2.failed()[:, 0] & _bracketed(w1) & _bracketed(w2)
     )
-    width = _required_width(batch, w1, w2)[solved]
-    verdicts, _ = judge(_candidates(draws[solved].T, mirror_width=width), x_max)
-    return solved, (w1[solved], w2[solved]), width, verdicts
+    return solved, (w1, w2), _required_width(batch, w1, w2), geometry.separations(layouts2)
 
 
 def design_search(
@@ -316,10 +317,13 @@ def design_search(
     """Seeded uniform random search maximizing detector separation.
 
     The mirror width is always derived from required_mirror_width, never
-    sampled.  Candidates are drawn and judged in blocks of ``_BLOCK``, so
-    memory does not grow with ``samples``.  Returns None when no sampled
-    point is feasible.  Ties are broken by the lowest sample index, so
-    results are reproducible and independent of the block size.
+    sampled.  Candidates are drawn and solved in blocks of ``_BLOCK``, so
+    memory does not grow with ``samples``.  Only the solved candidates that
+    beat the best separation so far are judged, in descending separation,
+    in chunks growing from 2 to ``_CHUNK``; the first feasible one is the
+    block's best.  Returns None when no sampled point is feasible.  Ties are
+    broken by the lowest sample index, so results are reproducible and
+    independent of the block and chunk sizes.
     """
     if samples < 1:
         raise DesignError("samples must be >= 1")
@@ -329,14 +333,20 @@ def design_search(
     for start in range(0, samples, _BLOCK):
         # one stream: the same values as one draw per sample and parameter
         draws = rng.uniform(lo, hi, size=(min(_BLOCK, samples - start), len(_SEARCHED)))
-        solved, (w1, w2), width, verdicts = judge_block(draws, space.x_max)
-        if not solved.any():
-            continue
-        separation = np.where(verdicts.feasible, verdicts.separation, -math.inf)
-        i = int(np.argmax(separation))
-        if separation[i] > best_sep:
-            best_sep = separation[i]
-            best = draws[solved][i].tolist(), float(width[i]), (float(w1[i]), float(w2[i]))
+        solved, (w1, w2), width, separation = solve_block(draws)
+        # a stable sort keeps equal separations in sample order
+        order = np.argsort(-separation, kind="stable")
+        order = order[solved[order] & (separation[order] > best_sep)]
+        done, chunk = 0, 2
+        while done < len(order):
+            rows = order[done : done + chunk]
+            verdicts, _ = judge(_candidates(draws[rows].T, mirror_width=width[rows]), space.x_max)
+            if verdicts.feasible.any():
+                i = rows[np.argmax(verdicts.feasible)]
+                best_sep = separation[i]
+                best = draws[i].tolist(), float(width[i]), (float(w1[i]), float(w2[i]))
+                break
+            done, chunk = done + chunk, min(2 * chunk, _CHUNK)
     if best is None:
         return None
     row, width, limits = best

@@ -368,6 +368,13 @@ class TestMalformedConfig:
             ("simulate", {"hypothesis": {"kind": []}}, "kind"),
             ("simulate", {"hypothesis": {"kind": {}}}, "kind"),
             ("simulate", {"scan": {"photons_per_position": True}}, "photons_per_position"),
+            ("simulate", {"scan": {"positions": 41.9, "seed": 2}}, "positions"),
+            ("simulate", {"scan": {"photons_per_position": 10.5}}, "photons_per_position"),
+            ("simulate", {"scan": {"photons_per_position": 10, "seed": 2.7}}, "seed"),
+            ("search", {"search": {"samples": 64.5}}, "samples"),
+            ("search", {"search": {"samples": 2, "seed": 0.5}}, "seed"),
+            ("simulate", {"scan": {"x_min": -1e308, "x_max": 1e308}}, "overflow"),
+            ("validate", {"x_max": 1e308}, "overflow"),
         ],
         ids=[
             "search-zero-samples",
@@ -379,6 +386,13 @@ class TestMalformedConfig:
             "hypothesis-list-kind",
             "hypothesis-object-kind",
             "scan-boolean-photons",
+            "scan-fractional-positions",
+            "scan-fractional-photons",
+            "scan-fractional-seed",
+            "search-fractional-samples",
+            "search-fractional-seed",
+            "scan-huge-extent",
+            "validate-huge-x-max",
         ],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, command, section, fragment):
@@ -387,6 +401,22 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert fragment in err[0]
+
+
+class TestIntegralFloats:
+    def test_integral_floats_accepted(self, tmp_path):
+        config = {"scan": {"positions": 41.0, "photons_per_position": 10.0, "seed": 3.0}}
+        code, out = run(tmp_path, "simulate", config, "--no-timestamp")
+        assert code == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["seed"] == 3
+        assert len((out / "counts.csv").read_text().splitlines()) == 42
+
+
+def test_parser_built_once(tmp_path, count_calls):
+    built = count_calls(cli, "build_parser")
+    for _ in range(2):
+        assert run(tmp_path, "validate")[0] == EXIT_OK
+    assert not built
 
 
 class TestPositionCount:

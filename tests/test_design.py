@@ -467,7 +467,10 @@ class TestBatchAgainstScalarLoop:
                 for a, _, _ in steps
             ]
             assert draws.tolist() == drawn
-            solved, (w1, w2), width, verdicts = design.judge_block(draws, self.SPACE.x_max)
+            solved, (w1, w2), width, separations = design.solve_block(draws)
+            w1, w2, width = w1[solved], w2[solved], width[solved]
+            batch = design._candidates(draws[solved].T, mirror_width=width)
+            verdicts, _ = design.judge(batch, self.SPACE.x_max)
             k = 0
             for i, (candidate, limits, report) in enumerate(steps):
                 if not solved[i]:
@@ -482,6 +485,8 @@ class TestBatchAgainstScalarLoop:
                     if not getattr(report, name):
                         branches[name + " fail"] += 1
                 separation = verdicts.separation[k]
+                # the search's ordering key is judge's separation, bit for bit
+                assert separations[i] == separation, (seed, i)
                 assert report.detector_separation == separation or (
                     math.isnan(separation) and math.isnan(report.detector_separation)
                 )
@@ -525,3 +530,36 @@ class TestSearchMemory:
                 tracemalloc.stop()
         assert result is not None and result[1].feasible
         assert peak < 16e6, peak
+
+
+class TestLazySearch:
+    # the design_sweep search space of perfbench/workloads.py
+    SPACE = SearchSpace(
+        wavelength=(4e-7, 9e-7),
+        slit_separation=(5e-5, 2e-4),
+        screen_distance=(0.05, 0.2),
+        mirror_angle=(0.5, 1.1),
+        arm=(1.0, 10.0),
+        aperture=(3e-4, 2e-3),
+        x_max=2.1e-3,
+    )
+
+    def test_few_candidates_judged(self, count_calls):
+        # judging all 64 candidates, plus the winner's validate, is 65
+        calls = count_calls(design, "judge")
+        for seed in range(100):
+            calls.clear()
+            assert design.design_search(self.SPACE, 64, seed) is not None, seed
+            judged = sum(np.size(app.wavelength) for app, *_ in calls)
+            assert judged <= 17, (seed, judged)
+
+    def test_peak_memory(self):
+        # a 64-sample search that judged blocks of 16 peaked at 551 KB
+        for seed in range(5):
+            tracemalloc.start()
+            try:
+                design.design_search(self.SPACE, 64, seed)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 300e3, (seed, peak)
