@@ -16,6 +16,7 @@ import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,155 +39,162 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_RESULT = 3
 
-# scan.positions above this are refused before the grid is allocated
-MAX_POSITIONS = 1_000_000
-
 COUNTS_HEADER = "x_m,N,N1,N2,misdetected,I1_theory,I2_theory"
 CURVES_HEADER = "x_m,I,I1,I2"
-
-_APPARATUS_KEYS = {
-    "wavelength",
-    "slit_separation",
-    "slit_width",
-    "screen_distance",
-    "mirror_width",
-    "mirror_angle",
-    "arm1",
-    "arm2",
-    "aperture",
-}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _require_mapping(obj, name: str) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(f"'{name}' section must be a JSON object")
-    return obj
+class Field(NamedTuple):
+    """A config field's JSON type, one of number, integer, boolean, string
+    and interval (a number or [lo, hi]), and an integer's bounds."""
+
+    type: str
+    low: float = -math.inf
+    high: float = math.inf
+
+
+_NUMBER = Field("number")
+_SEED = Field("integer", low=0)
+# refused before any allocation, and about 1 s of search at 10^6 candidates/s
+_COUNT = Field("integer", high=1_000_000)
+
+# every config field by section, None being the config root; what a command
+# does not read is still checked, since one config serves all four
+FIELDS = {
+    None: {"x_max": _NUMBER},
+    "apparatus": {field.name: _NUMBER for field in dataclasses.fields(Apparatus)},
+    "scan": {
+        "x_min": _NUMBER,
+        "x_max": _NUMBER,
+        "positions": _COUNT,
+        "photons_per_position": Field("integer"),
+        "seed": _SEED,
+        "freeze_detectors": Field("boolean"),
+    },
+    "hypothesis": {"kind": Field("string"), "distinguishability": _NUMBER},
+    "search": {
+        **{name: Field("interval") for name in design._SEARCHED},
+        "x_max": _NUMBER,
+        "samples": _COUNT,
+        "seed": _SEED,
+    },
+}
+
+_EXPECTED = dict(
+    number="a finite number", integer="an integer", boolean="true or false",
+    string="a string", interval="a number or [lo, hi]",
+)
+
+
+def _check(name: str, value, field: Field):
+    """``value`` of the config field ``name`` as its loader reads it: a
+    float, an int (41.0 reads as 41), a bool, a str or a (lo, hi) pair of
+    floats.  Anything else, JSON booleans and numeric strings in numeric
+    fields included, is a ConfigError."""
+    if field.type == "interval" and isinstance(value, list) and len(value) == 2:
+        return tuple(_check(name, bound, _NUMBER) for bound in value)
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if field.type in ("number", "interval") and numeric:
+        try:
+            number = float(value)
+        except OverflowError:  # an int past 1e308
+            number = math.inf
+        if math.isfinite(number):
+            return number if field.type == "number" else (number, number)
+    elif field.type == "integer" and numeric and (isinstance(value, int) or value.is_integer()):
+        number = int(value)
+        if not field.low <= number <= field.high:
+            bound = f">= {field.low}" if number < field.low else f"<= {field.high}"
+            raise ConfigError(f"{name} must be {bound}, got {number}")
+        return number
+    elif isinstance(value, {"boolean": bool, "string": str}.get(field.type, ())):
+        return value
+    raise ConfigError(f"{name} must be {_EXPECTED[field.type]}, got {value!r}")
+
+
+def read_config(config, seed: int | None = None) -> dict:
+    """Check a parsed JSON config against FIELDS.
+
+    Returns each section, the root under None, as a dict of the fields
+    given, read by ``_check``, with ``seed`` (``--seed``) in place of every
+    seed.  Unknown sections and fields are ConfigErrors."""
+    if not isinstance(config, dict):
+        raise ConfigError("config root must be a JSON object")
+    if seed is not None:
+        seed = _check("--seed", seed, _SEED)
+    root = {key: value for key, value in config.items() if key not in FIELDS}
+    checked = {}
+    for section, fields in FIELDS.items():
+        given = root if section is None else config.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"'{section}' section must be a JSON object")
+        checked[section] = {}
+        for key, value in given.items():
+            name = key if section is None else f"{section}.{key}"
+            if key not in fields:
+                raise ConfigError(f"unknown config field {name!r}")
+            checked[section][key] = _check(name, value, fields[key])
+        if seed is not None and "seed" in fields:
+            checked[section]["seed"] = seed
+    return checked
 
 
 def load_apparatus(section: dict) -> Apparatus:
-    """Build an apparatus from a config section; omitted fields keep the
-    standard bench defaults."""
-    unknown = set(section) - _APPARATUS_KEYS
-    if unknown:
-        raise ConfigError(f"unknown apparatus field(s): {sorted(unknown)}")
-    kwargs = {}
-    for key, value in section.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"apparatus field '{key}' must be a number, got {value!r}")
-        kwargs[key] = float(value)
+    """Build an apparatus from a checked config section; omitted fields
+    keep the standard bench defaults."""
     try:
-        return Apparatus(**kwargs)
+        return Apparatus(**section)
     except geometry.GeometryError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _number(key: str, value, convert=float):
-    """``convert(value)`` for config field ``key``, reporting a value that is
-    not a finite number, JSON booleans included, as a ConfigError, and for
-    ``int`` one that ``int`` would truncate, such as 41.9 (41.0 passes)."""
-    try:
-        number = math.nan if isinstance(value, bool) else convert(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    # an int of any size is finite; float() of one past 1e308 would overflow
-    if not isinstance(number, int) and not math.isfinite(number):
-        raise ConfigError(f"field '{key}' must be a finite number, got {value!r}")
-    if isinstance(value, float) and number != value:
-        raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
-    return number
-
-
-def _load_seed(section: dict, args) -> int:
-    """The section's seed, overridden by ``--seed``; the RNG takes only
-    non-negative seeds."""
-    seed = args.seed
-    if seed is None:
-        seed = _number("seed", section.get("seed", 0), int)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
 def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
     f_s = fringe_spacing(app)
-    x_min = _number("x_min", section.get("x_min", -3.0 * f_s))
-    x_max = _number("x_max", section.get("x_max", 3.0 * f_s))
-    positions = _number("positions", section.get("positions", 41), int)
-    if positions > MAX_POSITIONS:
-        raise ConfigError(f"scan positions must be <= {MAX_POSITIONS}, got {positions}")
-    photons = _number(
-        "photons_per_position", section.get("photons_per_position", 10_000), int
-    )
-    seed = _load_seed(section, args)
-    freeze = section.get("freeze_detectors", False)
-    if not isinstance(freeze, bool):
-        raise ConfigError(f"field 'freeze_detectors' must be true or false, got {freeze!r}")
-    if x_min >= x_max:
-        raise ConfigError("scan x_min must be below x_max")
     try:
         return montecarlo.ScanConfig(
-            x_positions=np.linspace(x_min, x_max, positions),
-            photons_per_position=photons,
-            seed=seed,
-            freeze_detectors=freeze or args.freeze_detectors,
+            x_positions=np.linspace(
+                section.get("x_min", -3.0 * f_s),
+                section.get("x_max", 3.0 * f_s),
+                section.get("positions", 41),
+            ),
+            photons_per_position=section.get("photons_per_position", 10_000),
+            seed=section.get("seed", 0),
+            freeze_detectors=section.get("freeze_detectors", False) or args.freeze_detectors,
         )
     except ValueError as exc:  # ScanError, or a negative count from linspace
         raise ConfigError(str(exc)) from exc
 
 
 def load_hypothesis(section: dict, args) -> OutcomeHypothesis:
-    spec = args.hypothesis or section.get("kind", "full")
-    if not isinstance(spec, str):
-        raise ConfigError(f"hypothesis field 'kind' must be a string, got {spec!r}")
+    kind = args.hypothesis or section.get("kind", "full")
     d_value = section.get("distinguishability", 0.0)
-    if spec.startswith("partial:"):
-        spec, _, d_value = spec.partition(":")
-    kinds = {
-        "full": HypothesisKind.FULL_DUALITY,
-        "exclusive": HypothesisKind.EXCLUSIVE,
-        "partial": HypothesisKind.PARTIAL,
+    if args.hypothesis and kind.startswith("partial:"):  # flag syntax only
+        kind, _, d_value = kind.partition(":")
+    try:
+        kind = HypothesisKind(kind)
+    except ValueError:
+        message = f"hypothesis kind must be full, exclusive or partial, got {kind!r}"
+        raise ConfigError(message) from None
+    try:
+        return OutcomeHypothesis(kind, float(d_value))
+    except ValueError as exc:  # D not a number in [0, 1]
+        raise ConfigError(f"hypothesis: {exc}") from exc
+
+
+def load_search_space(section: dict, app: Apparatus) -> tuple[SearchSpace, int, int]:
+    # each interval defaults to the apparatus value, arm to arm1
+    intervals = {
+        name: section.get(name, (getattr(app, "arm1" if name == "arm" else name),) * 2)
+        for name in design._SEARCHED
     }
-    if spec not in kinds:
-        raise ConfigError(f"unknown hypothesis {spec!r}")
-    d_value = _number("distinguishability", d_value)
     try:
-        return OutcomeHypothesis(kinds[spec], d_value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def load_search_space(
-    section: dict, app: Apparatus, args
-) -> tuple[SearchSpace, int, int]:
-    def interval(key: str, default: float) -> tuple[float, float]:
-        raw = section.get(key, [default, default])
-        if isinstance(raw, (int, float)):
-            raw = [raw, raw]
-        if not (isinstance(raw, list) and len(raw) == 2):
-            raise ConfigError(f"search field '{key}' must be a number or [lo, hi]")
-        return _number(key, raw[0]), _number(key, raw[1])
-
-    x_max = _number("x_max", section.get("x_max", 3.0 * fringe_spacing(app)))
-    try:
-        space = SearchSpace(
-            wavelength=interval("wavelength", app.wavelength),
-            slit_separation=interval("slit_separation", app.slit_separation),
-            screen_distance=interval("screen_distance", app.screen_distance),
-            mirror_angle=interval("mirror_angle", app.mirror_angle),
-            arm=interval("arm", app.arm1),
-            aperture=interval("aperture", app.aperture),
-            x_max=x_max,
-        )
+        space = SearchSpace(**intervals, x_max=section.get("x_max", 3.0 * fringe_spacing(app)))
     except design.DesignError as exc:
         raise ConfigError(str(exc)) from exc
-    samples = _number("samples", section.get("samples", 64), int)
-    return space, samples, _load_seed(section, args)
+    return space, section.get("samples", 64), section.get("seed", 0)
 
 
 def _timestamp_lines(args) -> list[str]:
@@ -201,9 +209,8 @@ def _write_json(path: Path, payload: dict, args) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_validate(config: dict, args, out: Path) -> int:
-    app = load_apparatus(_require_mapping(config.get("apparatus"), "apparatus"))
-    x_max = _number("x_max", config.get("x_max", 3.0 * fringe_spacing(app)))
+def cmd_validate(config: dict, app: Apparatus, args, out: Path) -> int:
+    x_max = config[None].get("x_max", 3.0 * fringe_spacing(app))
     try:
         report = design.validate(app, x_max)
     except geometry.GeometryError as exc:  # a slit on the mirror line
@@ -216,9 +223,8 @@ def cmd_validate(config: dict, args, out: Path) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def cmd_scan(config: dict, args, out: Path) -> int:
-    app = load_apparatus(_require_mapping(config.get("apparatus"), "apparatus"))
-    scan = load_scan(_require_mapping(config.get("scan"), "scan"), app, args)
+def cmd_scan(config: dict, app: Apparatus, args, out: Path) -> int:
+    scan = load_scan(config["scan"], app, args)
     try:
         scan.check_sampling(app)
     except montecarlo.ScanError as exc:
@@ -238,10 +244,9 @@ def cmd_scan(config: dict, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(config: dict, args, out: Path) -> int:
-    app = load_apparatus(_require_mapping(config.get("apparatus"), "apparatus"))
-    scan = load_scan(_require_mapping(config.get("scan"), "scan"), app, args)
-    hyp = load_hypothesis(_require_mapping(config.get("hypothesis"), "hypothesis"), args)
+def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> int:
+    scan = load_scan(config["scan"], app, args)
+    hyp = load_hypothesis(config["hypothesis"], args)
     try:
         # each warning, such as a failed design validation, is one stderr line
         with warnings.catch_warnings(record=True) as caught:
@@ -282,11 +287,8 @@ def cmd_simulate(config: dict, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_search(config: dict, args, out: Path) -> int:
-    app = load_apparatus(_require_mapping(config.get("apparatus"), "apparatus"))
-    space, samples, seed = load_search_space(
-        _require_mapping(config.get("search"), "search"), app, args
-    )
+def cmd_search(config: dict, app: Apparatus, args, out: Path) -> int:
+    space, samples, seed = load_search_space(config["search"], app)
     try:
         result = design.design_search(space, samples, seed)
     except design.DesignError as exc:
@@ -335,6 +337,7 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        config = {}
         if args.config is not None:
             try:
                 config = json.loads(args.config.read_text())
@@ -342,22 +345,15 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"config file not found: {args.config}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
-            if not isinstance(config, dict):
-                raise ConfigError("config root must be a JSON object")
-        else:
-            config = {}
+        config = read_config(config, args.seed)
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
-        handler = {
-            "validate": cmd_validate,
-            "scan": cmd_scan,
-            "simulate": cmd_simulate,
-            "search": cmd_search,
-        }[args.command]
+        handler = {"validate": cmd_validate, "scan": cmd_scan, "simulate": cmd_simulate,
+                   "search": cmd_search}[args.command]
         # lengths such as 1e308 overflow the geometry: one error line, not
         # numpy's RuntimeWarnings and a misleading verdict on inf or NaN
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return handler(config, args, out)
+            return handler(config, load_apparatus(config["apparatus"]), args, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -61,14 +61,6 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def point(x: float, y: float) -> np.ndarray:
-    """Construct a 2D point/vector (transverse x, longitudinal y), in meters."""
-    x, y = float(x), float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise GeometryError(f"non-finite coordinates: {np.array([x, y])}")
-    return np.array([x, y])
-
-
 def _positions(x) -> np.ndarray:
     """Scan position(s) as a float array, rejecting non-finite values."""
     xs = np.asarray(x, dtype=float)

@@ -77,10 +77,18 @@ class MirrorPlacement:
         return float(np.linalg.norm(self.end_high - self.center))
 
 
+def point(x: float, y: float) -> np.ndarray:
+    """Construct a 2D point/vector (transverse x, longitudinal y), in meters."""
+    x, y = float(x), float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise GeometryError(f"non-finite coordinates: {np.array([x, y])}")
+    return np.array([x, y])
+
+
 def mirror_placement(app: Apparatus, x: float) -> MirrorPlacement:
     """Place the mirror centered at (x, L), oriented as in ``mirror_axes``."""
     along, normal = geometry.mirror_axes(app)
-    center = geometry.point(x, app.screen_distance)
+    center = point(x, app.screen_distance)
     half = app.mirror_width / 2
     return MirrorPlacement(
         x=float(x),

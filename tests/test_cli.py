@@ -1,10 +1,16 @@
+import contextlib
 import copy
+import dataclasses
+import io
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirrorslit import cli
 from mirrorslit.cli import (
@@ -16,7 +22,10 @@ from mirrorslit.cli import (
     load_apparatus,
     load_hypothesis,
     main,
+    read_config,
 )
+from mirrorslit.design import _SEARCHED
+from mirrorslit.geometry import Apparatus
 from mirrorslit.wavemodel import HypothesisKind
 
 
@@ -34,6 +43,24 @@ def run(tmp_path, command, payload=None, *extra):
     return main(argv), tmp_path / "out"
 
 
+COMMANDS = ("validate", "scan", "simulate", "search")
+
+
+def assert_one_error_at_most(err: str):
+    """stderr holds warning lines, then at most one error line or search's
+    empty result."""
+    lines = err.splitlines()
+    if lines and (lines[-1].startswith("error: ") or lines[-1] == "no feasible apparatus found"):
+        lines = lines[:-1]
+    assert all(line.startswith("warning: ") for line in lines)
+
+
+def single_error(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
 class TestLoadApparatus:
     def test_defaults_when_omitted(self):
         app = load_apparatus({})
@@ -47,15 +74,15 @@ class TestLoadApparatus:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            load_apparatus({"wavelenght": 700e-9})
+            read_config({"apparatus": {"wavelenght": 700e-9}})
 
     def test_null_value_rejected(self):
         with pytest.raises(ConfigError):
-            load_apparatus({"wavelength": None})
+            read_config({"apparatus": {"wavelength": None}})
 
     def test_string_value_rejected(self):
         with pytest.raises(ConfigError):
-            load_apparatus({"wavelength": "700nm"})
+            read_config({"apparatus": {"wavelength": "700nm"}})
 
     def test_negative_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -153,7 +180,6 @@ class TestScanCommand:
 
     def test_columns_match_the_model(self, tmp_path):
         # an off-centre grid, so a reversed or shifted column shows
-        from mirrorslit.geometry import Apparatus
         from mirrorslit.wavemodel import detector_intensity, screen_intensity
 
         _, out = run(
@@ -420,7 +446,7 @@ def test_parser_built_once(tmp_path, count_calls):
 
 
 class TestPositionCount:
-    @pytest.mark.parametrize("positions", [cli.MAX_POSITIONS + 1, 10**9])
+    @pytest.mark.parametrize("positions", [cli.FIELDS["scan"]["positions"].high + 1, 10**9])
     @pytest.mark.parametrize("command", ["scan", "simulate"])
     def test_exits_one_without_allocating(
         self, tmp_path, capsys, monkeypatch, command, positions
@@ -440,8 +466,8 @@ class TestPositionCount:
 # section of None is the config root
 COMMANDS_READING = (
     [
-        ("apparatus", key, command)
-        for key in sorted(cli._APPARATUS_KEYS)
+        ("apparatus", field.name, command)
+        for field in dataclasses.fields(Apparatus)
         for command in ("validate", "scan", "simulate", "search")
     ]
     + [
@@ -484,11 +510,11 @@ class TestWrongTypeSweep:
         (payload.setdefault(section, {}) if section else payload)[key] = value
         code, _ = run(tmp_path, command, payload)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_NO_RESULT)
-        # warning lines, then at most one error line or search's empty result
-        err = capsys.readouterr().err.splitlines()
-        if err and (err[-1].startswith("error: ") or err[-1] == "no feasible apparatus found"):
-            err = err[:-1]
-        assert all(line.startswith("warning: ") for line in err)
+        assert_one_error_at_most(capsys.readouterr().err)
+
+    def test_covers_every_field(self):
+        swept = {(section, key) for section, key, _ in COMMANDS_READING}
+        assert swept == {(section, key) for section, fields in cli.FIELDS.items() for key in fields}
 
 
 class TestSearchCommand:
@@ -522,3 +548,206 @@ class TestTimestamps:
         assert code == EXIT_OK
         first = (out / "curves.csv").read_text().splitlines()[0]
         assert first.startswith("# generated ")
+
+
+class TestReadConfig:
+    def test_numeric_strings_rejected(self, tmp_path, capsys):
+        payload = {"scan": {"positions": "41", "x_max": "2e-3", "photons_per_position": "100"}}
+        code, _ = run(tmp_path, "simulate", payload)
+        assert code == EXIT_USAGE
+        assert "scan.positions" in single_error(capsys)
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [(s, k) for s, fields in cli.FIELDS.items() for k, f in fields.items() if f.type != "string"],
+    )
+    def test_numeric_string_in_each_field(self, tmp_path, capsys, section, key):
+        payload = {key: "1"} if section is None else {section: {key: "1"}}
+        code, _ = run(tmp_path, "validate", payload)
+        assert code == EXIT_USAGE
+        name = key if section is None else f"{section}.{key}"
+        assert f"{name} must be" in single_error(capsys)
+
+    @pytest.mark.parametrize(
+        "payload,name",
+        [
+            # the root is read first
+            ({"scan": {"photon_per_position": 10, "positons": 7}, "hypotesis": {}}, "hypotesis"),
+            ({"scan": {"positons": 7}}, "scan.positons"),
+            ({"hypotesis": {}}, "hypotesis"),
+            ({"serach": {"samples": 4}}, "serach"),
+            ({"apparatus": {"wavelenght": 7e-7}}, "apparatus.wavelenght"),
+            ({"hypothesis": {"distinguishabilty": 0.5}}, "hypothesis.distinguishabilty"),
+            ({"search": {"sample": 4}}, "search.sample"),
+            ({"xmax": 2e-3}, "xmax"),
+        ],
+        ids=["motivation", "scan", "hypothesis-section", "search-section", "apparatus",
+             "hypothesis", "search", "root"],
+    )
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_field_rejected(self, tmp_path, capsys, command, payload, name):
+        code, _ = run(tmp_path, command, payload)
+        assert code == EXIT_USAGE
+        assert single_error(capsys) == f"error: unknown config field '{name}'"
+
+    def test_unknown_field_stays_on_one_line(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "validate", {"scan": {"x\nmax": 1e-3}})
+        assert code == EXIT_USAGE
+        assert single_error(capsys) == "error: unknown config field 'scan.x\\nmax'"
+
+    @pytest.mark.parametrize("value", [None, [], 3, "scan"], ids=["null", "list", "number", "text"])
+    def test_section_must_be_an_object(self, tmp_path, capsys, value):
+        code, _ = run(tmp_path, "validate", {"scan": value})
+        assert code == EXIT_USAGE
+        assert "'scan' section" in single_error(capsys)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["x_max", "positions", "seed"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, key, value):
+        code, _ = run(tmp_path, "scan", {"scan": {key: value}})
+        assert code == EXIT_USAGE
+        assert f"scan.{key}" in single_error(capsys)
+
+    @pytest.mark.parametrize("samples", [cli.FIELDS["search"]["samples"].high + 1, 1e12])
+    def test_samples_bound_checked_before_searching(self, tmp_path, capsys, monkeypatch, samples):
+        def no_search(*args):
+            raise AssertionError("design_search called")
+
+        monkeypatch.setattr(cli.design, "design_search", no_search)
+        code, _ = run(tmp_path, "search", {"search": {"samples": samples}})
+        assert code == EXIT_USAGE
+        assert "search.samples must be <= 1000000" in single_error(capsys)
+
+    def test_partial_value_only_on_the_flag(self, tmp_path, capsys):
+        payload = {"hypothesis": {"kind": "partial:0.5", "distinguishability": 0.9}}
+        code, _ = run(tmp_path, "simulate", payload)
+        assert code == EXIT_USAGE
+        assert "hypothesis kind" in single_error(capsys)
+
+    def test_seed_flag_replaces_every_seed(self):
+        config = read_config({"scan": {"seed": 2}}, seed=7)
+        assert config["scan"]["seed"] == config["search"]["seed"] == 7
+
+    def test_values_as_the_loaders_read_them(self):
+        config = read_config({"x_max": 1, "scan": {"positions": 41.0}, "search": {"arm": 2}})
+        assert config[None] == {"x_max": 1.0} and type(config[None]["x_max"]) is float
+        assert config["scan"] == {"positions": 41} and type(config["scan"]["positions"]) is int
+        assert config["search"] == {"arm": (2.0, 2.0)}
+        assert config["apparatus"] == config["hypothesis"] == {}
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def test_readme_config_runs_every_command(tmp_path, capsys):
+    # one config carries every section, and each command reads its own
+    config = json.loads(re.search(r"```json\n(.*?)```", README, re.S).group(1))
+    for command in COMMANDS:
+        code, _ = run(tmp_path, command, config, "--no-timestamp")
+        assert code == EXIT_OK, command
+    assert capsys.readouterr().err == ""
+
+
+def test_readme_field_table_matches_fields():
+    types = {"number": "number", "integer": "integer", "`true`/`false`": "boolean",
+             "string": "string", "number or [lo, hi]": "interval"}
+    rows = set()
+    for section, names, kind in re.findall(r"^\| (\S+) \| (`.+?`) \| (.+?) \|", README, re.M):
+        section = None if section == "(root)" else section.strip("`")
+        rows |= {(section, name.strip("`"), types[kind]) for name in names.split(", ")}
+    assert rows == {
+        (section, key, field.type) for section, fields in cli.FIELDS.items() for key, field in fields.items()
+    }
+
+
+BENCH = Apparatus()
+# a typical value of each numeric field: most draws lie within a factor of
+# two, so that at most 2,000 positions and 256 samples are drawn in range
+TYPICAL = {
+    **{("apparatus", f.name): getattr(BENCH, f.name) for f in dataclasses.fields(Apparatus)},
+    **{("search", name): getattr(BENCH, "arm1" if name == "arm" else name) for name in _SEARCHED},
+    (None, "x_max"): 2.1e-3,
+    ("scan", "x_min"): -2.1e-3,
+    ("scan", "x_max"): 2.1e-3,
+    ("scan", "positions"): 1_000,
+    ("scan", "photons_per_position"): 1_000,
+    ("scan", "seed"): 1_000,
+    ("hypothesis", "distinguishability"): 0.5,
+    ("search", "x_max"): 2.1e-3,
+    ("search", "samples"): 128,
+    ("search", "seed"): 1_000,
+}
+# the most positions and samples drawn anywhere in range
+FUZZ_CAPS = {("scan", "positions"): 2_000, ("search", "samples"): 256}
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def own_type(draw, section, key, field):
+    """A value of the field's own JSON type: nine times in ten near its
+    typical value, else any value of that type, NaN, infinities and
+    out-of-bound integers included."""
+    wild = draw(st.integers(0, 9)) == 0
+    if field.type == "boolean":
+        return draw(st.booleans())
+    if field.type == "string":
+        return draw(st.text(max_size=8) if wild else st.sampled_from(["full", "exclusive", "partial"]))
+    typical = TYPICAL[section, key]
+    if field.type == "integer":
+        cap = FUZZ_CAPS.get((section, key), None if math.isinf(field.high) else field.high)
+        ints = st.integers(max_value=cap) if wild else st.integers(typical // 2, typical * 2)
+        beyond = [st.integers(min_value=field.high + 1)] if wild and cap is not None else []
+        integral = ints.filter(lambda n: abs(n) < 2**53).map(float)
+        return draw(st.one_of(ints, integral, *beyond))
+    number = st.floats() | st.integers() if wild else st.floats(0.5, 2.0).map(lambda f: typical * f)
+    if field.type == "interval":
+        return draw(number | st.lists(number, min_size=2, max_size=2))
+    return draw(number)
+
+
+@st.composite
+def configs(draw):
+    """A config drawn from cli.FIELDS: some fields of each section, of their
+    own JSON type.  A config drawn as corrupt now and then has a field of
+    another type, an unknown key or a section that is not an object."""
+    corrupt = draw(st.booleans())
+
+    def now_and_then():
+        return corrupt and draw(st.integers(0, 9)) == 0
+
+    config = {}
+    for section, fields in cli.FIELDS.items():
+        body = config if section is None else {}
+        for key in draw(st.lists(st.sampled_from(sorted(fields)), unique=True)):
+            other_type = now_and_then()
+            body[key] = draw(JSON_VALUES) if other_type else own_type(draw, section, key, fields[key])
+        if now_and_then():
+            unknown = st.text(min_size=1, max_size=8).filter(
+                lambda k: k not in fields and k not in cli.FIELDS
+            )
+            body[draw(unknown)] = draw(JSON_VALUES)
+        if section is not None and (body or draw(st.booleans())):
+            config[section] = draw(JSON_VALUES) if now_and_then() else body
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(COMMANDS), config=configs())
+def test_fuzzed_configs(command, config):
+    # an exception, a traceback in the terminal, fails the example
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_NO_RESULT)
+    assert_one_error_at_most(err.getvalue())

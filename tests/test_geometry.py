@@ -9,12 +9,12 @@ from mirrorslit.geometry import (
     Apparatus,
     DiaphragmClearanceError,
     GrazingIncidenceError,
-    point,
 )
 from oracle import (
     OffMirrorError,
     clearance_angles,
     mirror_placement,
+    point,
     reflect_direction,
     signed_angle,
     unit,
