@@ -345,6 +345,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"config file not found: {args.config}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+            except (OSError, UnicodeDecodeError, RecursionError) as exc:
+                raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         config = read_config(config, args.seed)
         out = args.out
         out.mkdir(parents=True, exist_ok=True)

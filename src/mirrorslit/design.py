@@ -4,6 +4,10 @@ A candidate apparatus is acceptable when the scanning mirror is small
 enough to resolve fringes (sampling footprint under half a period), both
 reflected beams clear the diaphragm, and no mirror point can bounce a
 photon from one slit into the other slit's detector over the scan range.
+
+``solve`` (grazing limits, required width, L12) and ``judge`` (verdicts)
+serve one apparatus and a batch alike; ``validate`` is the two plus
+warnings, and ``design_search`` solves blocks of draws and judges a few.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .wavemodel import fringe_spacing
 
 _HALF_WIDTH_LO = 1e-6
 _HALF_WIDTH_HI = 2e-3
+# Solution.failure: solved, slit on the mirror line, beam into the diaphragm, out of bracket
+SOLVED, GRAZING, BLOCKED, UNBRACKETED = range(4)
 # the searched parameters, in the column order of design_search's draws
 _SEARCHED = ("wavelength", "slit_separation", "screen_distance", "mirror_angle", "arm", "aperture")
 # candidates design_search draws and solves per array pass, and the most
@@ -142,63 +148,81 @@ def sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
     return bool(ok), float(worst)
 
 
-def _grazing_half_width(app: Apparatus, x, slit: int) -> tuple[np.ndarray, DetectorLayouts]:
-    """``limiting_half_width`` without its checks: the half-width per
-    candidate of a batch (x then of shape (c, 1), one position each), and
-    the unchecked layouts it was solved on."""
-    layouts = geometry.aim_detectors(app, x)
-    edge = layouts.right[..., 0, 1, :] if slit == 1 else layouts.left[..., 0, 0, :]
-    points = np.stack([app.slits()[slit - 1], edge], axis=-2)
-    t, h = geometry.mirror_frame(app, layouts.centers[..., 0, None, :], points)
-    along = geometry.project_from_image(t[..., 0], -h[..., 0], t[..., 1], h[..., 1])
-    return (along if slit == 1 else -along), layouts
+@dataclass(frozen=True)
+class Solution:
+    """Grazing limits w1, w2 (axis -1, after a batch's candidate axis), solved on ``layouts``
+    row 0 for slit 1 and row 1 for slit 2.  None of it depends on the mirror width."""
+
+    half_widths: np.ndarray  # w1 and w2 as solved, failed or not
+    failure: np.ndarray  # SOLVED, GRAZING, BLOCKED or UNBRACKETED
+    required_width: np.ndarray  # 2 min(w'/2, w1, w2), failed limits as inf
+    separation: np.ndarray  # L12 = |D1 - D2| in row 1
+    layouts: DetectorLayouts
+
+    def raise_failure(self, slit: int) -> None:
+        """For one apparatus, raise the error of the slit's limit if it
+        failed: BracketError, or the error of its layout."""
+        i = slit - 1
+        if self.failure[i] == UNBRACKETED:
+            raise BracketError(
+                f"grazing limit {self.half_widths[i]:.3g} m not within [{_HALF_WIDTH_LO}, "
+                f"{_HALF_WIDTH_HI}] m; width is limited by the sampling constraint instead"
+            )
+        DetectorLayouts(*(a[i : i + 1] for a in vars(self.layouts).values())).raise_first_failure()
 
 
-def _bracketed(half_width) -> np.ndarray:
-    return (_HALF_WIDTH_LO <= half_width) & (half_width <= _HALF_WIDTH_HI)
+def _grazing(app: Apparatus, xs) -> Solution:
+    """Both grazing limits, the detectors aimed at xs[..., 0] for slit 1 and
+    xs[..., 1] for slit 2 in one call.  A limit is the mirror half-width at
+    which the slit's ray, reflected at the probe end of the mirror (high
+    for slit 1, low for slit 2), grazes the other detector's near aperture
+    edge (d2_right, d1_left): the image-source ray lies on the line from
+    the slit's image through that edge, and the probe end is where that
+    line crosses the mirror line.  Out of [1 um, 2 mm] it fails, and the
+    sampling width governs."""
+    layouts = geometry.aim_detectors(app, xs)
+    edges = np.stack([layouts.right[..., 0, 1, :], layouts.left[..., 1, 0, :]], axis=-2)
+    points = np.stack([np.stack(app.slits(), axis=-2), edges], axis=-2)
+    t, h = geometry.mirror_frame(app, layouts.centers[..., None, :], points)
+    half_widths = geometry.project_from_image(t[..., 0], -h[..., 0], t[..., 1], h[..., 1]) * [1, -1]
+    bracketed = (_HALF_WIDTH_LO <= half_widths) & (half_widths <= _HALF_WIDTH_HI)
+    failure = np.where(
+        layouts.failed(),
+        np.where(layouts.grazing.any(axis=-1), GRAZING, BLOCKED),
+        np.where(bracketed, SOLVED, UNBRACKETED),
+    )
+    limits = np.where(failure == SOLVED, half_widths, np.inf)
+    required_width = 2.0 * np.minimum(default_mirror_params(app)[0] / 2.0, limits.min(axis=-1))
+    return Solution(half_widths, failure, required_width, geometry.separations(layouts, 1), layouts)
+
+
+def solve(app: Apparatus) -> Solution:
+    """The grazing limits of one apparatus, or of every candidate of a
+    batch: slit 1 probed at x = 3 F_s, slit 2 at x = 0.  L12, at x = 0,
+    equals ``judge``'s separation bit for bit where that layout is clear."""
+    f_s = fringe_spacing(app)
+    xs = np.zeros(np.shape(f_s) + (2,))
+    xs[..., 0] = 3.0 * f_s
+    return _grazing(app, xs)
 
 
 def limiting_half_width(app: Apparatus, x: float, slit: int) -> float:
-    """Mirror half-width at which the wrong-slit ray starts grazing the other
-    detector's aperture edge, detectors fixed at the same x.
-
-    Probe points follow the worst cases: the high end of the mirror for
-    slit 1, the low end for slit 2.  The mirror reflects the slit as its
-    image source, so the ray from the probe point that grazes the near
-    aperture edge of the other detector (d2_right for slit 1, d1_left for
-    slit 2) lies on the line from the image through that edge; the probe
-    point is where that line crosses the mirror line.  Raises BracketError
-    when that point is not between 1 um and 2 mm from the centre on the
-    probe side (then the sampling width governs).
-    """
+    """The slit's grazing limit, the detectors aimed at x (``_grazing``); when it
+    fails, raises BracketError or the error of the layout at x."""
     if slit not in (1, 2):
         raise DesignError("slit must be 1 or 2")
-    half_width, layouts = _grazing_half_width(app, x, slit)
-    layouts.raise_first_failure()
-    half_width = float(half_width)
-    if not _bracketed(half_width):
-        raise BracketError(
-            f"grazing limit {half_width:.3g} m not within [{_HALF_WIDTH_LO}, {_HALF_WIDTH_HI}] m; "
-            "width is limited by the sampling constraint instead"
-        )
-    return half_width
-
-
-def _required_width(app: Apparatus, w1, w2):
-    w_prime, _ = default_mirror_params(app)
-    return 2.0 * np.minimum(np.minimum(w_prime / 2.0, w1), w2)
-
-
-def _grazing_limits(app: Apparatus) -> tuple[float, float]:
-    """Slit-1 limit at x = 3 F_s and slit-2 limit at x = 0."""
-    w1 = limiting_half_width(app, 3.0 * fringe_spacing(app), 1)
-    return w1, limiting_half_width(app, 0.0, 2)
+    solution = _grazing(app, [x, x])
+    solution.raise_failure(slit)
+    return float(solution.half_widths[slit - 1])
 
 
 def required_mirror_width(app: Apparatus) -> float:
-    """Full mirror width 2 min(w'/2, w1, w2) combining the sampling width with
-    both grazing limits (evaluated at x = 0 and x = 3 F_s)."""
-    return float(_required_width(app, *_grazing_limits(app)))
+    """``solve``'s required width 2 min(w'/2, w1, w2); raises as
+    ``limiting_half_width`` does when either limit fails, slit 1 first."""
+    solution = solve(app)
+    solution.raise_failure(1)
+    solution.raise_failure(2)
+    return float(solution.required_width)
 
 
 def judge(
@@ -233,35 +257,22 @@ def judge(
     return verdicts, layouts
 
 
-def validate(
-    app: Apparatus, x_max: float, limits: tuple[float, float] | None = None
-) -> DesignReport:
-    """Assemble the full feasibility report for a scan over [0, x_max].
-
-    The verdicts are ``judge``'s; this adds the grazing limits and the
-    warnings.  Failures are recorded in the report rather than raised; only
-    malformed inputs, and a slit on the mirror line, raise.  ``limits``
-    passes grazing limits (w1, w2) already solved for this apparatus; they
-    do not depend on the mirror width.
-    """
-    f_s = fringe_spacing(app)
-    w_prime, _ = default_mirror_params(app)
+def validate(app: Apparatus, x_max: float) -> DesignReport:
+    """The full feasibility report for a scan over [0, x_max]: ``solve``'s
+    limits and width, ``judge``'s verdicts, and the warnings.  Failures are
+    recorded in the report rather than raised; only malformed inputs, and a
+    slit on the mirror line, raise."""
+    solution = solve(app)
     warnings_list = app.regime_warnings()
-
-    def grazing_limit(x: float, slit: int) -> float:
-        try:
-            return limiting_half_width(app, x, slit)
-        except BracketError:
-            warnings_list.append(f"slit-{slit} grazing limit unbounded below 2 mm")
-        except DiaphragmClearanceError:
+    for slit, failure in enumerate(solution.failure.tolist(), 1):
+        if failure == GRAZING:
+            solution.raise_failure(slit)
+        elif failure == BLOCKED:
             warnings_list.append(
                 f"slit-{slit} grazing limit undefined: reflected beam hits the diaphragm"
             )
-        return math.inf
-
-    if limits is None:
-        limits = grazing_limit(3.0 * f_s, 1), grazing_limit(0.0, 2)
-    w1, w2 = limits
+        elif failure == UNBRACKETED:
+            warnings_list.append(f"slit-{slit} grazing limit unbounded below 2 mm")
     verdicts, layouts = judge(app, x_max)
     if not verdicts.long_scan:
         warnings_list.append(_short_scan(x_max, app))
@@ -270,12 +281,13 @@ def validate(
     except DiaphragmClearanceError as exc:
         warnings_list.append(str(exc))
 
+    w1, w2 = np.where(solution.failure == SOLVED, solution.half_widths, math.inf).tolist()
     return DesignReport(
-        fringe_spacing=f_s,
-        default_width=w_prime,
+        fringe_spacing=fringe_spacing(app),
+        default_width=default_mirror_params(app)[0],
         w1_limit=w1,
         w2_limit=w2,
-        required_width=float(_required_width(app, w1, w2)),
+        required_width=float(solution.required_width),
         detector_separation=float(verdicts.separation),
         sampling_ok=bool(verdicts.sampling_ok),
         misdetection_free=bool(verdicts.misdetection_free),
@@ -292,38 +304,20 @@ def _candidates(draws, **fields) -> Apparatus:
     return Apparatus(**fields, arm1=arm, arm2=arm)
 
 
-def solve_block(draws: np.ndarray):
-    """The cheap pass of ``design_search`` over a block of its draws (one
-    row per candidate): both grazing solves, and no routing table.
-
-    Returns, per row, whether both grazing limits solve (the other rows are
-    skipped), the limits (w1, w2), the mirror width they require, and the
-    detector separation L12 of the x = 0 layouts the slit-2 solve aims.
-    L12 does not depend on the mirror width and equals ``judge``'s
-    ``separation`` of the solved rows bit for bit.
-    """
-    batch = _candidates(draws.T)
-    w1, layouts1 = _grazing_half_width(batch, 3.0 * fringe_spacing(batch)[:, None], 1)
-    w2, layouts2 = _grazing_half_width(batch, 0.0, 2)
-    solved = (
-        ~layouts1.failed()[:, 0] & ~layouts2.failed()[:, 0] & _bracketed(w1) & _bracketed(w2)
-    )
-    return solved, (w1, w2), _required_width(batch, w1, w2), geometry.separations(layouts2)
-
-
 def design_search(
     space: SearchSpace, samples: int, seed: int
 ) -> tuple[Apparatus, DesignReport] | None:
     """Seeded uniform random search maximizing detector separation.
 
-    The mirror width is always derived from required_mirror_width, never
-    sampled.  Candidates are drawn and solved in blocks of ``_BLOCK``, so
-    memory does not grow with ``samples``.  Only the solved candidates that
-    beat the best separation so far are judged, in descending separation,
-    in chunks growing from 2 to ``_CHUNK``; the first feasible one is the
-    block's best.  Returns None when no sampled point is feasible.  Ties are
-    broken by the lowest sample index, so results are reproducible and
-    independent of the block and chunk sizes.
+    The mirror width is always the one ``solve`` requires, never sampled.
+    Candidates are drawn and solved in blocks of ``_BLOCK``, so memory does
+    not grow with ``samples``.  Only the solved candidates that beat the
+    best separation so far are judged, in descending separation, in chunks
+    growing from 2 to ``_CHUNK``; the first feasible one is the block's
+    best.  Returns None when no sampled point is feasible, else the best
+    candidate and its ``validate`` report.  Ties are broken by the lowest
+    sample index, so results are reproducible and independent of the block
+    and chunk sizes.
     """
     if samples < 1:
         raise DesignError("samples must be >= 1")
@@ -333,10 +327,11 @@ def design_search(
     for start in range(0, samples, _BLOCK):
         # one stream: the same values as one draw per sample and parameter
         draws = rng.uniform(lo, hi, size=(min(_BLOCK, samples - start), len(_SEARCHED)))
-        solved, (w1, w2), width, separation = solve_block(draws)
+        solution = solve(_candidates(draws.T))
+        separation, width = solution.separation, solution.required_width
         # a stable sort keeps equal separations in sample order
         order = np.argsort(-separation, kind="stable")
-        order = order[solved[order] & (separation[order] > best_sep)]
+        order = order[(solution.failure[order] == SOLVED).all(-1) & (separation[order] > best_sep)]
         done, chunk = 0, 2
         while done < len(order):
             rows = order[done : done + chunk]
@@ -344,11 +339,10 @@ def design_search(
             if verdicts.feasible.any():
                 i = rows[np.argmax(verdicts.feasible)]
                 best_sep = separation[i]
-                best = draws[i].tolist(), float(width[i]), (float(w1[i]), float(w2[i]))
+                best = draws[i].tolist(), float(width[i])
                 break
             done, chunk = done + chunk, min(2 * chunk, _CHUNK)
     if best is None:
         return None
-    row, width, limits = best
-    candidate = _candidates(row, mirror_width=width)
-    return candidate, validate(candidate, space.x_max, limits)
+    candidate = _candidates(best[0], mirror_width=best[1])
+    return candidate, validate(candidate, space.x_max)

@@ -65,7 +65,8 @@ def _positions(x) -> np.ndarray:
     """Scan position(s) as a float array, rejecting non-finite values."""
     xs = np.asarray(x, dtype=float)
     if not np.isfinite(xs).all():
-        raise GeometryError(f"non-finite coordinates: {xs}")
+        bad = xs[~np.isfinite(xs)].tolist()
+        raise GeometryError(f"non-finite coordinates: {', '.join(map(str, bad))}")
     return xs
 
 
@@ -126,9 +127,10 @@ def _slit_points(app: Apparatus, trailing: int) -> np.ndarray:
     return _batched(app.slit_separation / 2, trailing + 2) * _SLITS
 
 
-def _centers(app: Apparatus, xs: np.ndarray) -> np.ndarray:
-    """Mirror centres (x, L), shape (..., 2): xs.shape for one apparatus,
-    (c, len(xs)) for a batch, or (c, 1) for one position per candidate."""
+def _centers(app: Apparatus, xs) -> np.ndarray:
+    """Mirror centres (x, L) at finite positions xs, shape (..., 2): 1-D xs.shape
+    for one apparatus, (c, len(xs)) for a batch, or (c, k) for k per candidate."""
+    xs = np.atleast_1d(_positions(xs))
     length = _batched(app.screen_distance, 1)
     shape = np.broadcast_shapes(xs.shape, length.shape) if np.ndim(length) else xs.shape
     centers = np.empty(shape + (2,))
@@ -268,9 +270,9 @@ def aim_detectors(app: Apparatus, xs) -> DetectorLayouts:
     Detector i sits at distance arm_i from the mirror center along the
     reflection of the central ray from slit i; its aperture is a segment of
     width ``aperture`` perpendicular to that ray.  For a batch, ``xs`` is
-    shared by every candidate, or has shape (c, 1) for one position each.
+    shared by every candidate, or has shape (c, k) for k positions each.
     """
-    centers = _centers(app, np.atleast_1d(_positions(xs)))
+    centers = _centers(app, xs)
     # unit incident directions slit -> mirror centre, reflected in place
     # below; axis -2 is the slit
     directions = centers[..., None, :] - _slit_points(app, 1)
@@ -313,11 +315,11 @@ def detector_layouts(app: Apparatus, xs) -> DetectorLayouts:
     return layouts
 
 
-def separations(layouts: DetectorLayouts) -> np.ndarray:
-    """Exact |D1 - D2| in the first row of ``layouts``, per candidate for a
+def separations(layouts: DetectorLayouts, row: int = 0) -> np.ndarray:
+    """Exact |D1 - D2| in row ``row`` of ``layouts``, per candidate for a
     batch.  A (1, 2) @ (2, 1) product takes the BLAS dot of one vector, so
     a batch and a single apparatus agree to the last bit."""
-    d = layouts.detectors[..., 0, 0, :] - layouts.detectors[..., 0, 1, :]
+    d = layouts.detectors[..., row, 0, :] - layouts.detectors[..., row, 1, :]
     return np.sqrt((d[..., None, :] @ d[..., None])[..., 0, 0])
 
 
@@ -340,7 +342,7 @@ def mirror_footprint(app: Apparatus, xs) -> np.ndarray:
     for the low end).  For a batch the candidate axis leads."""
     slits = _slit_points(app, 1)
     along, _ = _axes(app, 2)
-    centers = _centers(app, np.atleast_1d(np.asarray(xs, dtype=float)))
+    centers = _centers(app, xs)
     # axis -2: (high end, slit 1) and (low end, slit 2)
     half = _batched(app.mirror_width / 2, 2) * _SLITS[:, 0]
     direction = centers[..., None, :] + half[..., None] * along - slits
@@ -386,7 +388,7 @@ def routing_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarra
     the image onto the mirror line and clipped to the mirror, is the
     interval.  A ray that crosses both apertures counts at detector 1.
     """
-    centers = _centers(app, np.atleast_1d(np.asarray(xs, dtype=float)))[..., None, :]
+    centers = _centers(app, xs)[..., None, :]
     # below, axis -2 is the slit and axis -1 the detector
     t_img, h_img = mirror_frame(app, centers, _slit_points(app, 1))
     t_img, h_img = t_img[..., None], -h_img[..., None]

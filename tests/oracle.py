@@ -487,15 +487,18 @@ def scalar_search_steps(space: SearchSpace, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         candidate = _draw_candidate(space, rng)
+        f_s = fringe_spacing(candidate)
         try:
-            limits = design._grazing_limits(candidate)
+            limits = tuple(
+                design.limiting_half_width(candidate, x, slit) for x, slit in ((3 * f_s, 1), (0.0, 2))
+            )
         except (DesignError, GeometryError) as exc:
             yield candidate, type(exc), None
             continue
-        width = float(design._required_width(candidate, *limits))
+        width = 2.0 * min(design.default_mirror_params(candidate)[0] / 2.0, *limits)
         candidate = replace(candidate, mirror_width=width)
         try:
-            report = design.validate(candidate, space.x_max, limits)
+            report = design.validate(candidate, space.x_max)
         except GeometryError as exc:
             yield candidate, type(exc), None
             continue

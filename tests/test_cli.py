@@ -158,6 +158,20 @@ class TestValidateCommand:
         bad.write_text("{not json")
         assert main(["validate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{}".encode("utf-16"), b"[" * 100_000],
+        ids=["directory", "utf-16-with-byte-order-mark", "nested-100000-deep"],
+    )
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "cannot read config file" in single_error(capsys)
+
 
 class TestScanCommand:
     def test_writes_curves_with_header(self, tmp_path):

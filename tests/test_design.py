@@ -129,8 +129,57 @@ class TestRequiredMirrorWidth:
         )
         assert min(w1, w2) < w_prime / 2
 
+    def test_raises_as_the_limits_do(self):
+        # seed 403, shallow tilts: the width is the min rule over
+        # limiting_half_width's limits, or the error of the first limit that
+        # fails, slit 1 first; a beam can hit the diaphragm at one probe only
+        rng = np.random.default_rng(403)
+        kinds = collections.Counter()
+        for _ in range(1000):
+            app = random_apparatus(rng, angle=(0.001, 0.1))
+            probes = ((3 * fringe_spacing(app), 1), (0.0, 2))
+            errors = [(slit, outcome_error(app, x, slit)) for x, slit in probes]
+            failed = [(slit, error) for slit, error in errors if error is not None]
+            if failed:
+                slit, error = failed[0]
+                with pytest.raises(type(error)) as raised:
+                    design.required_mirror_width(app)
+                assert str(raised.value) == str(error)
+                kinds[f"slit {slit} {type(error).__name__}"] += 1
+                continue
+            limits = [design.limiting_half_width(app, x, slit) for x, slit in probes]
+            w_prime, _ = design.default_mirror_params(app)
+            assert design.required_mirror_width(app) == 2 * min(w_prime / 2, *limits)
+            kinds["width"] += 1
+        assert all(
+            kinds[name] > 0
+            for name in (
+                "width",
+                "slit 1 BracketError",
+                "slit 2 BracketError",
+                "slit 1 DiaphragmClearanceError",
+                "slit 2 DiaphragmClearanceError",
+            )
+        ), kinds
+
+
+def outcome_error(app, x, slit):
+    """The error ``limiting_half_width`` raises at (x, slit), or None."""
+    try:
+        design.limiting_half_width(app, x, slit)
+    except (BracketError, geometry.GeometryError) as exc:
+        return exc
+    return None
+
 
 class TestValidate:
+    def test_solves_once_and_judges_once(self, app, f_s, count_calls):
+        # one aim for both grazing probes, one for the 61 judged positions
+        aims = count_calls(geometry, "aim_detectors")
+        probes = count_calls(design, "limiting_half_width")
+        design.validate(app, 3 * f_s)
+        assert len(aims) == 2 and not probes
+
     def test_bench_design_feasible(self, app, f_s):
         report = design.validate(app, 3 * f_s)
         assert report.feasible
@@ -467,8 +516,9 @@ class TestBatchAgainstScalarLoop:
                 for a, _, _ in steps
             ]
             assert draws.tolist() == drawn
-            solved, (w1, w2), width, separations = design.solve_block(draws)
-            w1, w2, width = w1[solved], w2[solved], width[solved]
+            solution = design.solve(design._candidates(draws.T))
+            solved, separations = (solution.failure == design.SOLVED).all(axis=-1), solution.separation
+            (w1, w2), width = solution.half_widths[solved].T, solution.required_width[solved]
             batch = design._candidates(draws[solved].T, mirror_width=width)
             verdicts, _ = design.judge(batch, self.SPACE.x_max)
             k = 0
@@ -552,6 +602,16 @@ class TestLazySearch:
             assert design.design_search(self.SPACE, 64, seed) is not None, seed
             judged = sum(np.size(app.wavelength) for app, *_ in calls)
             assert judged <= 17, (seed, judged)
+
+    def test_solved_once_per_block_and_once_for_the_winner(self, count_calls):
+        solves = count_calls(design, "solve")
+        for seed in range(10):
+            solves.clear()
+            assert design.design_search(self.SPACE, 64, seed) is not None, seed
+            assert len(solves) == 2, seed
+        solves.clear()
+        assert design.design_search(self.SPACE, design._BLOCK + 1, 0) is not None
+        assert len(solves) == 3
 
     def test_peak_memory(self):
         # a 64-sample search that judged blocks of 16 peaked at 551 KB

@@ -21,6 +21,19 @@ from oracle import (
 )
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_kernels_reject_non_finite_positions(app, bad):
+    xs = np.array([0.0, bad])
+    layouts = geometry.aim_detectors(app, 0.0)
+    for kernel in (
+        lambda: geometry.aim_detectors(app, xs),
+        lambda: geometry.mirror_footprint(app, xs),
+        lambda: geometry.routing_fractions(app, xs, layouts),
+    ):
+        with pytest.raises(geometry.GeometryError, match=f"^non-finite coordinates: {bad}$"):
+            kernel()
+
+
 class TestPathLengths:
     def test_symmetric_at_center(self, app):
         d1, d2 = geometry.path_lengths(app, 0.0)
