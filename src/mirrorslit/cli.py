@@ -238,7 +238,7 @@ def cmd_scan(config: dict, app: Apparatus, args, out: Path) -> int:
         screen_intensity(app, xs).tolist(),
         detector_intensity(app, xs, 1).tolist(),
     ):
-        lines.append(f"{x:.9e},{screen:.9e},{detector:.9e},{detector:.9e}")
+        lines.append(f"{x:.9e},{screen:.9e}" + f",{detector:.9e}" * 2)
     (out / "curves.csv").write_text("\n".join(lines) + "\n")
     print(f"curves written to {out / 'curves.csv'}")
     return EXIT_OK
@@ -261,8 +261,8 @@ def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> int:
         return EXIT_INFEASIBLE
 
     lines = _timestamp_lines(args) + [COUNTS_HEADER]
-    for x, n, n1, n2, mis, i1, i2 in summary.records.tolist():
-        lines.append(f"{x:.9e},{n},{n1},{n2},{mis},{i1:.9e},{i2:.9e}")
+    for x, n, n1, n2, mis, i1, _ in summary.records.tolist():  # i2_theory is i1_theory
+        lines.append(f"{x:.9e},{n},{n1},{n2},{mis}" + f",{i1:.9e}" * 2)
     (out / "counts.csv").write_text("\n".join(lines) + "\n")
 
     ok, _ = duality_check(
@@ -355,7 +355,10 @@ def main(argv: list[str] | None = None) -> int:
         # lengths such as 1e308 overflow the geometry: one error line, not
         # numpy's RuntimeWarnings and a misleading verdict on inf or NaN
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return handler(config, load_apparatus(config["apparatus"]), args, out)
+            app = load_apparatus(config["apparatus"])
+            if math.isinf(fringe_spacing(app)):  # a product of floats, which numpy never sees
+                raise FloatingPointError("overflow encountered in the fringe period")
+            return handler(config, app, args, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,14 +6,14 @@ reflected beams clear the diaphragm, and no mirror point can bounce a
 photon from one slit into the other slit's detector over the scan range.
 
 ``solve`` (grazing limits, required width, L12) and ``judge`` (verdicts)
-serve one apparatus and a batch alike; ``validate`` is the two plus
-warnings, and ``design_search`` solves blocks of draws and judges a few.
+serve one apparatus and a batch alike; ``validate`` reports on their results,
+and ``design_search`` solves blocks of draws, judges a few and reports on one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -136,18 +136,6 @@ def _sampling(app: Apparatus, x0: float):
     return long_scan, long_scan & (worst < f_s / 2.0), worst
 
 
-def sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
-    """Check that the mirror footprint on the screen line stays under F_s / 2.
-
-    The footprint is evaluated on a grid 0 <= x <= x0; x0 must exceed two
-    fringe periods for the scan to be meaningful at all.
-    """
-    long_scan, ok, worst = _sampling(app, x0)
-    if not long_scan:
-        raise DesignError(_short_scan(x0, app))
-    return bool(ok), float(worst)
-
-
 @dataclass(frozen=True)
 class Solution:
     """Grazing limits w1, w2 (axis -1, after a batch's candidate axis), solved on ``layouts``
@@ -168,7 +156,12 @@ class Solution:
                 f"grazing limit {self.half_widths[i]:.3g} m not within [{_HALF_WIDTH_LO}, "
                 f"{_HALF_WIDTH_HI}] m; width is limited by the sampling constraint instead"
             )
-        DetectorLayouts(*(a[i : i + 1] for a in vars(self.layouts).values())).raise_first_failure()
+        _row(self.layouts, slice(i, i + 1)).raise_first_failure()
+
+
+def _row(batch, i):
+    """Row i (an index or a slice) of a batch dataclass, nested ones included."""
+    return type(batch)(*(_row(a, i) if is_dataclass(a) else a[i] for a in vars(batch).values()))
 
 
 def _grazing(app: Apparatus, xs) -> Solution:
@@ -232,7 +225,7 @@ def judge(
     scan over [0, x_max], of one apparatus or of every candidate of a
     batch, and the layouts judged.
 
-    Sampling follows ``sampling_constraint``'s rule.  The detectors are
+    Sampling follows ``_sampling``'s rule.  The detectors are
     re-aimed at 61 positions; the beams clear the diaphragm when no layout
     fails.  Mis-detection is judged from exact routing fractions: no
     position may send either slit into the other slit's detector,
@@ -257,12 +250,9 @@ def judge(
     return verdicts, layouts
 
 
-def validate(app: Apparatus, x_max: float) -> DesignReport:
-    """The full feasibility report for a scan over [0, x_max]: ``solve``'s
-    limits and width, ``judge``'s verdicts, and the warnings.  Failures are
-    recorded in the report rather than raised; only malformed inputs, and a
-    slit on the mirror line, raise."""
-    solution = solve(app)
+def _report(app: Apparatus, x_max: float, solution, verdicts, layouts) -> DesignReport:
+    """One apparatus's report, warnings included, from its ``solve`` and ``judge``
+    results.  A limit that failed on grazing incidence raises its layout error."""
     warnings_list = app.regime_warnings()
     for slit, failure in enumerate(solution.failure.tolist(), 1):
         if failure == GRAZING:
@@ -273,7 +263,6 @@ def validate(app: Apparatus, x_max: float) -> DesignReport:
             )
         elif failure == UNBRACKETED:
             warnings_list.append(f"slit-{slit} grazing limit unbounded below 2 mm")
-    verdicts, layouts = judge(app, x_max)
     if not verdicts.long_scan:
         warnings_list.append(_short_scan(x_max, app))
     try:
@@ -296,6 +285,12 @@ def validate(app: Apparatus, x_max: float) -> DesignReport:
     )
 
 
+def validate(app: Apparatus, x_max: float) -> DesignReport:
+    """The feasibility report for a scan over [0, x_max].  Failures are recorded
+    in it rather than raised; only malformed inputs, and a slit on the mirror line, raise."""
+    return _report(app, x_max, solve(app), *judge(app, x_max))
+
+
 def _candidates(draws, **fields) -> Apparatus:
     """The apparatus of one row of ``design_search``'s draws, or the batch
     of a block of rows given column by column, with any further fields."""
@@ -315,7 +310,8 @@ def design_search(
     best separation so far are judged, in descending separation, in chunks
     growing from 2 to ``_CHUNK``; the first feasible one is the block's
     best.  Returns None when no sampled point is feasible, else the best
-    candidate and its ``validate`` report.  Ties are broken by the lowest
+    candidate and its ``validate`` report, built from the rows that picked
+    it, so nothing is solved or judged twice.  Ties are broken by the lowest
     sample index, so results are reproducible and independent of the block
     and chunk sizes.
     """
@@ -335,14 +331,15 @@ def design_search(
         done, chunk = 0, 2
         while done < len(order):
             rows = order[done : done + chunk]
-            verdicts, _ = judge(_candidates(draws[rows].T, mirror_width=width[rows]), space.x_max)
+            batch = _candidates(draws[rows].T, mirror_width=width[rows])
+            verdicts, layouts = judge(batch, space.x_max)
             if verdicts.feasible.any():
-                i = rows[np.argmax(verdicts.feasible)]
+                j = np.argmax(verdicts.feasible)
+                i = rows[j]
                 best_sep = separation[i]
-                best = draws[i].tolist(), float(width[i])
+                candidate = _candidates(draws[i].tolist(), mirror_width=float(width[i]))
+                picked = _row(solution, i), _row(verdicts, j), _row(layouts, j)
+                best = candidate, _report(candidate, space.x_max, *picked)
                 break
             done, chunk = done + chunk, min(2 * chunk, _CHUNK)
-    if best is None:
-        return None
-    candidate = _candidates(best[0], mirror_width=best[1])
-    return candidate, validate(candidate, space.x_max)
+    return best

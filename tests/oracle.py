@@ -349,8 +349,19 @@ def bisect_required_width(app: Apparatus) -> float:
     return 2.0 * min(w_prime / 2.0, w1, w2)
 
 
+def sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
+    """``design._sampling``'s rule for one apparatus: whether the mirror
+    footprint on the screen line (on a grid 0 <= x <= x0) stays under
+    F_s / 2, and the worst footprint.  x0 must exceed two fringe periods
+    for the scan to be meaningful at all."""
+    long_scan, ok, worst = design._sampling(app, x0)
+    if not long_scan:
+        raise DesignError(design._short_scan(x0, app))
+    return bool(ok), float(worst)
+
+
 def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
-    """``design.sampling_constraint`` one mirror placement at a time."""
+    """``sampling_constraint`` one mirror placement at a time."""
     f_s = fringe_spacing(app)
     if x0 <= 2.0 * f_s:
         raise DesignError(f"scan extent {x0} must exceed two fringe periods {2 * f_s}")

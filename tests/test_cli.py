@@ -443,6 +443,18 @@ class TestMalformedConfig:
         assert fragment in err[0]
 
 
+class TestFringePeriodOverflow:
+    # each length is in range, but lambda L / d is 1e320, past the largest float
+    CONFIG = {"apparatus": {"wavelength": 1e300, "screen_distance": 1e10, "slit_separation": 1e-10}}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exits_one_with_numeric_range_error(self, tmp_path, capsys, command):
+        code, _ = run(tmp_path, command, self.CONFIG)
+        assert code == EXIT_USAGE
+        error = single_error(capsys)
+        assert error.startswith("error: config values out of numeric range: overflow")
+
+
 class TestIntegralFloats:
     def test_integral_floats_accepted(self, tmp_path):
         config = {"scan": {"positions": 41.0, "photons_per_position": 10.0, "seed": 3.0}}
