@@ -203,6 +203,17 @@ def _timestamp_lines(args) -> list[str]:
     return [f"# generated {datetime.now(timezone.utc).isoformat()}"]
 
 
+def _write_csv(path: Path, header: str, row_format: str, columns: list[list], args) -> None:
+    """One line per row: ``row_format`` filled from the row's entry of each
+    column, by one %-format over the whole body."""
+    n_columns, n_rows = len(columns), len(columns[0])
+    values = [None] * (n_columns * n_rows)
+    for j, column in enumerate(columns):
+        values[j::n_columns] = column
+    lines = _timestamp_lines(args) + [header]
+    path.write_text("\n".join(lines) + "\n" + f"{row_format}\n" * n_rows % tuple(values))
+
+
 def _write_json(path: Path, payload: dict, args) -> None:
     if not args.no_timestamp:
         payload = {"generated": datetime.now(timezone.utc).isoformat(), **payload}
@@ -231,15 +242,10 @@ def cmd_scan(config: dict, app: Apparatus, args, out: Path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     xs = scan.x_positions
-    lines = _timestamp_lines(args) + [CURVES_HEADER]
     # the two detector intensities are identical by construction
-    for x, screen, detector in zip(
-        xs.tolist(),
-        screen_intensity(app, xs).tolist(),
-        detector_intensity(app, xs, 1).tolist(),
-    ):
-        lines.append(f"{x:.9e},{screen:.9e}" + f",{detector:.9e}" * 2)
-    (out / "curves.csv").write_text("\n".join(lines) + "\n")
+    detector = [f"{value:.9e}" for value in detector_intensity(app, xs, 1).tolist()]
+    columns = [xs.tolist(), screen_intensity(app, xs).tolist(), detector, detector]
+    _write_csv(out / "curves.csv", CURVES_HEADER, "%.9e,%.9e,%s,%s", columns, args)
     print(f"curves written to {out / 'curves.csv'}")
     return EXIT_OK
 
@@ -260,10 +266,11 @@ def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    lines = _timestamp_lines(args) + [COUNTS_HEADER]
-    for x, n, n1, n2, mis, i1, _ in summary.records.tolist():  # i2_theory is i1_theory
-        lines.append(f"{x:.9e},{n},{n1},{n2},{mis}" + f",{i1:.9e}" * 2)
-    (out / "counts.csv").write_text("\n".join(lines) + "\n")
+    records = summary.records
+    theory = [f"{value:.9e}" for value in records.i1_theory.tolist()]  # i2_theory is i1_theory
+    columns = [records[name].tolist() for name in ("x", "n", "n1", "n2", "misdetected")]
+    row_format = "%.9e,%d,%d,%d,%d,%s,%s"
+    _write_csv(out / "counts.csv", COUNTS_HEADER, row_format, [*columns, theory, theory], args)
 
     ok, _ = duality_check(
         DualityPoint(hyp.distinguishability, min(summary.v_total, 1.0)), tol=0.05

@@ -11,14 +11,12 @@ reflects each slit as a mirror-image source, so the mirror points that send
 slit s into detector d form one interval of the mirror; its length fraction
 f_sd (``geometry.routing_fractions``), the slit probability 1/2 and the
 fringe rate give the probability of each outcome, and one multinomial draw
-per scan position yields all the counts.  The cost per position does not depend on the photon count.
+per scan position yields all the counts.  The cost per position does not
+depend on the photon count.
 
-Every scan position owns an independent random substream keyed by
-(seed, position index): the stream of ``np.random.default_rng([seed, i])``,
-so totals are reproducible regardless of the order positions are evaluated
-in.  The PCG64 states of those streams are computed for the whole grid at
-once, by NumPy's fixed ``SeedSequence`` hash and PCG64 seeding step run on
-arrays, and one reused generator is set to each in turn.
+A scan draws from one generator, ``np.random.default_rng(seed)``: all
+positions' counts come from one call on it, rows in grid order, so the same
+seed gives the same counts (NumPy fixes a seeded generator's stream).
 """
 
 from __future__ import annotations
@@ -109,90 +107,6 @@ class ScanSummary:
         return self.records.n.astype(float)
 
 
-# NumPy's SeedSequence hash (pool of four 32-bit words) and the 128-bit
-# PCG64 multiplier; NEP 19 keeps the streams they define stable
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hashmix(const: int, mult: int):
-    """SeedSequence's hash of one word per position: XOR with a running
-    constant, advance the constant, multiply by it, fold the high half
-    down.  The constants do not depend on the data, so they stay ints."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    return hashmix
-
-
-def _pcg64_states(seed: int, n: int) -> tuple[list[int], list[int]]:
-    """PCG64 (state, inc) of ``np.random.default_rng([seed, i])`` for each
-    i < n (indices below 2**32, one entropy word each).
-
-    SeedSequence mixes the entropy words (the seed's, then i) into a pool
-    of four, each an array over i; ``generate_state(4, uint64)`` hashes the
-    pool out to s and seq, and PCG64 seeding sets inc = 2 seq + 1 and
-    state = (inc + s) M + inc mod 2**128.
-    """
-    seed = int(seed)
-    # the seed's little-endian 32-bit words ([0] for 0), then the index
-    entropy = [
-        np.full(n, seed >> 32 * k & _MASK32, dtype=np.uint32)
-        for k in range(max(1, (seed.bit_length() + 31) // 32))
-    ]
-    entropy.append(np.arange(n, dtype=np.uint32))
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ (r >> 16)
-
-    zeros = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    output = _hashmix(_INIT_B, _MULT_B)
-    out = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    # four little-endian uint64 words, as Python ints for 128-bit arithmetic
-    s_hi, s_lo, seq_hi, seq_lo = (
-        (out[2 * k] | out[2 * k + 1] << np.uint64(32)).astype(object) for k in range(4)
-    )
-    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-    return state.tolist(), inc.tolist()
-
-
-def _position_streams(seed: int, n: int):
-    """One generator per scan position i < n, in the state
-    ``np.random.default_rng([seed, i])`` starts in.  The same generator is
-    yielded each time, re-set, so draw from it before advancing."""
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state, inc in zip(*_pcg64_states(seed, n)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
-
-
 def _acceptance_rate(app: Apparatus, x, v: float):
     """Fringe-modulated detection probability at the mirror, in [0, 1], at
     scan position(s) x."""
@@ -207,9 +121,10 @@ def simulate_scan(
     Each photon takes either slit with probability 1/2 and survives the
     fringe rate with probability r, so at each position the outcome (slit
     s, detector d) has probability r/2 f_sd; one multinomial draw per
-    position gives every count.  The design is judged once, its
-    mis-detection verdict taken from the routing of the layouts simulated
-    (re-aimed, or frozen at x = 0), and a failure is warned about.
+    position, every row in one call on ``default_rng(config.seed)``, gives
+    every count.  The design is judged once, its mis-detection verdict
+    taken from the routing of the layouts simulated (re-aimed, or frozen
+    at x = 0), and a failure is warned about.
     """
     config.check_sampling(app)
     xs = config.x_positions
@@ -225,12 +140,7 @@ def simulate_scan(
     # rounding can carry the sum of p a hair past 1 when the routed shares
     # cover the whole mirror; numpy rejects a negative last probability
     table = np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
-    counts = np.array(
-        [
-            rng.multinomial(config.photons_per_position, row)
-            for rng, row in zip(_position_streams(config.seed, len(table)), table)
-        ]
-    )
+    counts = np.random.default_rng(config.seed).multinomial(config.photons_per_position, table)
     c11, c12, c21, c22 = counts[:, :4].T
     n1, n2, mis = c11 + c21, c12 + c22, c12 + c21
     n = n1 + n2
@@ -264,16 +174,13 @@ def conventional_scan(app: Apparatus, config: ScanConfig) -> FringePattern:
     """Reference mirror-free experiment: one detector stepped along y = L.
 
     Each position's count is one binomial draw, with acceptance probability
-    proportional to the plain two-beam screen intensity, from the same
-    per-position substreams.
+    proportional to the plain two-beam screen intensity, drawn in grid
+    order from the scan's one generator, as in ``simulate_scan``.
     """
     config.check_sampling(app)
     rates = screen_intensity(app, config.x_positions) / 4.0
-    counts = [
-        rng.binomial(config.photons_per_position, rate)
-        for rng, rate in zip(_position_streams(config.seed, len(rates)), rates)
-    ]
-    return FringePattern(config.x_positions, np.array(counts, dtype=float))
+    counts = np.random.default_rng(config.seed).binomial(config.photons_per_position, rates)
+    return FringePattern(config.x_positions, counts.astype(float))
 
 
 def compare_distributions(

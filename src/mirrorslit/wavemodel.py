@@ -118,17 +118,6 @@ def detector_intensity(app: Apparatus, x, which: int) -> np.ndarray | float:
     return out if np.ndim(x) else float(out)
 
 
-def visibility(pattern: FringePattern) -> float:
-    """Raw (I_max - I_min) / (I_max + I_min) from the sample extrema."""
-    if len(pattern) == 0:
-        raise FitError("cannot compute visibility of an empty pattern")
-    hi = float(np.max(pattern.intensities))
-    lo = float(np.min(pattern.intensities))
-    if hi + lo == 0.0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
-
-
 @dataclass(frozen=True)
 class FringeFit:
     visibility: float

@@ -12,8 +12,10 @@ from evenly spaced mirror points) and ``loop_design_search`` here do it by
 root finding and one scalar geometry call per point.  ``design_search``
 judges its candidates in blocks, as batches; ``scalar_design_search`` here
 draws and judges one candidate at a time with the scalar ``validate``.
-``montecarlo`` computes every scan position's PCG64 state in one array
-pass; ``position_rng`` here is NumPy's own seeding of the same substream.
+``cli`` writes its CSV files with one %-format over whole columns;
+``curves_csv`` and ``counts_csv`` here write them one row at a time.
+``visibility`` is the raw-extrema contrast that ``wavemodel.fit_visibility``
+replaces on noisy counts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from mirrorslit import design, geometry
+from mirrorslit.cli import COUNTS_HEADER, CURVES_HEADER
 from mirrorslit.design import (
     _HALF_WIDTH_HI,
     _HALF_WIDTH_LO,
@@ -40,18 +43,19 @@ from mirrorslit.geometry import (
     GrazingIncidenceError,
 )
 from mirrorslit.montecarlo import _acceptance_rate
-from mirrorslit.wavemodel import OutcomeHypothesis, fringe_spacing, hypothesis_visibility
+from mirrorslit.wavemodel import (
+    FitError,
+    FringePattern,
+    OutcomeHypothesis,
+    fringe_spacing,
+    hypothesis_visibility,
+)
 
 _BISECT_TOL = 1e-7
 
 
 class OffMirrorError(GeometryError):
     """Probe point does not lie on the mirror segment."""
-
-
-def position_rng(seed: int, index: int) -> np.random.Generator:
-    """The random substream of scan position ``index``, seeded by NumPy."""
-    return np.random.default_rng([int(seed), int(index)])
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -533,3 +537,32 @@ def scalar_design_search(
 ) -> tuple[Apparatus, DesignReport] | None:
     """``design.design_search`` one candidate at a time."""
     return best_step(scalar_search_steps(space, samples, seed))
+
+
+def visibility(pattern: FringePattern) -> float:
+    """Raw (I_max - I_min) / (I_max + I_min) from the sample extrema."""
+    if len(pattern) == 0:
+        raise FitError("cannot compute visibility of an empty pattern")
+    hi = float(np.max(pattern.intensities))
+    lo = float(np.min(pattern.intensities))
+    if hi + lo == 0.0:
+        return 0.0
+    return (hi - lo) / (hi + lo)
+
+
+def curves_csv(stamp: list[str], xs, screen, detector) -> str:
+    """``curves.csv`` row by row, under the ``stamp`` lines: x, the screen
+    intensity and the detector intensity twice."""
+    lines = [*stamp, CURVES_HEADER]
+    for x, i, i1 in zip(xs.tolist(), screen.tolist(), detector.tolist()):
+        lines.append(f"{x:.9e},{i:.9e}" + f",{i1:.9e}" * 2)
+    return "\n".join(lines) + "\n"
+
+
+def counts_csv(stamp: list[str], records: np.recarray) -> str:
+    """``counts.csv`` row by row from a scan's records, under the ``stamp``
+    lines."""
+    lines = [*stamp, COUNTS_HEADER]
+    for x, n, n1, n2, mis, i1, _ in records.tolist():  # i2_theory is i1_theory
+        lines.append(f"{x:.9e},{n},{n1},{n2},{mis}" + f",{i1:.9e}" * 2)
+    return "\n".join(lines) + "\n"

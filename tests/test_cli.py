@@ -26,7 +26,15 @@ from mirrorslit.cli import (
 )
 from mirrorslit.design import _SEARCHED
 from mirrorslit.geometry import Apparatus
-from mirrorslit.wavemodel import HypothesisKind
+from mirrorslit.montecarlo import ScanConfig, simulate_scan
+from mirrorslit.wavemodel import (
+    HypothesisKind,
+    OutcomeHypothesis,
+    detector_intensity,
+    fringe_spacing,
+    screen_intensity,
+)
+from oracle import counts_csv, curves_csv
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -566,6 +574,45 @@ class TestSearchCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "mirror_angle" in err[0]
+
+
+class TestCsvBytes:
+    """Both CSV files, byte for byte, against the row-by-row writers."""
+
+    def written(self, tmp_path, command, payload, stamped, name):
+        code, out = run(tmp_path, command, payload, *([] if stamped else ["--no-timestamp"]))
+        assert code == EXIT_OK
+        text = (out / name).read_text()
+        return text, text.splitlines()[:1] if stamped else []
+
+    def grid(self, positions):
+        f_s = fringe_spacing(Apparatus())
+        return np.linspace(-3.0 * f_s, 3.0 * f_s, positions)
+
+    @pytest.mark.parametrize("stamped", [False, True])
+    @pytest.mark.parametrize("positions", [41, 1001])
+    def test_curves(self, tmp_path, positions, stamped):
+        payload = {"scan": {"positions": positions}}
+        text, stamp = self.written(tmp_path, "scan", payload, stamped, "curves.csv")
+        app, xs = Apparatus(), self.grid(positions)
+        reference = curves_csv(
+            stamp, xs, screen_intensity(app, xs), detector_intensity(app, xs, 1)
+        )
+        assert text == reference
+
+    @pytest.mark.parametrize("stamped", [False, True])
+    @pytest.mark.parametrize(
+        "positions, photons", [(41, 3000), (1001, 1000), (41, 2**33)]
+    )
+    def test_counts(self, tmp_path, positions, photons, stamped):
+        scan = {"positions": positions, "photons_per_position": photons, "seed": 9}
+        text, stamp = self.written(tmp_path, "simulate", {"scan": scan}, stamped, "counts.csv")
+        config = ScanConfig(self.grid(positions), photons, 9)
+        full = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
+        records = simulate_scan(Apparatus(), config, full).records
+        if photons > 2**31:
+            assert records.n.max() > 2**31
+        assert text == counts_csv(stamp, records)
 
 
 class TestTimestamps:

@@ -21,10 +21,11 @@ from mirrorslit.wavemodel import (
     detector_intensity,
     duality_check,
     DualityPoint,
+    fringe_spacing,
     hypothesis_visibility,
     screen_intensity,
 )
-from oracle import photon_event, position_rng, row_edges, traced_fractions, traced_position
+from oracle import photon_event, row_edges, traced_fractions, traced_position
 
 FULL = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
 EXCLUSIVE = OutcomeHypothesis(HypothesisKind.EXCLUSIVE)
@@ -299,88 +300,87 @@ class TestSimulateScan:
             assert record.n == record.n1 + record.n2
 
     def test_frozen_detectors_use_the_centre_layout(self, app, config):
-        # every position draws from its own substream over the x = 0
-        # layout; off-centre that layout routes slits into the wrong
-        # detector, so detector and slit tallies differ
+        # every position draws, in grid order from the scan's one stream,
+        # over the x = 0 layout; off-centre that layout routes slits into
+        # the wrong detector, so detector and slit tallies differ
         frozen = ScanConfig(
             config.x_positions, config.photons_per_position, config.seed, True
         )
         with pytest.warns(UserWarning, match="fails design validation"):
             summary = simulate_scan(app, frozen, FULL)
         layout = geometry.detector_layouts(app, 0.0)
-        for i, (x, record) in enumerate(zip(config.x_positions, summary.records)):
-            rng = position_rng(config.seed, i)
+        rng = np.random.default_rng(config.seed)
+        for x, record in zip(config.x_positions, summary.records):
             n = config.photons_per_position
             expected = closed_position(app, x, n, 1.0, rng, layout)
             assert (record.n1, record.n2, record.misdetected) == expected
             assert record.i1_theory == record.i2_theory == detector_intensity(app, x, 1)
         assert summary.misdetection_rate > 0.0
 
-    def test_order_independent_substreams(self, app, config):
-        # simulating a single position in isolation matches the full scan
-        summary = simulate_scan(app, config, FULL)
-        i = 17
-        x = float(config.x_positions[i])
-        rng = position_rng(config.seed, i)
-        layout = geometry.detector_layouts(app, x)
-        n1, n2, mis = closed_position(
-            app, x, config.photons_per_position, 1.0, rng, layout
-        )
-        assert (n1, n2, mis) == (
-            summary.records[i].n1,
-            summary.records[i].n2,
-            summary.records[i].misdetected,
-        )
-
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 1, 10**41]
 
 
-def assert_same_stream(rng, reference):
-    """Same PCG64 state, then the same first draws."""
-    assert rng.bit_generator.state == reference.bit_generator.state
-    assert rng.random(3).tolist() == reference.random(3).tolist()
-    assert rng.binomial(1000, 0.3) == reference.binomial(1000, 0.3)
-    assert rng.multinomial(500, [0.2, 0.3, 0.5]).tolist() == (
-        reference.multinomial(500, [0.2, 0.3, 0.5]).tolist()
-    )
+def assert_simulate_draws_in_grid_order(app, config):
+    """``simulate_scan``'s counts are one ``closed_position`` per position,
+    drawn in grid order from one ``default_rng(config.seed)``."""
+    summary = simulate_scan(app, config, FULL)
+    rng = np.random.default_rng(config.seed)
+    n = config.photons_per_position
+    for x, record in zip(config.x_positions, summary.records):
+        expected = closed_position(app, x, n, 1.0, rng, geometry.detector_layouts(app, x))
+        assert (record.n1, record.n2, record.misdetected) == expected
+
+
+def assert_conventional_draws_in_grid_order(app, config):
+    """``conventional_scan``'s counts are one scalar binomial per position,
+    drawn in grid order from one ``default_rng(config.seed)``."""
+    pattern = conventional_scan(app, config)
+    rng = np.random.default_rng(config.seed)
+    rates = screen_intensity(app, config.x_positions) / 4.0
+    expected = [rng.binomial(config.photons_per_position, r) for r in rates]
+    assert pattern.intensities.tolist() == expected
 
 
 class TestPositionStreams:
+    """A scan draws every position's counts in one call on one generator,
+    ``np.random.default_rng(seed)``; the references draw the same rows one
+    at a time.  Seeds of one to five 32-bit words: 2**96 + 1 and 10**41
+    overrun SeedSequence's four-word pool."""
+
     @pytest.mark.parametrize("n", [1, 2, 41, 1001])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_match_numpy_seeding(self, seed, n):
-        # seeds of one to five 32-bit words: 2**96 + 1 and 10**41 overrun
-        # SeedSequence's four-word pool
-        for i, rng in enumerate(montecarlo._position_streams(seed, n)):
-            if i in (0, 1, n - 1):
-                assert_same_stream(rng, position_rng(seed, i))
+        # one 2-D multinomial and one vector binomial over n rows equal n
+        # row draws in sequence, up to the largest photon count
+        table = np.random.default_rng(n).dirichlet(np.ones(5), size=n)
+        for photons in (3000, 2**63 - 1):
+            rng = np.random.default_rng(seed)
+            rows = [rng.multinomial(photons, row).tolist() for row in table]
+            rates = [rng.binomial(photons, rate) for rate in table[:, 0]]
+            rng = np.random.default_rng(seed)
+            assert rng.multinomial(photons, table).tolist() == rows
+            assert rng.binomial(photons, table[:, 0]).tolist() == rates
 
-    @given(st.integers(0, 2**160), st.integers(1, 50))
+    @given(st.integers(0, 2**160), st.integers(2, 50))
     def test_any_seed(self, seed, n):
-        streams = list(zip(*montecarlo._pcg64_states(seed, n)))
-        for i in (0, n - 1):
-            state, inc = streams[i]
-            assert position_rng(seed, i).bit_generator.state["state"] == {
-                "state": state,
-                "inc": inc,
-            }
+        app = geometry.Apparatus()
+        grid = np.arange(n) * fringe_spacing(app) / 4
+        assert_conventional_draws_in_grid_order(app, ScanConfig(grid, 3000, seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_simulate_scan_every_seed(self, app, scan_grid, seed):
+        assert_simulate_draws_in_grid_order(app, ScanConfig(scan_grid, 3000, seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_conventional_scan_every_seed(self, app, scan_grid, seed):
+        assert_conventional_draws_in_grid_order(app, ScanConfig(scan_grid, 3000, seed))
 
     def test_simulate_scan_above_2_64(self, app, scan_grid):
-        seed = 2**64 + 77
-        config = ScanConfig(scan_grid, 3000, seed)
-        summary = simulate_scan(app, config, FULL)
-        for i, (x, record) in enumerate(zip(config.x_positions, summary.records)):
-            layout = geometry.detector_layouts(app, x)
-            expected = closed_position(app, x, 3000, 1.0, position_rng(seed, i), layout)
-            assert (record.n1, record.n2, record.misdetected) == expected
+        assert_simulate_draws_in_grid_order(app, ScanConfig(scan_grid, 3000, 2**64 + 77))
 
     def test_conventional_scan_above_2_64(self, app, scan_grid):
-        seed = 2**64 + 77
-        pattern = conventional_scan(app, ScanConfig(scan_grid, 3000, seed))
-        rates = screen_intensity(app, scan_grid) / 4.0
-        expected = [position_rng(seed, i).binomial(3000, r) for i, r in enumerate(rates)]
-        assert pattern.intensities.tolist() == expected
+        assert_conventional_draws_in_grid_order(app, ScanConfig(scan_grid, 3000, 2**64 + 77))
 
 
 class TestConventionalScan:

