@@ -1,9 +1,11 @@
 """Command-line front end: validate | scan | simulate | search.
 
 Reads a single JSON config (all lengths in meters, angles in radians) and
-emits CSV/JSON files meant for external plotting.  Exit codes: 0 success,
-1 usage or config error, 2 feasibility/validation failure, 3 empty search
-result.
+emits CSV/JSON files meant for external plotting.  A command returns its
+verdict: 0 success, 2 infeasible design, 3 empty search result.  ``main``
+alone turns the rest into outcomes, for every command: each warning into a
+``warning:`` stderr line, then an error into one ``error:`` line and exit 1
+(usage or config) or 2 (a design or grid that cannot sample the fringes).
 """
 
 from __future__ import annotations
@@ -190,10 +192,7 @@ def load_search_space(section: dict, app: Apparatus) -> tuple[SearchSpace, int, 
         name: section.get(name, (getattr(app, "arm1" if name == "arm" else name),) * 2)
         for name in design._SEARCHED
     }
-    try:
-        space = SearchSpace(**intervals, x_max=section.get("x_max", 3.0 * fringe_spacing(app)))
-    except design.DesignError as exc:
-        raise ConfigError(str(exc)) from exc
+    space = SearchSpace(**intervals, x_max=section.get("x_max", 3.0 * fringe_spacing(app)))
     return space, section.get("samples", 64), section.get("seed", 0)
 
 
@@ -222,25 +221,17 @@ def _write_json(path: Path, payload: dict, args) -> None:
 
 def cmd_validate(config: dict, app: Apparatus, args, out: Path) -> int:
     x_max = config[None].get("x_max", 3.0 * fringe_spacing(app))
-    try:
-        report = design.validate(app, x_max)
-    except geometry.GeometryError as exc:  # a slit on the mirror line
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    report = design.validate(app, x_max)
     _write_json(out / "report.json", report.to_dict(), args)
-    for line in report.warnings:
-        print(f"warning: {line}", file=sys.stderr)
+    for line in report.warnings:  # for main to print
+        warnings.warn(line)
     print(f"report written to {out / 'report.json'}")
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def cmd_scan(config: dict, app: Apparatus, args, out: Path) -> int:
     scan = load_scan(config["scan"], app, args)
-    try:
-        scan.check_sampling(app)
-    except montecarlo.ScanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    scan.check_sampling(app)
     xs = scan.x_positions
     # the two detector intensities are identical by construction
     detector = [f"{value:.9e}" for value in detector_intensity(app, xs, 1).tolist()]
@@ -253,19 +244,7 @@ def cmd_scan(config: dict, app: Apparatus, args, out: Path) -> int:
 def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> int:
     scan = load_scan(config["scan"], app, args)
     hyp = load_hypothesis(config["hypothesis"], args)
-    try:
-        # each warning, such as a failed design validation, is one stderr line
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)
-            try:
-                summary = montecarlo.simulate_scan(app, scan, hyp)
-            finally:
-                for warning in caught:
-                    print(f"warning: {warning.message}", file=sys.stderr)
-    except (montecarlo.ScanError, FitError, geometry.GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
+    summary = montecarlo.simulate_scan(app, scan, hyp)
     records = summary.records
     theory = [f"{value:.9e}" for value in records.i1_theory.tolist()]  # i2_theory is i1_theory
     columns = [records[name].tolist() for name in ("x", "n", "n1", "n2", "misdetected")]
@@ -296,16 +275,15 @@ def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> int:
 
 def cmd_search(config: dict, app: Apparatus, args, out: Path) -> int:
     space, samples, seed = load_search_space(config["search"], app)
-    try:
-        result = design.design_search(space, samples, seed)
-    except design.DesignError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = design.design_search(space, samples, seed)
     if result is None:
         print("no feasible apparatus found", file=sys.stderr)
         return EXIT_NO_RESULT
     best, report = result
     _write_json(out / "best_apparatus.json", dataclasses.asdict(best), args)
     _write_json(out / "report.json", report.to_dict(), args)
+    for line in report.warnings:  # for main to print, as validate does
+        warnings.warn(line)
     print(f"best apparatus written to {out / 'best_apparatus.json'}")
     return EXIT_OK
 
@@ -342,36 +320,45 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; see the module docstring."""
     args = _PARSER.parse_args(argv)
-    try:
-        config = {}
-        if args.config is not None:
-            try:
-                config = json.loads(args.config.read_text())
-            except FileNotFoundError as exc:
-                raise ConfigError(f"config file not found: {args.config}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
-            except (OSError, UnicodeDecodeError, RecursionError) as exc:
-                raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        config = read_config(config, args.seed)
-        out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        handler = {"validate": cmd_validate, "scan": cmd_scan, "simulate": cmd_simulate,
-                   "search": cmd_search}[args.command]
-        # lengths such as 1e308 overflow the geometry: one error line, not
-        # numpy's RuntimeWarnings and a misleading verdict on inf or NaN
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            app = load_apparatus(config["apparatus"])
-            if math.isinf(fringe_spacing(app)):  # a product of floats, which numpy never sees
-                raise FloatingPointError("overflow encountered in the fringe period")
-            return handler(config, app, args, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FloatingPointError as exc:
-        print(f"error: config values out of numeric range: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            config = {}
+            if args.config is not None:
+                try:
+                    config = json.loads(args.config.read_text())
+                except FileNotFoundError as exc:
+                    raise ConfigError(f"config file not found: {args.config}") from exc
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+                except (OSError, UnicodeDecodeError, RecursionError) as exc:
+                    raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+            config = read_config(config, args.seed)
+            out = args.out
+            out.mkdir(parents=True, exist_ok=True)
+            handler = {"validate": cmd_validate, "scan": cmd_scan, "simulate": cmd_simulate,
+                       "search": cmd_search}[args.command]
+            # lengths such as 1e308 overflow the geometry: one error line, not
+            # numpy's RuntimeWarnings and a misleading verdict on inf or NaN
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                app = load_apparatus(config["apparatus"])
+                if math.isinf(fringe_spacing(app)):  # a product of floats, which numpy never sees
+                    raise FloatingPointError("overflow encountered in the fringe period")
+                code = handler(config, app, args, out)
+        except (ConfigError, design.DesignError) as exc:
+            code, error = EXIT_USAGE, exc
+        except FloatingPointError as exc:
+            code, error = EXIT_USAGE, f"config values out of numeric range: {exc}"
+        except (geometry.GeometryError, montecarlo.ScanError, FitError) as exc:
+            code, error = EXIT_INFEASIBLE, exc
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

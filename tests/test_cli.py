@@ -6,13 +6,14 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirrorslit import cli
+from mirrorslit import cli, design, montecarlo
 from mirrorslit.cli import (
     EXIT_INFEASIBLE,
     EXIT_NO_RESULT,
@@ -24,10 +25,11 @@ from mirrorslit.cli import (
     main,
     read_config,
 )
-from mirrorslit.design import _SEARCHED
-from mirrorslit.geometry import Apparatus
-from mirrorslit.montecarlo import ScanConfig, simulate_scan
+from mirrorslit.design import _SEARCHED, DesignError
+from mirrorslit.geometry import Apparatus, GeometryError
+from mirrorslit.montecarlo import ScanConfig, ScanError, simulate_scan
 from mirrorslit.wavemodel import (
+    FitError,
     HypothesisKind,
     OutcomeHypothesis,
     detector_intensity,
@@ -574,6 +576,50 @@ class TestSearchCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "mirror_angle" in err[0]
+
+    def test_report_warnings_printed(self, tmp_path, capsys):
+        # a winner only 5-9 mm from the slits breaks the far-field regime
+        payload = {"search": {"screen_distance": [0.005, 0.009], "samples": 64, "seed": 0}}
+        code, out = run(tmp_path, "search", payload, "--no-timestamp")
+        assert code == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["warnings"]
+        assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in report["warnings"]]
+
+
+# the library call each command's handler makes
+LIBRARY_CALLS = {
+    "validate": (design, "validate"),
+    "scan": (ScanConfig, "check_sampling"),
+    "simulate": (montecarlo, "simulate_scan"),
+    "search": (design, "design_search"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "error, expected",
+    [
+        (GeometryError, EXIT_INFEASIBLE),
+        (ScanError, EXIT_INFEASIBLE),
+        (FitError, EXIT_INFEASIBLE),
+        (DesignError, EXIT_USAGE),
+        (FloatingPointError, EXIT_USAGE),
+    ],
+)
+def test_main_maps_every_outcome(tmp_path, capsys, monkeypatch, command, error, expected):
+    # main alone turns a warning and an error into stderr lines and the error
+    # into its family's exit code, whichever command's call raised it
+    def fail(*args):
+        warnings.warn("probe")
+        raise error("failed probe")
+
+    monkeypatch.setattr(*LIBRARY_CALLS[command], fail)
+    code, _ = run(tmp_path, command)
+    assert code == expected
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == "warning: probe"
+    assert err[1].startswith("error: ") and err[1].endswith("failed probe")
 
 
 class TestCsvBytes:

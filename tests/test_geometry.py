@@ -10,6 +10,7 @@ from mirrorslit.geometry import (
     DiaphragmClearanceError,
     GrazingIncidenceError,
 )
+from mirrorslit.wavemodel import fringe_spacing
 from oracle import (
     OffMirrorError,
     clearance_angles,
@@ -339,3 +340,36 @@ class TestDetectorLayouts:
                 geometry.detector_layouts(app, xs)
             outcomes.add("blocked")
         assert outcomes == {"clear", "blocked"}
+
+
+def test_negative_half_never_worse():
+    # design.judge checks [0, x_max], while simulate scans [-x_max, x_max]:
+    # over random apparatus (seed 11), the mirrored grid -xs fails clearance,
+    # or routes a slit into the other slit's detector, only where xs does too
+    rng = np.random.default_rng(11)
+    n = 2_000
+
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    app = Apparatus(
+        wavelength=rng.uniform(0.4e-6, 0.9e-6, n),
+        slit_separation=log_uniform(10e-6, 1e-3),
+        screen_distance=log_uniform(0.01, 1.0),
+        mirror_width=log_uniform(10e-6, 3e-3),
+        mirror_angle=rng.uniform(0.05, 1.5, n),
+        arm1=log_uniform(0.1, 10.0),
+        arm2=log_uniform(0.1, 10.0),
+        aperture=log_uniform(0.1e-3, 30e-3),
+    )
+    xs = (rng.uniform(2.1, 6.0, n) * fringe_spacing(app))[:, None] * np.linspace(0.0, 1.0, 61)
+
+    def failures(grid):
+        layouts = geometry.aim_detectors(app, grid)
+        fractions = geometry.routing_fractions(app, grid, layouts)
+        return layouts.failed().any(axis=-1), fractions[..., [0, 1], [1, 0]].any(axis=(-2, -1))
+
+    positive, negative = failures(xs), failures(-xs)
+    for pos, neg in zip(positive, negative):
+        assert not (neg & ~pos).any()
+        assert (pos & ~neg).any()  # the positive half is the stricter one
