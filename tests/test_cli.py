@@ -623,7 +623,11 @@ def test_main_maps_every_outcome(tmp_path, capsys, monkeypatch, command, error, 
 
 
 class TestCsvBytes:
-    """Both CSV files, byte for byte, against the row-by-row writers."""
+    """Both CSV files, byte for byte, against the row-by-row writers, on
+    either side of the row count from which bodies are encoded from arrays;
+    there a column given twice is encoded once."""
+
+    AROUND = [cli._ARRAY_ROWS - 1, cli._ARRAY_ROWS, cli._ARRAY_ROWS + 1]
 
     def written(self, tmp_path, command, payload, stamped, name):
         code, out = run(tmp_path, command, payload, *([] if stamped else ["--no-timestamp"]))
@@ -636,8 +640,9 @@ class TestCsvBytes:
         return np.linspace(-3.0 * f_s, 3.0 * f_s, positions)
 
     @pytest.mark.parametrize("stamped", [False, True])
-    @pytest.mark.parametrize("positions", [41, 1001])
-    def test_curves(self, tmp_path, positions, stamped):
+    @pytest.mark.parametrize("positions", [41, 1001, *AROUND])
+    def test_curves(self, tmp_path, positions, stamped, count_calls):
+        bodies, floats = count_calls(cli, "_array_body"), count_calls(cli, "_float_pieces")
         payload = {"scan": {"positions": positions}}
         text, stamp = self.written(tmp_path, "scan", payload, stamped, "curves.csv")
         app, xs = Apparatus(), self.grid(positions)
@@ -645,20 +650,90 @@ class TestCsvBytes:
             stamp, xs, screen_intensity(app, xs), detector_intensity(app, xs, 1)
         )
         assert text == reference
+        by_arrays = positions >= cli._ARRAY_ROWS
+        assert (len(bodies), len(floats)) == ((1, 3) if by_arrays else (0, 0))
 
     @pytest.mark.parametrize("stamped", [False, True])
     @pytest.mark.parametrize(
-        "positions, photons", [(41, 3000), (1001, 1000), (41, 2**33)]
+        "positions, photons",
+        [(41, 3000), (1001, 1000), (41, 2**33), *[(n, 3000) for n in AROUND],
+         (cli._ARRAY_ROWS, 2**35)],
     )
-    def test_counts(self, tmp_path, positions, photons, stamped):
+    def test_counts(self, tmp_path, positions, photons, stamped, count_calls):
+        bodies, floats = count_calls(cli, "_array_body"), count_calls(cli, "_float_pieces")
         scan = {"positions": positions, "photons_per_position": photons, "seed": 9}
         text, stamp = self.written(tmp_path, "simulate", {"scan": scan}, stamped, "counts.csv")
         config = ScanConfig(self.grid(positions), photons, 9)
         full = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
         records = simulate_scan(Apparatus(), config, full).records
-        if photons > 2**31:
-            assert records.n.max() > 2**31
+        if photons > 2**31:  # past 2^31 from 2^33 photons, past 2^33 from 2^35
+            assert records.n.max() > photons // 4
         assert text == counts_csv(stamp, records)
+        by_arrays = positions >= cli._ARRAY_ROWS
+        assert (len(bodies), len(floats)) == ((1, 2) if by_arrays else (0, 0))
+
+    @pytest.mark.parametrize(
+        "scan, printed",
+        [
+            ({"x_min": -0.0}, "\n0.000000000e+00,"),
+            ({"x_min": -2.1e-3, "x_max": -0.0}, "\n-0.000000000e+00,"),
+            ({"x_min": 1e-120, "x_max": 2e-120}, "\n2.000000000e-120,"),
+        ],
+        ids=["x_min", "x_max", "3-digit-exponents"],
+    )
+    def test_curves_edges(self, tmp_path, scan, printed):
+        """A signed zero, and exponents of three digits, through the CLI."""
+        payload = {"scan": {**scan, "positions": 300}}
+        text, _ = self.written(tmp_path, "scan", payload, False, "curves.csv")
+        app = Apparatus()
+        xs = np.linspace(scan["x_min"], scan.get("x_max", 3.0 * fringe_spacing(app)), 300)
+        assert text == curves_csv([], xs, screen_intensity(app, xs), detector_intensity(app, xs, 1))
+        assert printed in text
+
+
+class TestArrayEncoder:
+    """The array encoder of CSV bodies against Python's ``%``, under numpy's
+    strictest error state."""
+
+    @staticmethod
+    def assert_as_percent(fmt: str, values: list):
+        column = np.array(values, dtype=float if fmt == "%.9e" else np.int64)
+        with np.errstate(all="raise"):
+            body = cli._array_body([fmt], [column])
+        assert body == "".join(f"{fmt}\n" % value for value in values)
+
+    @given(st.lists(st.floats(), min_size=1))
+    def test_floats(self, values):
+        self.assert_as_percent("%.9e", values)
+
+    @given(st.lists(st.tuples(st.integers(10**9, 10**10 - 1), st.integers(-318, 297)), min_size=1))
+    def test_half_ties(self, ties):
+        """The decimals (k + 0.5) 10^(p+1) for ten-digit k lie halfway
+        between two printed values; the double nearest each lies on either
+        side of it or on it."""
+        self.assert_as_percent("%.9e", [float(f"{k}5e{p}") for k, p in ties])
+
+    def test_powers_of_ten(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers]
+        self.assert_as_percent("%.9e", np.concatenate(values).tolist())
+
+    @given(st.lists(st.floats(-2.3e-308, 2.3e-308), min_size=1))
+    def test_subnormals_and_zeros(self, values):
+        self.assert_as_percent("%.9e", [0.0, -0.0, 5e-324, -5e-324, *values])
+
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1))
+    def test_counts(self, counts):
+        self.assert_as_percent("%d", [0, 9, 10, 9999, 10**4, 2**63 - 1, *counts])
+
+    @given(st.lists(st.tuples(st.floats(), st.integers(0, 2**40)), min_size=1))
+    def test_rows_as_percent_path(self, rows):
+        """Several columns, one of them given twice, as the %-path writes
+        them."""
+        xs, ns = (np.array(column) for column in zip(*rows))
+        formats, columns = ["%.9e", "%d", "%.9e", "%d"], [xs, ns, xs, ns]
+        with np.errstate(all="raise"):
+            assert cli._array_body(formats, columns) == cli._percent_body(formats, columns)
 
 
 class TestTimestamps:
