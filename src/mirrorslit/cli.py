@@ -7,9 +7,8 @@ alone turns the rest into outcomes, for every command: each warning into a
 ``warning:`` stderr line, then an error into one ``error:`` line and exit 1
 (usage or config) or 2 (a design or grid that cannot sample the fringes).
 
-CSV files print floats as ``%.9e`` and counts as ``%d``.  Tables of
-``_ARRAY_ROWS`` rows or more are encoded from numpy arrays, byte for byte as
-``%`` would print them; smaller ones by one ``%``-format over the body.
+CSV files print floats as ``%.9e`` and counts as ``%d``.  Their bodies are
+encoded from numpy arrays, byte for byte as ``%`` would print them.
 """
 
 from __future__ import annotations
@@ -206,12 +205,6 @@ def _timestamp_lines(args) -> list[str]:
     return [f"# generated {datetime.now(timezone.utc).isoformat()}"]
 
 
-# Tables of at least this many rows are encoded from arrays: below it one
-# %-format over the body is faster (the crossover is about 80 rows for
-# curves.csv and 90 for counts.csv, in-process).
-_ARRAY_ROWS = 100
-
-
 def _byte_tables() -> tuple[np.ndarray, ...]:
     """The array encoder's tables of 4-byte text pieces (numpy void items),
     filled from the ten digit bytes with uint8 operations, so that import
@@ -261,7 +254,7 @@ def _float_pieces(values: np.ndarray) -> list[np.ndarray]:
     non-finite values and |v| outside [1e-290, 1e290] go through ``"%.9e"``
     one at a time.  An error of one ulp in log10 next to a power of ten only
     moves m to 10^9 or 10^10, which the carry handles.  m < 2^53, so float
-    floor division splits its digits exactly."""
+    divmod splits its digits exactly."""
     magnitude = np.abs(values)
     odd = ~((magnitude >= 1e-290) & (magnitude <= 1e290))
     magnitude[odd] = 1.0  # any finite value: "%" prints these entries
@@ -272,14 +265,13 @@ def _float_pieces(values: np.ndarray) -> list[np.ndarray]:
     carry = mantissa == 1e10
     mantissa[carry] = 1e9
     exponent[carry] += 1
-    lead = np.floor(mantissa / 1e7)  # the first three digits
-    rest = mantissa - lead * 1e7
-    middle = np.floor(rest / 1e3)
+    lead, rest = np.divmod(mantissa, 1e7)  # the first three digits
+    middle, trail = np.divmod(rest, 1e3)
     pieces = [
         np.where(np.signbit(values), b"-", b""),
         _LEADS[lead.astype(np.intp)],
         _DIGITS[middle.astype(np.intp)],
-        _TRAILS[(rest - middle * 1e3).astype(np.intp)],
+        _TRAILS[trail.astype(np.intp)],
         _EXPONENTS[exponent.astype(np.intp) + 290],
     ]
     for i in np.flatnonzero(odd).tolist():
@@ -302,51 +294,34 @@ def _int_pieces(values: np.ndarray) -> list[np.ndarray]:
     return pieces
 
 
-def _array_body(formats: list[str], columns: list[np.ndarray]) -> str:
-    """The CSV body from whole columns: the pieces of every entry and the
-    separators become the fields of one record per row, and the records'
-    bytes lose their NULs in one pass.  A column given twice is encoded
-    once."""
-    pieces = {}
-    for fmt, column in zip(formats, columns):
-        if id(column) not in pieces:
-            pieces[id(column)] = (_float_pieces if fmt == "%.9e" else _int_pieces)(column)
+def _csv_body(formats: list[str], columns: list[np.ndarray]) -> str:
+    """The CSV body from whole columns.  The columns of a format are encoded
+    in one call, a column given twice (the same array object) once; the
+    pieces of every entry and the separators become the fields of one record
+    per row, and the records' bytes lose their NULs in one pass."""
+    n_rows, pieces = len(columns[0]), {}
+    for fmt, encode in (("%.9e", _float_pieces), ("%d", _int_pieces)):
+        distinct = list({id(c): c for f, c in zip(formats, columns) if f == fmt}.values())
+        if distinct:
+            encoded = encode(np.concatenate(distinct))
+            for i, column in enumerate(distinct):
+                pieces[id(column)] = [piece[i * n_rows : (i + 1) * n_rows] for piece in encoded]
     fields = []
     for column in columns:
         fields += [*pieces[id(column)], np.bytes_(b",")]
     fields[-1] = np.bytes_(b"\n")
-    rows = np.empty(len(columns[0]), [(f"f{i}", field.dtype) for i, field in enumerate(fields)])
-    for i, field in enumerate(fields):
-        rows[f"f{i}"] = field
+    names = [f"f{i}" for i in range(len(fields))]
+    rows = np.empty(n_rows, {"names": names, "formats": [field.dtype for field in fields]})
+    for name, field in zip(names, fields):
+        rows[name] = field
     return rows.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _percent_body(formats: list[str], columns: list[np.ndarray]) -> str:
-    """The CSV body by one %-format over all rows.  A column given twice is
-    formatted once and pasted with ``%s``."""
-    n_columns, n_rows = len(columns), len(columns[0])
-    values = [None] * (n_columns * n_rows)
-    texts = {}
-    row_format = []
-    for j, (fmt, column) in enumerate(zip(formats, columns)):
-        if sum(other is column for other in columns) > 1:
-            if id(column) not in texts:
-                texts[id(column)] = [fmt % value for value in column.tolist()]
-            values[j::n_columns] = texts[id(column)]
-            row_format.append("%s")
-        else:
-            values[j::n_columns] = column.tolist()
-            row_format.append(fmt)
-    return f"{','.join(row_format)}\n" * n_rows % tuple(values)
 
 
 def _write_csv(path: Path, header: str, row_format: str, columns: list[np.ndarray], args) -> None:
     """One line per row: each entry of the row's columns in its format of
     ``row_format``, ``%.9e`` for floats and ``%d`` for counts."""
-    formats = row_format.split(",")
-    body = (_array_body if len(columns[0]) >= _ARRAY_ROWS else _percent_body)(formats, columns)
     lines = _timestamp_lines(args) + [header]
-    path.write_text("\n".join(lines) + "\n" + body)
+    path.write_text("\n".join(lines) + "\n" + _csv_body(row_format.split(","), columns))
 
 
 def _write_json(path: Path, payload: dict, args) -> None:

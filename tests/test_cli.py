@@ -623,11 +623,8 @@ def test_main_maps_every_outcome(tmp_path, capsys, monkeypatch, command, error, 
 
 
 class TestCsvBytes:
-    """Both CSV files, byte for byte, against the row-by-row writers, on
-    either side of the row count from which bodies are encoded from arrays;
-    there a column given twice is encoded once."""
-
-    AROUND = [cli._ARRAY_ROWS - 1, cli._ARRAY_ROWS, cli._ARRAY_ROWS + 1]
+    """Both CSV files, byte for byte, against the row-by-row writers; the
+    float columns are encoded in one call, a column given twice once."""
 
     def written(self, tmp_path, command, payload, stamped, name):
         code, out = run(tmp_path, command, payload, *([] if stamped else ["--no-timestamp"]))
@@ -640,9 +637,9 @@ class TestCsvBytes:
         return np.linspace(-3.0 * f_s, 3.0 * f_s, positions)
 
     @pytest.mark.parametrize("stamped", [False, True])
-    @pytest.mark.parametrize("positions", [41, 1001, *AROUND])
+    @pytest.mark.parametrize("positions", [41, 1001])
     def test_curves(self, tmp_path, positions, stamped, count_calls):
-        bodies, floats = count_calls(cli, "_array_body"), count_calls(cli, "_float_pieces")
+        bodies, floats = count_calls(cli, "_csv_body"), count_calls(cli, "_float_pieces")
         payload = {"scan": {"positions": positions}}
         text, stamp = self.written(tmp_path, "scan", payload, stamped, "curves.csv")
         app, xs = Apparatus(), self.grid(positions)
@@ -650,17 +647,15 @@ class TestCsvBytes:
             stamp, xs, screen_intensity(app, xs), detector_intensity(app, xs, 1)
         )
         assert text == reference
-        by_arrays = positions >= cli._ARRAY_ROWS
-        assert (len(bodies), len(floats)) == ((1, 3) if by_arrays else (0, 0))
+        assert len(bodies) == 1 and [len(args[0]) for args in floats] == [3 * positions]
 
     @pytest.mark.parametrize("stamped", [False, True])
     @pytest.mark.parametrize(
         "positions, photons",
-        [(41, 3000), (1001, 1000), (41, 2**33), *[(n, 3000) for n in AROUND],
-         (cli._ARRAY_ROWS, 2**35)],
+        [(41, 3000), (1001, 1000), (41, 2**33), (41, 2**35)],
     )
     def test_counts(self, tmp_path, positions, photons, stamped, count_calls):
-        bodies, floats = count_calls(cli, "_array_body"), count_calls(cli, "_float_pieces")
+        bodies, floats = count_calls(cli, "_csv_body"), count_calls(cli, "_float_pieces")
         scan = {"positions": positions, "photons_per_position": photons, "seed": 9}
         text, stamp = self.written(tmp_path, "simulate", {"scan": scan}, stamped, "counts.csv")
         config = ScanConfig(self.grid(positions), photons, 9)
@@ -669,8 +664,7 @@ class TestCsvBytes:
         if photons > 2**31:  # past 2^31 from 2^33 photons, past 2^33 from 2^35
             assert records.n.max() > photons // 4
         assert text == counts_csv(stamp, records)
-        by_arrays = positions >= cli._ARRAY_ROWS
-        assert (len(bodies), len(floats)) == ((1, 2) if by_arrays else (0, 0))
+        assert len(bodies) == 1 and [len(args[0]) for args in floats] == [2 * positions]
 
     @pytest.mark.parametrize(
         "scan, printed",
@@ -699,7 +693,7 @@ class TestArrayEncoder:
     def assert_as_percent(fmt: str, values: list):
         column = np.array(values, dtype=float if fmt == "%.9e" else np.int64)
         with np.errstate(all="raise"):
-            body = cli._array_body([fmt], [column])
+            body = cli._csv_body([fmt], [column])
         assert body == "".join(f"{fmt}\n" % value for value in values)
 
     @given(st.lists(st.floats(), min_size=1))
@@ -727,13 +721,12 @@ class TestArrayEncoder:
         self.assert_as_percent("%d", [0, 9, 10, 9999, 10**4, 2**63 - 1, *counts])
 
     @given(st.lists(st.tuples(st.floats(), st.integers(0, 2**40)), min_size=1))
-    def test_rows_as_percent_path(self, rows):
-        """Several columns, one of them given twice, as the %-path writes
-        them."""
+    def test_rows(self, rows):
+        """Several columns, each given twice, as rows formatted one by one."""
         xs, ns = (np.array(column) for column in zip(*rows))
-        formats, columns = ["%.9e", "%d", "%.9e", "%d"], [xs, ns, xs, ns]
         with np.errstate(all="raise"):
-            assert cli._array_body(formats, columns) == cli._percent_body(formats, columns)
+            body = cli._csv_body(["%.9e", "%d", "%.9e", "%d"], [xs, ns, xs, ns])
+        assert body == "".join("%.9e,%d,%.9e,%d\n" % (x, n, x, n) for x, n in rows)
 
 
 class TestTimestamps:
