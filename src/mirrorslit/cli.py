@@ -1,11 +1,12 @@
 """Command-line front end: validate | scan | simulate | search.
 
-Reads a single JSON config (all lengths in meters, angles in radians) and
-emits CSV/JSON files meant for external plotting.  A command returns its
-verdict: 0 success, 2 infeasible design, 3 empty search result.  ``main``
-alone turns the rest into outcomes, for every command: each warning into a
-``warning:`` stderr line, then an error into one ``error:`` line and exit 1
-(usage or config) or 2 (a design or grid that cannot sample the fringes).
+Reads a single JSON config (lengths in meters, angles in radians), which
+sets all a run computes but ``--seed``, and writes CSV/JSON files for
+external plotting.  A command writes its outputs, then raises what went
+wrong; ``main`` alone turns that into outcomes for every command: each
+warning into a ``warning:`` stderr line, then an error into one ``error:``
+line and exit 1 (usage or config), 2 (an infeasible design, or a grid that
+cannot sample the fringes) or 3 (an empty search result); else exit 0.
 
 CSV files print floats as ``%.9e`` and counts as ``%d``.  Their bodies are
 encoded from numpy arrays, byte for byte as ``%`` would print them.
@@ -50,6 +51,19 @@ CURVES_HEADER = "x_m,I,I1,I2"
 
 class ConfigError(ValueError):
     pass
+
+
+class Infeasible(Exception):
+    """A design that fails a check of its report: exit 2."""
+
+
+class NoResult(Exception):
+    """A search without a feasible apparatus: exit 3."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, for main to print
+        raise ConfigError(message)
 
 
 class Field(NamedTuple):
@@ -156,7 +170,7 @@ def load_apparatus(section: dict) -> Apparatus:
         raise ConfigError(str(exc)) from exc
 
 
-def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
+def load_scan(section: dict, app: Apparatus) -> montecarlo.ScanConfig:
     f_s = fringe_spacing(app)
     try:
         return montecarlo.ScanConfig(
@@ -167,25 +181,22 @@ def load_scan(section: dict, app: Apparatus, args) -> montecarlo.ScanConfig:
             ),
             photons_per_position=section.get("photons_per_position", 10_000),
             seed=section.get("seed", 0),
-            freeze_detectors=section.get("freeze_detectors", False) or args.freeze_detectors,
+            freeze_detectors=section.get("freeze_detectors", False),
         )
     except ValueError as exc:  # ScanError, or a negative count from linspace
         raise ConfigError(str(exc)) from exc
 
 
-def load_hypothesis(section: dict, args) -> OutcomeHypothesis:
-    kind = args.hypothesis or section.get("kind", "full")
-    d_value = section.get("distinguishability", 0.0)
-    if args.hypothesis and kind.startswith("partial:"):  # flag syntax only
-        kind, _, d_value = kind.partition(":")
+def load_hypothesis(section: dict) -> OutcomeHypothesis:
+    kind = section.get("kind", "full")
     try:
         kind = HypothesisKind(kind)
     except ValueError:
         message = f"hypothesis kind must be full, exclusive or partial, got {kind!r}"
         raise ConfigError(message) from None
     try:
-        return OutcomeHypothesis(kind, float(d_value))
-    except ValueError as exc:  # D not a number in [0, 1]
+        return OutcomeHypothesis(kind, section.get("distinguishability", 0.0))
+    except ValueError as exc:  # D outside [0, 1]
         raise ConfigError(f"hypothesis: {exc}") from exc
 
 
@@ -330,18 +341,21 @@ def _write_json(path: Path, payload: dict, args) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_validate(config: dict, app: Apparatus, args, out: Path) -> int:
+def cmd_validate(config: dict, app: Apparatus, args, out: Path) -> None:
     x_max = config[None].get("x_max", 3.0 * fringe_spacing(app))
     report = design.validate(app, x_max)
     _write_json(out / "report.json", report.to_dict(), args)
     for line in report.warnings:  # for main to print
         warnings.warn(line)
     print(f"report written to {out / 'report.json'}")
-    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+    failed = [name for name in ("sampling_ok", "misdetection_free", "diaphragm_clear")
+              if not getattr(report, name)]
+    if failed:
+        raise Infeasible(f"design infeasible: {', '.join(failed)} false")
 
 
-def cmd_scan(config: dict, app: Apparatus, args, out: Path) -> int:
-    scan = load_scan(config["scan"], app, args)
+def cmd_scan(config: dict, app: Apparatus, args, out: Path) -> None:
+    scan = load_scan(config["scan"], app)
     scan.check_sampling(app)
     xs = scan.x_positions
     # the two detector intensities are identical by construction
@@ -349,12 +363,11 @@ def cmd_scan(config: dict, app: Apparatus, args, out: Path) -> int:
     columns = [xs, screen_intensity(app, xs), detector, detector]
     _write_csv(out / "curves.csv", CURVES_HEADER, "%.9e,%.9e,%.9e,%.9e", columns, args)
     print(f"curves written to {out / 'curves.csv'}")
-    return EXIT_OK
 
 
-def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> int:
-    scan = load_scan(config["scan"], app, args)
-    hyp = load_hypothesis(config["hypothesis"], args)
+def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> None:
+    scan = load_scan(config["scan"], app)
+    hyp = load_hypothesis(config["hypothesis"])
     summary = montecarlo.simulate_scan(app, scan, hyp)
     records = summary.records
     theory = records.i1_theory  # i2_theory is i1_theory
@@ -375,32 +388,29 @@ def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> int:
             "duality_satisfied": ok,
             "F_s_m": fringe_spacing(app),
             "L12_m": float(summary.verdicts.separation),
-            "seed": summary.seed,
+            "seed": scan.seed,
         },
         args,
     )
     print(f"counts written to {out / 'counts.csv'}")
     print(f"summary written to {out / 'summary.json'}")
-    return EXIT_OK
 
 
-def cmd_search(config: dict, app: Apparatus, args, out: Path) -> int:
+def cmd_search(config: dict, app: Apparatus, args, out: Path) -> None:
     space, samples, seed = load_search_space(config["search"], app)
     result = design.design_search(space, samples, seed)
     if result is None:
-        print("no feasible apparatus found", file=sys.stderr)
-        return EXIT_NO_RESULT
+        raise NoResult("no feasible apparatus found")
     best, report = result
     _write_json(out / "best_apparatus.json", dataclasses.asdict(best), args)
     _write_json(out / "report.json", report.to_dict(), args)
     for line in report.warnings:  # for main to print, as validate does
         warnings.warn(line)
     print(f"best apparatus written to {out / 'best_apparatus.json'}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mirrorslit",
         description="Mirror-modified two-slit experiment: design checks and "
         "photon-counting simulation",
@@ -410,19 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override RNG seed")
     parser.add_argument(
-        "--hypothesis",
-        default=None,
-        help="outcome hypothesis: full | exclusive | partial:<D>",
-    )
-    parser.add_argument(
         "--no-timestamp",
         action="store_true",
         help="omit timestamps for byte-reproducible outputs",
-    )
-    parser.add_argument(
-        "--freeze-detectors",
-        action="store_true",
-        help="keep the detector layout derived at x=0 for the whole scan",
     )
     return parser
 
@@ -432,11 +432,11 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; see the module docstring."""
-    args = _PARSER.parse_args(argv)
-    error = None
+    code, error = EXIT_OK, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
+            args = _PARSER.parse_args(argv)
             config = {}
             if args.config is not None:
                 try:
@@ -458,13 +458,15 @@ def main(argv: list[str] | None = None) -> int:
                 app = load_apparatus(config["apparatus"])
                 if math.isinf(fringe_spacing(app)):  # a product of floats, which numpy never sees
                     raise FloatingPointError("overflow encountered in the fringe period")
-                code = handler(config, app, args, out)
+                handler(config, app, args, out)
         except (ConfigError, design.DesignError) as exc:
             code, error = EXIT_USAGE, exc
         except FloatingPointError as exc:
             code, error = EXIT_USAGE, f"config values out of numeric range: {exc}"
-        except (geometry.GeometryError, montecarlo.ScanError, FitError) as exc:
+        except (geometry.GeometryError, montecarlo.ScanError, FitError, Infeasible) as exc:
             code, error = EXIT_INFEASIBLE, exc
+        except NoResult as exc:
+            code, error = EXIT_NO_RESULT, exc
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if error is not None:

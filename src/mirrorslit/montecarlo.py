@@ -71,15 +71,13 @@ class ScanConfig:
         if self.seed < 0:
             raise ScanError(f"seed must be >= 0, got {self.seed}")
 
-    def max_spacing(self) -> float:
-        return float(np.max(np.diff(self.x_positions)))
-
     def check_sampling(self, app: Apparatus) -> None:
         """Grid must resolve the fringe period (a few samples per period)."""
+        spacing = float(np.max(np.diff(self.x_positions)))
         half_period = fringe_spacing(app) / 2.0
-        if self.max_spacing() > half_period:
+        if spacing > half_period:
             raise ScanError(
-                f"grid spacing {self.max_spacing():.3g} m exceeds half the "
+                f"grid spacing {spacing:.3g} m exceeds half the "
                 f"fringe period, {half_period:.3g} m"
             )
 
@@ -96,9 +94,7 @@ class ScanSummary:
     v_1: float
     v_2: float
     misdetection_rate: float
-    hypothesis: OutcomeHypothesis
     verdicts: design.Verdicts
-    seed: int = 0
 
     def positions(self) -> np.ndarray:
         return self.records.x
@@ -164,9 +160,7 @@ def simulate_scan(
         v_1=fitted(n1),
         v_2=fitted(n2),
         misdetection_rate=(int(mis.sum()) / total_n) if total_n else 0.0,
-        hypothesis=hyp,
         verdicts=verdicts,
-        seed=config.seed,
     )
 
 

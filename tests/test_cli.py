@@ -57,10 +57,9 @@ COMMANDS = ("validate", "scan", "simulate", "search")
 
 
 def assert_one_error_at_most(err: str):
-    """stderr holds warning lines, then at most one error line or search's
-    empty result."""
+    """stderr holds warning lines, then at most one error line."""
     lines = err.splitlines()
-    if lines and (lines[-1].startswith("error: ") or lines[-1] == "no feasible apparatus found"):
+    if lines and lines[-1].startswith("error: "):
         lines = lines[:-1]
     assert all(line.startswith("warning: ") for line in lines)
 
@@ -100,29 +99,28 @@ class TestLoadApparatus:
 
 
 class TestLoadHypothesis:
-    def parse(self, text):
-        args = cli.build_parser().parse_args(["simulate", "--hypothesis", text])
-        return load_hypothesis({}, args)
+    def parse(self, section):
+        return load_hypothesis(read_config({"hypothesis": section})["hypothesis"])
 
     def test_full(self):
-        assert self.parse("full").kind is HypothesisKind.FULL_DUALITY
+        assert self.parse({"kind": "full"}).kind is HypothesisKind.FULL_DUALITY
 
     def test_partial_with_value(self):
-        hyp = self.parse("partial:0.6")
+        hyp = self.parse({"kind": "partial", "distinguishability": 0.6})
         assert hyp.kind is HypothesisKind.PARTIAL
         assert hyp.distinguishability == 0.6
 
     def test_bad_kind(self):
         with pytest.raises(ConfigError):
-            self.parse("sideways")
+            self.parse({"kind": "sideways"})
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
-            self.parse("partial:lots")
+            self.parse({"kind": "partial", "distinguishability": "lots"})
 
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
-            self.parse("partial:1.5")
+            self.parse({"kind": "partial", "distinguishability": 1.5})
 
 
 class TestValidateCommand:
@@ -135,13 +133,16 @@ class TestValidateCommand:
         assert report["required_w_m"] == pytest.approx(0.1e-3, rel=1e-6)
         assert report["L12_m"] == pytest.approx(5e-3, rel=0.05)
 
-    def test_infeasible_design_exits_two(self, tmp_path):
+    def test_infeasible_design_exits_two(self, tmp_path, capsys):
         code, out = run(
             tmp_path, "validate", {"apparatus": {"mirror_width": 0.6e-3}}
         )
         assert code == EXIT_INFEASIBLE
         report = json.loads((out / "report.json").read_text())
         assert not report["feasible"]
+        # each check the report holds false, named in one line
+        error = "error: design infeasible: sampling_ok, misdetection_free false"
+        assert single_error(capsys) == error
 
     def test_bad_config_exits_one(self, tmp_path):
         code, _ = run(tmp_path, "validate", {"apparatus": {"wavelength": None}})
@@ -251,15 +252,15 @@ class TestSimulateCommand:
         assert summary["misdetection_rate"] == 0.0
 
     def test_full_hypothesis_high_visibility(self, tmp_path):
-        payload = {"scan": {"photons_per_position": 2000, "seed": 1}}
-        _, out = self.simulate(tmp_path, payload, "--hypothesis", "full")
+        payload = {"scan": {"photons_per_position": 2000, "seed": 1}, "hypothesis": {"kind": "full"}}
+        _, out = self.simulate(tmp_path, payload)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["V_total"] >= 0.9
         assert summary["duality_satisfied"]
 
     def test_exclusive_hypothesis_flat(self, tmp_path):
-        payload = {"scan": {"photons_per_position": 2000, "seed": 1}}
-        _, out = self.simulate(tmp_path, payload, "--hypothesis", "exclusive")
+        payload = {"scan": {"photons_per_position": 2000, "seed": 1}, "hypothesis": {"kind": "exclusive"}}
+        _, out = self.simulate(tmp_path, payload)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["V_total"] <= 0.1
 
@@ -310,8 +311,8 @@ class TestSimulateCommand:
 
     def test_frozen_detectors_warn(self, tmp_path, capsys):
         # off-centre the x = 0 layout routes slits into the wrong detector
-        payload = {"scan": {"photons_per_position": 500, "seed": 3}}
-        code, out = self.simulate(tmp_path, payload, "--freeze-detectors")
+        payload = {"scan": {"photons_per_position": 500, "seed": 3, "freeze_detectors": True}}
+        code, out = self.simulate(tmp_path, payload)
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and re.fullmatch("warning: .*fails design validation.*", err[0])
         assert code == EXIT_OK
@@ -474,6 +475,32 @@ class TestIntegralFloats:
         assert len((out / "counts.csv").read_text().splitlines()) == 42
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--bogus"],
+        ["simulate", "--hypothesis", "full"],
+        ["simulate", "--hypothesis", "partial:0.6"],
+        ["simulate", "--freeze-detectors"],
+        ["sideways"],
+        [],
+        ["search", "--seed", "x"],
+    ],
+    ids=["unknown-flag", "hypothesis-flag", "partial-flag", "freeze-flag", "unknown-command",
+         "no-command", "non-integer-seed"],
+)
+def test_usage_error_exits_one_with_error_line(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    single_error(capsys)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mirrorslit")
+
+
 def test_parser_built_once(tmp_path, count_calls):
     built = count_calls(cli, "build_parser")
     for _ in range(2):
@@ -564,10 +591,11 @@ class TestSearchCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["feasible"]
 
-    def test_infeasible_space_exits_three(self, tmp_path):
+    def test_infeasible_space_exits_three(self, tmp_path, capsys):
         payload = {"search": {"aperture": 1.0, "samples": 4}}
         code, _ = run(tmp_path, "search", payload)
         assert code == EXIT_NO_RESULT
+        assert single_error(capsys) == "error: no feasible apparatus found"
 
     def test_angle_interval_outside_quadrant_exits_one(self, tmp_path, capsys):
         # candidates drawn above pi/2 used to end in a GeometryError traceback
@@ -805,7 +833,7 @@ class TestReadConfig:
         assert code == EXIT_USAGE
         assert "search.samples must be <= 1000000" in single_error(capsys)
 
-    def test_partial_value_only_on_the_flag(self, tmp_path, capsys):
+    def test_partial_value_syntax_rejected(self, tmp_path, capsys):
         payload = {"hypothesis": {"kind": "partial:0.5", "distinguishability": 0.9}}
         code, _ = run(tmp_path, "simulate", payload)
         assert code == EXIT_USAGE
