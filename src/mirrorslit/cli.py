@@ -2,11 +2,12 @@
 
 Reads a single JSON config (lengths in meters, angles in radians), which
 sets all a run computes but ``--seed``, and writes CSV/JSON files for
-external plotting.  A command writes its outputs, then raises what went
-wrong; ``main`` alone turns that into outcomes for every command: each
-warning into a ``warning:`` stderr line, then an error into one ``error:``
-line and exit 1 (usage or config), 2 (an infeasible design, or a grid that
-cannot sample the fringes) or 3 (an empty search result); else exit 0.
+external plotting.  A command hands its output files over by name, then
+raises what went wrong; ``main`` alone writes the files, under one stamp per
+run, and turns outcomes into a ``warning:`` stderr line per warning, then an
+error into one ``error:`` line and exit 1 (usage, config or an unwritable
+``--out``), 2 (an infeasible design, or a grid that cannot sample the
+fringes) or 3 (an empty search result); else exit 0.
 
 CSV files print floats as ``%.9e`` and counts as ``%d``.  Their bodies are
 encoded from numpy arrays, byte for byte as ``%`` would print them.
@@ -210,12 +211,6 @@ def load_search_space(section: dict, app: Apparatus) -> tuple[SearchSpace, int, 
     return space, section.get("samples", 64), section.get("seed", 0)
 
 
-def _timestamp_lines(args) -> list[str]:
-    if args.no_timestamp:
-        return []
-    return [f"# generated {datetime.now(timezone.utc).isoformat()}"]
-
-
 def _byte_tables() -> tuple[np.ndarray, ...]:
     """The array encoder's tables of 4-byte text pieces (numpy void items),
     filled from the ten digit bytes with uint8 operations, so that import
@@ -328,44 +323,41 @@ def _csv_body(formats: list[str], columns: list[np.ndarray]) -> str:
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_csv(path: Path, header: str, row_format: str, columns: list[np.ndarray], args) -> None:
-    """One line per row: each entry of the row's columns in its format of
-    ``row_format``, ``%.9e`` for floats and ``%d`` for counts."""
-    lines = _timestamp_lines(args) + [header]
-    path.write_text("\n".join(lines) + "\n" + _csv_body(row_format.split(","), columns))
+def _text(content, stamp: str | None) -> str:
+    """A file's text, under ``stamp`` unless it is None: a JSON payload
+    dict, or a CSV table ``(header, row_format, columns)``."""
+    if isinstance(content, dict):
+        if stamp is not None:
+            content = {"generated": stamp, **content}
+        return json.dumps(content, indent=2) + "\n"
+    header, row_format, columns = content
+    lines = ([] if stamp is None else [f"# generated {stamp}"]) + [header]
+    return "\n".join(lines) + "\n" + _csv_body(row_format.split(","), columns)
 
 
-def _write_json(path: Path, payload: dict, args) -> None:
-    if not args.no_timestamp:
-        payload = {"generated": datetime.now(timezone.utc).isoformat(), **payload}
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def cmd_validate(config: dict, app: Apparatus, args, out: Path) -> None:
+def cmd_validate(config: dict, app: Apparatus, files: dict) -> None:
     x_max = config[None].get("x_max", 3.0 * fringe_spacing(app))
     report = design.validate(app, x_max)
-    _write_json(out / "report.json", report.to_dict(), args)
+    files["report.json"] = report.to_dict()
     for line in report.warnings:  # for main to print
         warnings.warn(line)
-    print(f"report written to {out / 'report.json'}")
     failed = [name for name in ("sampling_ok", "misdetection_free", "diaphragm_clear")
               if not getattr(report, name)]
     if failed:
         raise Infeasible(f"design infeasible: {', '.join(failed)} false")
 
 
-def cmd_scan(config: dict, app: Apparatus, args, out: Path) -> None:
+def cmd_scan(config: dict, app: Apparatus, files: dict) -> None:
     scan = load_scan(config["scan"], app)
     scan.check_sampling(app)
     xs = scan.x_positions
     # the two detector intensities are identical by construction
     detector = detector_intensity(app, xs, 1)
     columns = [xs, screen_intensity(app, xs), detector, detector]
-    _write_csv(out / "curves.csv", CURVES_HEADER, "%.9e,%.9e,%.9e,%.9e", columns, args)
-    print(f"curves written to {out / 'curves.csv'}")
+    files["curves.csv"] = (CURVES_HEADER, "%.9e,%.9e,%.9e,%.9e", columns)
 
 
-def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> None:
+def cmd_simulate(config: dict, app: Apparatus, files: dict) -> None:
     scan = load_scan(config["scan"], app)
     hyp = load_hypothesis(config["hypothesis"])
     summary = montecarlo.simulate_scan(app, scan, hyp)
@@ -373,40 +365,34 @@ def cmd_simulate(config: dict, app: Apparatus, args, out: Path) -> None:
     theory = records.i1_theory  # i2_theory is i1_theory
     columns = [records[name] for name in ("x", "n", "n1", "n2", "misdetected")]
     row_format = "%.9e,%d,%d,%d,%d,%.9e,%.9e"
-    _write_csv(out / "counts.csv", COUNTS_HEADER, row_format, [*columns, theory, theory], args)
-
-    ok, _ = duality_check(
-        DualityPoint(hyp.distinguishability, min(summary.v_total, 1.0)), tol=0.05
-    )
-    _write_json(
-        out / "summary.json",
-        {
-            "V_total": summary.v_total,
-            "V_1": summary.v_1,
-            "V_2": summary.v_2,
-            "misdetection_rate": summary.misdetection_rate,
-            "duality_satisfied": ok,
-            "F_s_m": fringe_spacing(app),
-            "L12_m": float(summary.verdicts.separation),
-            "seed": scan.seed,
-        },
-        args,
-    )
-    print(f"counts written to {out / 'counts.csv'}")
-    print(f"summary written to {out / 'summary.json'}")
+    files["counts.csv"] = (COUNTS_HEADER, row_format, [*columns, theory, theory])
+    ok, _ = duality_check(DualityPoint(hyp.distinguishability, summary.v_total), tol=0.05)
+    files["summary.json"] = {
+        "V_total": summary.v_total,
+        "V_1": summary.v_1,
+        "V_2": summary.v_2,
+        "misdetection_rate": summary.misdetection_rate,
+        "duality_satisfied": ok,
+        "F_s_m": fringe_spacing(app),
+        "L12_m": float(summary.verdicts.separation),
+        "seed": scan.seed,
+    }
 
 
-def cmd_search(config: dict, app: Apparatus, args, out: Path) -> None:
+def cmd_search(config: dict, app: Apparatus, files: dict) -> None:
     space, samples, seed = load_search_space(config["search"], app)
     result = design.design_search(space, samples, seed)
     if result is None:
         raise NoResult("no feasible apparatus found")
     best, report = result
-    _write_json(out / "best_apparatus.json", dataclasses.asdict(best), args)
-    _write_json(out / "report.json", report.to_dict(), args)
+    files["best_apparatus.json"] = dataclasses.asdict(best)
+    files["report.json"] = report.to_dict()
     for line in report.warnings:  # for main to print, as validate does
         warnings.warn(line)
-    print(f"best apparatus written to {out / 'best_apparatus.json'}")
+
+
+COMMANDS = {"validate": cmd_validate, "scan": cmd_scan, "simulate": cmd_simulate,
+            "search": cmd_search}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mirror-modified two-slit experiment: design checks and "
         "photon-counting simulation",
     )
-    parser.add_argument("command", choices=["validate", "scan", "simulate", "search"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override RNG seed")
@@ -432,7 +418,7 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; see the module docstring."""
-    code, error = EXIT_OK, None
+    code, error, files = EXIT_OK, None, {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
@@ -448,17 +434,13 @@ def main(argv: list[str] | None = None) -> int:
                 except (OSError, UnicodeDecodeError, RecursionError) as exc:
                     raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
             config = read_config(config, args.seed)
-            out = args.out
-            out.mkdir(parents=True, exist_ok=True)
-            handler = {"validate": cmd_validate, "scan": cmd_scan, "simulate": cmd_simulate,
-                       "search": cmd_search}[args.command]
             # lengths such as 1e308 overflow the geometry: one error line, not
             # numpy's RuntimeWarnings and a misleading verdict on inf or NaN
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 app = load_apparatus(config["apparatus"])
                 if math.isinf(fringe_spacing(app)):  # a product of floats, which numpy never sees
                     raise FloatingPointError("overflow encountered in the fringe period")
-                handler(config, app, args, out)
+                COMMANDS[args.command](config, app, files)
         except (ConfigError, design.DesignError) as exc:
             code, error = EXIT_USAGE, exc
         except FloatingPointError as exc:
@@ -467,6 +449,16 @@ def main(argv: list[str] | None = None) -> int:
             code, error = EXIT_INFEASIBLE, exc
         except NoResult as exc:
             code, error = EXIT_NO_RESULT, exc
+    if files:  # filled by a command, so args is parsed
+        stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                path = args.out / name
+                path.write_text(_text(content, stamp))
+                print(f"{path.stem} written to {path}")
+        except OSError as exc:  # the run's outcome is then this error alone
+            code, error = EXIT_USAGE, f"cannot write output: {exc}"
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if error is not None:

@@ -2,11 +2,13 @@ import contextlib
 import copy
 import dataclasses
 import io
+import itertools
 import json
 import math
 import re
 import tempfile
 import warnings
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -763,6 +765,77 @@ class TestTimestamps:
         assert code == EXIT_OK
         first = (out / "curves.csv").read_text().splitlines()[0]
         assert first.startswith("# generated ")
+
+
+class TestOutputFiles:
+    """main alone writes the files a command hands over, under one stamp."""
+
+    @pytest.fixture
+    def taken(self, tmp_path):
+        """A file, and a directory in place of an output file."""
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "taken" / "report.json").mkdir(parents=True)
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub", "taken"])
+    def test_unusable_out_exits_one(self, tmp_path, capsys, taken, out):
+        assert main(["validate", "--out", str(tmp_path / out)]) == EXIT_USAGE
+        assert single_error(capsys).startswith("error: cannot write output: ")
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_write_error_replaces_the_outcome(self, tmp_path, capsys, taken):
+        # an infeasible design (exit 2) whose report cannot be written
+        config = write_config(tmp_path, {"apparatus": {"mirror_width": 6e-4}})
+        argv = ["validate", "--config", str(config), "--out", str(tmp_path / "afile")]
+        assert main(argv) == EXIT_USAGE
+        assert single_error(capsys).startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize(
+        "command, payload, expected",
+        [
+            ("search", {"search": {"aperture": 1.0, "samples": 4}}, EXIT_NO_RESULT),
+            ("scan", {"scan": {"positions": 7}}, EXIT_INFEASIBLE),
+            ("validate", {"apparatus": {"wavelength": -1.0}}, EXIT_USAGE),
+        ],
+        ids=["no-feasible-point", "coarse-scan", "config-error"],
+    )
+    def test_no_directory_without_a_file(self, tmp_path, capsys, command, payload, expected):
+        code, out = run(tmp_path, command, payload)
+        assert code == expected
+        single_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [("simulate", ["counts.csv", "summary.json"]),
+         ("search", ["best_apparatus.json", "report.json"])],
+    )
+    def test_one_stamp_per_run(self, tmp_path, monkeypatch, command, names):
+        ticks = itertools.count()
+
+        class Ticking(datetime):  # each call a microsecond later
+            @classmethod
+            def now(cls, tz=None):
+                return datetime(2026, 1, 1, tzinfo=tz) + timedelta(microseconds=next(ticks))
+
+        monkeypatch.setattr(cli, "datetime", Ticking)
+        code, out = run(tmp_path, command, {})
+        assert code == EXIT_OK
+        stamps = set()
+        for name in names:
+            text = (out / name).read_text()
+            if name.endswith(".json"):
+                stamps.add(json.loads(text)["generated"])
+            else:
+                stamps.add(text.splitlines()[0].removeprefix("# generated "))
+        assert stamps == {"2026-01-01T00:00:00+00:00"}
+
+    def test_one_line_per_file(self, tmp_path, capsys):
+        code, out = run(tmp_path, "search", {}, "--no-timestamp")
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            f"best_apparatus written to {out / 'best_apparatus.json'}",
+            f"report written to {out / 'report.json'}",
+        ]
 
 
 class TestReadConfig:
