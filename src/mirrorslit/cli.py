@@ -2,7 +2,10 @@
 
 Reads a single JSON config (lengths in meters, angles in radians), which
 sets all a run computes but ``--seed``, and writes CSV/JSON files for
-external plotting.  A command hands its output files over by name, then
+external plotting.  ``main`` checks the whole config and builds every input
+of the run (``read_config``, then ``load``) before any command runs, so a
+value that any command would refuse ends each of them in exit 1.  A
+command takes the built inputs, hands its output files over by name, then
 raises what went wrong; ``main`` alone writes the files, under one stamp per
 run, and turns outcomes into a ``warning:`` stderr line per warning, then an
 error into one ``error:`` line and exit 1 (usage, config or an unwritable
@@ -82,7 +85,8 @@ _SEED = Field("integer", low=0)
 _COUNT = Field("integer", high=1_000_000)
 
 # every config field by section, None being the config root; what a command
-# does not read is still checked, since one config serves all four
+# does not read is still checked, its type here and its value by ``load``,
+# since one config serves all four
 FIELDS = {
     None: {"x_max": _NUMBER},
     "apparatus": {field.name: _NUMBER for field in dataclasses.fields(Apparatus)},
@@ -98,7 +102,7 @@ FIELDS = {
     "search": {
         **{name: Field("interval") for name in design._SEARCHED},
         "x_max": _NUMBER,
-        "samples": _COUNT,
+        "samples": _COUNT._replace(low=1),
         "seed": _SEED,
     },
 }
@@ -162,53 +166,42 @@ def read_config(config, seed: int | None = None) -> dict:
     return checked
 
 
-def load_apparatus(section: dict) -> Apparatus:
-    """Build an apparatus from a checked config section; omitted fields
-    keep the standard bench defaults."""
-    try:
-        return Apparatus(**section)
-    except geometry.GeometryError as exc:
-        raise ConfigError(str(exc)) from exc
+class Run(NamedTuple):
+    """Every input of a run, built by ``load``."""
+
+    app: Apparatus
+    x_max: float  # the root x_max, the extent validate judges
+    scan: montecarlo.ScanConfig
+    hypothesis: OutcomeHypothesis
+    search: tuple[SearchSpace, int, int]  # design_search's arguments
 
 
-def load_scan(section: dict, app: Apparatus) -> montecarlo.ScanConfig:
+def load(config: dict) -> Run:
+    """Build every input of a run from ``read_config``'s sections, whichever
+    command runs, each field not given at its default below.  The library
+    constructors check the values and raise ValueError; a fringe period F_s
+    outside (0, inf) is a FloatingPointError."""
+    app = Apparatus(**config["apparatus"])
     f_s = fringe_spacing(app)
-    try:
-        return montecarlo.ScanConfig(
-            x_positions=np.linspace(
-                section.get("x_min", -3.0 * f_s),
-                section.get("x_max", 3.0 * f_s),
-                section.get("positions", 41),
-            ),
-            photons_per_position=section.get("photons_per_position", 10_000),
-            seed=section.get("seed", 0),
-            freeze_detectors=section.get("freeze_detectors", False),
-        )
-    except ValueError as exc:  # ScanError, or a negative count from linspace
-        raise ConfigError(str(exc)) from exc
-
-
-def load_hypothesis(section: dict) -> OutcomeHypothesis:
-    kind = section.get("kind", "full")
-    try:
-        kind = HypothesisKind(kind)
-    except ValueError:
-        message = f"hypothesis kind must be full, exclusive or partial, got {kind!r}"
-        raise ConfigError(message) from None
-    try:
-        return OutcomeHypothesis(kind, section.get("distinguishability", 0.0))
-    except ValueError as exc:  # D outside [0, 1]
-        raise ConfigError(f"hypothesis: {exc}") from exc
-
-
-def load_search_space(section: dict, app: Apparatus) -> tuple[SearchSpace, int, int]:
-    # each interval defaults to the apparatus value, arm to arm1
-    intervals = {
-        name: section.get(name, (getattr(app, "arm1" if name == "arm" else name),) * 2)
-        for name in design._SEARCHED
-    }
-    space = SearchSpace(**intervals, x_max=section.get("x_max", 3.0 * fringe_spacing(app)))
-    return space, section.get("samples", 64), section.get("seed", 0)
+    if not 0 < f_s < math.inf:  # a product of floats, which numpy never sees
+        flow = "overflow" if f_s else "underflow"
+        raise FloatingPointError(f"{flow} encountered in the fringe period")
+    x_max = 3.0 * f_s
+    scan = {"x_min": -x_max, "x_max": x_max, "positions": 41, "photons_per_position": 10_000,
+            "seed": 0, **config["scan"]}
+    hypothesis = {"kind": "full", "distinguishability": 0.0, **config["hypothesis"]}
+    search = {"x_max": x_max, "samples": 64, "seed": 0, **config["search"]}
+    for name in design._SEARCHED:  # the apparatus value, arm that of arm1
+        search.setdefault(name, (getattr(app, "arm1" if name == "arm" else name),) * 2)
+    grid = np.linspace(scan.pop("x_min"), scan.pop("x_max"), scan.pop("positions"))
+    samples, seed = search.pop("samples"), search.pop("seed")
+    return Run(
+        app,
+        config[None].get("x_max", x_max),
+        montecarlo.ScanConfig(grid, **scan),
+        OutcomeHypothesis(HypothesisKind(hypothesis["kind"]), hypothesis["distinguishability"]),
+        (SearchSpace(**search), samples, seed),
+    )
 
 
 def _byte_tables() -> tuple[np.ndarray, ...]:
@@ -335,9 +328,8 @@ def _text(content, stamp: str | None) -> str:
     return "\n".join(lines) + "\n" + _csv_body(row_format.split(","), columns)
 
 
-def cmd_validate(config: dict, app: Apparatus, files: dict) -> None:
-    x_max = config[None].get("x_max", 3.0 * fringe_spacing(app))
-    report = design.validate(app, x_max)
+def cmd_validate(run: Run, files: dict) -> None:
+    report = design.validate(run.app, run.x_max)
     files["report.json"] = report.to_dict()
     for line in report.warnings:  # for main to print
         warnings.warn(line)
@@ -347,41 +339,38 @@ def cmd_validate(config: dict, app: Apparatus, files: dict) -> None:
         raise Infeasible(f"design infeasible: {', '.join(failed)} false")
 
 
-def cmd_scan(config: dict, app: Apparatus, files: dict) -> None:
-    scan = load_scan(config["scan"], app)
-    scan.check_sampling(app)
-    xs = scan.x_positions
+def cmd_scan(run: Run, files: dict) -> None:
+    run.scan.check_sampling(run.app)
+    xs = run.scan.x_positions
     # the two detector intensities are identical by construction
-    detector = detector_intensity(app, xs, 1)
-    columns = [xs, screen_intensity(app, xs), detector, detector]
+    detector = detector_intensity(run.app, xs, 1)
+    columns = [xs, screen_intensity(run.app, xs), detector, detector]
     files["curves.csv"] = (CURVES_HEADER, "%.9e,%.9e,%.9e,%.9e", columns)
 
 
-def cmd_simulate(config: dict, app: Apparatus, files: dict) -> None:
-    scan = load_scan(config["scan"], app)
-    hyp = load_hypothesis(config["hypothesis"])
-    summary = montecarlo.simulate_scan(app, scan, hyp)
+def cmd_simulate(run: Run, files: dict) -> None:
+    summary = montecarlo.simulate_scan(run.app, run.scan, run.hypothesis)
     records = summary.records
     theory = records.i1_theory  # i2_theory is i1_theory
     columns = [records[name] for name in ("x", "n", "n1", "n2", "misdetected")]
     row_format = "%.9e,%d,%d,%d,%d,%.9e,%.9e"
     files["counts.csv"] = (COUNTS_HEADER, row_format, [*columns, theory, theory])
-    ok, _ = duality_check(DualityPoint(hyp.distinguishability, summary.v_total), tol=0.05)
+    point = DualityPoint(run.hypothesis.distinguishability, summary.v_total)
+    ok, _ = duality_check(point, tol=0.05)
     files["summary.json"] = {
         "V_total": summary.v_total,
         "V_1": summary.v_1,
         "V_2": summary.v_2,
         "misdetection_rate": summary.misdetection_rate,
         "duality_satisfied": ok,
-        "F_s_m": fringe_spacing(app),
+        "F_s_m": fringe_spacing(run.app),
         "L12_m": float(summary.verdicts.separation),
-        "seed": scan.seed,
+        "seed": run.scan.seed,
     }
 
 
-def cmd_search(config: dict, app: Apparatus, files: dict) -> None:
-    space, samples, seed = load_search_space(config["search"], app)
-    result = design.design_search(space, samples, seed)
+def cmd_search(run: Run, files: dict) -> None:
+    result = design.design_search(*run.search)
     if result is None:
         raise NoResult("no feasible apparatus found")
     best, report = result
@@ -437,10 +426,11 @@ def main(argv: list[str] | None = None) -> int:
             # lengths such as 1e308 overflow the geometry: one error line, not
             # numpy's RuntimeWarnings and a misleading verdict on inf or NaN
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                app = load_apparatus(config["apparatus"])
-                if math.isinf(fringe_spacing(app)):  # a product of floats, which numpy never sees
-                    raise FloatingPointError("overflow encountered in the fringe period")
-                COMMANDS[args.command](config, app, files)
+                try:
+                    run = load(config)
+                except ValueError as exc:  # a value a constructor refuses, whoever reads it
+                    raise ConfigError(str(exc)) from exc
+                COMMANDS[args.command](run, files)
         except (ConfigError, design.DesignError) as exc:
             code, error = EXIT_USAGE, exc
         except FloatingPointError as exc:

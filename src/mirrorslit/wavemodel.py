@@ -66,6 +66,10 @@ class HypothesisKind(enum.Enum):
     EXCLUSIVE = "exclusive"  # path knowledge destroys the fringes
     PARTIAL = "partial"  # tradeoff on the duality boundary
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"hypothesis kind must be full, exclusive or partial, got {value!r}")
+
 
 @dataclass(frozen=True)
 class OutcomeHypothesis:

@@ -22,8 +22,7 @@ from mirrorslit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
-    load_apparatus,
-    load_hypothesis,
+    load,
     main,
     read_config,
 )
@@ -72,14 +71,18 @@ def single_error(capsys) -> str:
     return err[0]
 
 
+def loaded(config: dict) -> cli.Run:
+    return load(read_config(config))
+
+
 class TestLoadApparatus:
     def test_defaults_when_omitted(self):
-        app = load_apparatus({})
+        app = loaded({}).app
         assert app.wavelength == 700e-9
         assert app.mirror_width == 0.1e-3
 
     def test_partial_override(self):
-        app = load_apparatus({"wavelength": 350e-9})
+        app = loaded({"apparatus": {"wavelength": 350e-9}}).app
         assert app.wavelength == 350e-9
         assert app.slit_separation == 100e-6
 
@@ -95,14 +98,18 @@ class TestLoadApparatus:
         with pytest.raises(ConfigError):
             read_config({"apparatus": {"wavelength": "700nm"}})
 
-    def test_negative_value_rejected(self):
-        with pytest.raises(ConfigError):
-            load_apparatus({"wavelength": -1e-9})
+    def test_negative_value_rejected(self, tmp_path, capsys):
+        config = {"apparatus": {"wavelength": -1e-9}}
+        with pytest.raises(GeometryError):
+            loaded(config)
+        for command in COMMANDS:
+            assert run(tmp_path, command, config)[0] == EXIT_USAGE
+            assert single_error(capsys) == "error: wavelength must be strictly positive, got -1e-09"
 
 
 class TestLoadHypothesis:
     def parse(self, section):
-        return load_hypothesis(read_config({"hypothesis": section})["hypothesis"])
+        return loaded({"hypothesis": section}).hypothesis
 
     def test_full(self):
         assert self.parse({"kind": "full"}).kind is HypothesisKind.FULL_DUALITY
@@ -113,16 +120,48 @@ class TestLoadHypothesis:
         assert hyp.distinguishability == 0.6
 
     def test_bad_kind(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="hypothesis kind must be full, exclusive or partial"):
             self.parse({"kind": "sideways"})
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             self.parse({"kind": "partial", "distinguishability": "lots"})
 
-    def test_out_of_range(self):
-        with pytest.raises(ConfigError):
-            self.parse({"kind": "partial", "distinguishability": 1.5})
+    def test_out_of_range(self, tmp_path, capsys):
+        section = {"kind": "partial", "distinguishability": 1.5}
+        with pytest.raises(ValueError):
+            self.parse(section)
+        assert run(tmp_path, "simulate", {"hypothesis": section})[0] == EXIT_USAGE
+        assert single_error(capsys) == "error: distinguishability must lie in [0, 1]"
+
+
+class TestOneVerdictPerConfig:
+    """A value that one command would refuse ends every command in the same
+    error line, exit 1 and no output, whichever sections it reads."""
+
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            ({"hypothesis": {"kind": "sideways"}},
+             "hypothesis kind must be full, exclusive or partial, got 'sideways'"),
+            ({"scan": {"positions": 1}}, "need at least two scan positions"),
+            ({"search": {"samples": 0}}, "search.samples must be >= 1, got 0"),
+            ({"search": {"arm": [2, 1]}}, "invalid interval for arm: [2.0, 1.0]"),
+            ({"hypothesis": {"kind": "partial", "distinguishability": 1.5}},
+             "distinguishability must lie in [0, 1]"),
+            # each length is in range, but lambda L / d is 1e-596, below the least float
+            ({"apparatus": {"wavelength": 1e-300, "screen_distance": 1e-300}},
+             "config values out of numeric range: underflow encountered in the fringe period"),
+        ],
+        ids=["hypothesis-kind", "scan-positions", "search-samples", "search-interval",
+             "hypothesis-distinguishability", "fringe-period-underflow"],
+    )
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_exits_one(self, tmp_path, capsys, command, config, error):
+        code, out = run(tmp_path, command, config)
+        assert code == EXIT_USAGE
+        assert single_error(capsys) == f"error: {error}"
+        assert not out.exists()
 
 
 class TestValidateCommand:
@@ -946,6 +985,46 @@ def test_readme_field_table_matches_fields():
     assert rows == {
         (section, key, field.type) for section, fields in cli.FIELDS.items() for key, field in fields.items()
     }
+
+
+def test_readme_defaults_match_load():
+    # the Default column against what load resolves for an empty config
+    inputs = loaded({})
+    space, samples, seed = inputs.search
+    scan = inputs.scan
+    resolved = {
+        (None, "x_max"): inputs.x_max,
+        **{("apparatus", f.name): getattr(inputs.app, f.name) for f in dataclasses.fields(Apparatus)},
+        ("scan", "x_min"): scan.x_positions[0],
+        ("scan", "x_max"): scan.x_positions[-1],
+        ("scan", "positions"): scan.x_positions.size,
+        ("scan", "photons_per_position"): scan.photons_per_position,
+        ("scan", "seed"): scan.seed,
+        ("scan", "freeze_detectors"): scan.freeze_detectors,
+        ("hypothesis", "kind"): inputs.hypothesis.kind.value,
+        ("hypothesis", "distinguishability"): inputs.hypothesis.distinguishability,
+        **{("search", name): getattr(space, name) for name in _SEARCHED},
+        ("search", "x_max"): space.x_max,
+        ("search", "samples"): samples,
+        ("search", "seed"): seed,
+    }
+    app = Apparatus()
+    f_s = fringe_spacing(app)
+    words = {"3 F_s": 3 * f_s, "−3 F_s": -3 * f_s, "π/4": math.pi / 4, "10⁴": 10**4,
+             "`false`": False, '`"full"`': "full", "`apparatus.arm1`": (app.arm1,) * 2}
+    documented = {}
+    rows = re.findall(r"^\| (\S+) \| (`.+?`) \| .+? \| (.+?) \|", README, re.M)
+    for section, names, defaults in rows:
+        section = None if section == "(root)" else section.strip("`")
+        names = [name.strip("`") for name in names.split(", ")]
+        texts = defaults.split(", ") if ", " in defaults else [defaults] * len(names)
+        for name, text in zip(names, texts, strict=True):
+            if text == "the `apparatus` value":
+                value = (getattr(app, name),) * 2
+            else:
+                value = words[text] if text in words else float(text)
+            documented[section, name] = value
+    assert documented == resolved
 
 
 BENCH = Apparatus()
