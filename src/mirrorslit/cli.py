@@ -93,7 +93,7 @@ FIELDS = {
     "scan": {
         "x_min": _NUMBER,
         "x_max": _NUMBER,
-        "positions": _COUNT,
+        "positions": _COUNT._replace(low=2),
         "photons_per_position": Field("integer"),
         "seed": _SEED,
         "freeze_detectors": Field("boolean"),
@@ -180,24 +180,30 @@ def load(config: dict) -> Run:
     """Build every input of a run from ``read_config``'s sections, whichever
     command runs, each field not given at its default below.  The library
     constructors check the values and raise ValueError; a fringe period F_s
-    outside (0, inf) is a FloatingPointError."""
+    outside (0, inf), or a judged extent x_max whose square overflows, is a
+    FloatingPointError."""
     app = Apparatus(**config["apparatus"])
     f_s = fringe_spacing(app)
     if not 0 < f_s < math.inf:  # a product of floats, which numpy never sees
         flow = "overflow" if f_s else "underflow"
         raise FloatingPointError(f"{flow} encountered in the fringe period")
     x_max = 3.0 * f_s
+    judged = config[None].get("x_max", x_max)
+    search = {"x_max": x_max, "samples": 64, "seed": 0, **config["search"]}
+    # the layouts design.judge aims square the extent it judges
+    for name, extent in (("x_max", judged), ("search.x_max", search["x_max"])):
+        if not math.isfinite(extent * extent):
+            raise FloatingPointError(f"overflow encountered in the square of {name}")
     scan = {"x_min": -x_max, "x_max": x_max, "positions": 41, "photons_per_position": 10_000,
             "seed": 0, **config["scan"]}
     hypothesis = {"kind": "full", "distinguishability": 0.0, **config["hypothesis"]}
-    search = {"x_max": x_max, "samples": 64, "seed": 0, **config["search"]}
     for name in design._SEARCHED:  # the apparatus value, arm that of arm1
         search.setdefault(name, (getattr(app, "arm1" if name == "arm" else name),) * 2)
     grid = np.linspace(scan.pop("x_min"), scan.pop("x_max"), scan.pop("positions"))
     samples, seed = search.pop("samples"), search.pop("seed")
     return Run(
         app,
-        config[None].get("x_max", x_max),
+        judged,
         montecarlo.ScanConfig(grid, **scan),
         OutcomeHypothesis(HypothesisKind(hypothesis["kind"]), hypothesis["distinguishability"]),
         (SearchSpace(**search), samples, seed),

@@ -175,9 +175,10 @@ def _grazing(app: Apparatus, xs) -> Solution:
     sampling width governs."""
     layouts = geometry.aim_detectors(app, xs)
     edges = np.stack([layouts.right[..., 0, 1, :], layouts.left[..., 1, 0, :]], axis=-2)
-    points = np.stack([np.stack(app.slits(), axis=-2), edges], axis=-2)
-    t, h = geometry.mirror_frame(app, layouts.centers[..., None, :], points)
-    half_widths = geometry.project_from_image(t[..., 0], -h[..., 0], t[..., 1], h[..., 1]) * [1, -1]
+    points = np.stack(np.broadcast_arrays(np.stack(app.slits(), axis=-2), edges), axis=-2)
+    centers = geometry._positions_last(layouts.centers, 1)[:, None]
+    t, h = geometry.mirror_frame(app, centers, geometry._positions_last(points, 2))
+    half_widths = geometry.project_from_image(t[0], -h[0], t[1], h[1]) * [1, -1]
     bracketed = (_HALF_WIDTH_LO <= half_widths) & (half_widths <= _HALF_WIDTH_HI)
     failure = np.where(
         layouts.failed(),

@@ -10,8 +10,13 @@ cross-check outputs.
 
 An ``Apparatus`` whose fields are equal-length 1-D arrays is a *batch* of
 candidate apparatus (a scalar field is shared by every candidate).  The
-layout, mirror-frame and routing kernels broadcast over a batch, with its
-candidate axis leading their output arrays.
+layout, mirror-frame and routing kernels broadcast over a batch.
+
+The kernels store their arrays positions-last: the coordinate, slit and
+detector axes first, then a batch's candidate axis, then the positions, so
+numpy loops run along the positions, not over axes of length 2.  Their
+results keep the public layout (candidate axis first, vector axes last) as
+zero-copy transposed views; ``_positions_last`` turns a view back.
 """
 
 from __future__ import annotations
@@ -34,9 +39,8 @@ class DiaphragmClearanceError(GeometryError):
     """A reflected central ray re-intersects the diaphragm plane."""
 
 
-# slit 1 at (+d/2, 0) and slit 2 at (-d/2, 0), in units of d/2
-_SLITS = np.array([[1.0, 0.0], [-1.0, 0.0]])
-_X, _Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+# slit 1 at (+d/2, 0) and slit 2 at (-d/2, 0), in units of d/2: x, then y
+_SLITS = np.array([[1.0, -1.0], [0.0, 0.0]])
 
 
 def _inside(value, hi: float, shapes: set) -> bool:
@@ -48,17 +52,30 @@ def _inside(value, hi: float, shapes: set) -> bool:
     return 0.0 < value < hi
 
 
-def _batched(value, trailing: int):
-    """A batch field with ``trailing`` unit axes appended, so that its
-    candidate axis leads arrays with that many more axes; a scalar as is."""
+def _batched(value) -> np.ndarray:
+    """A field that broadcasts along the positions: a batch field as a
+    (c, 1) column, a scalar as shape (1,)."""
     if isinstance(value, np.ndarray):
-        return value.reshape(value.shape + (1,) * trailing)
-    return value
+        return value[:, None]
+    return np.array([value])
 
 
 def _dot(a, b):
-    """Dot product over the last axis (length 2), broadcast elementwise."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    """Dot product over axis 0 (length 2) of arrays or (x, y) pairs."""
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _public(stored: np.ndarray, k: int) -> np.ndarray:
+    """The public view of positions-last storage: its first k axes moved
+    behind the others in reverse order, so the coordinate comes last."""
+    return stored.transpose(*range(k, stored.ndim), *range(k - 1, -1, -1))
+
+
+def _positions_last(a: np.ndarray, k: int) -> np.ndarray:
+    """The positions-last view of a public array such as a ``DetectorLayouts``
+    field: its last k axes (coordinate, slit, detector) first, reversed."""
+    m = a.ndim
+    return a.transpose(*range(m - 1, m - k - 1, -1), *range(m - k))
 
 
 def _positions(x) -> np.ndarray:
@@ -117,25 +134,26 @@ class Apparatus:
     def slits(self) -> tuple[np.ndarray, np.ndarray]:
         """Positions of slit 1 (+d/2) and slit 2 (-d/2) on the diaphragm,
         each of shape (2,), or (c, 2) for a batch of c."""
-        both = _slit_points(self, 0)
+        both = np.asarray(self.slit_separation / 2)[..., None, None] * _SLITS.T
         return both[..., 0, :], both[..., 1, :]
 
 
-def _slit_points(app: Apparatus, trailing: int) -> np.ndarray:
-    """Both slits, shape (..., 2, 2) with the slit on axis -2; a batch's
-    candidate axis leads ``trailing`` unit axes."""
-    return _batched(app.slit_separation / 2, trailing + 2) * _SLITS
+def _slit_points(app: Apparatus, ndim: int) -> np.ndarray:
+    """Both slits positions-last: the coordinate on axis 0 and the slit on
+    axis 1, then ``ndim`` axes that broadcast against those of the mirror
+    centres, a batch's candidate axis next to last."""
+    return _SLITS.reshape((2, 2) + (1,) * ndim) * _batched(app.slit_separation / 2)
 
 
 def _centers(app: Apparatus, xs) -> np.ndarray:
-    """Mirror centres (x, L) at finite positions xs, shape (..., 2): 1-D xs.shape
-    for one apparatus, (c, len(xs)) for a batch, or (c, k) for k per candidate."""
+    """Mirror centres (x, L) at finite positions xs, positions-last: shape
+    (2,) + 1-D xs.shape for one apparatus, (2, c, len(xs)) for a batch of c,
+    whichever of its fields are arrays, or (2, c, k) for k per candidate."""
     xs = np.atleast_1d(_positions(xs))
-    length = _batched(app.screen_distance, 1)
-    shape = np.broadcast_shapes(xs.shape, length.shape) if np.ndim(length) else xs.shape
-    centers = np.empty(shape + (2,))
-    centers[..., 0] = xs
-    centers[..., 1] = length
+    batch = [v.shape + (1,) for v in vars(app).values() if isinstance(v, np.ndarray)]
+    centers = np.empty((2,) + np.broadcast_shapes(xs.shape, *batch))
+    centers[0] = xs
+    centers[1] = _batched(app.screen_distance)
     return centers
 
 
@@ -149,7 +167,8 @@ class DetectorLayouts:
     right aperture edge.  Edges are labelled left/right looking along the
     arriving central ray (left = counterclockwise perpendicular of the
     propagation direction).  For a batch of apparatus every array gains a
-    leading candidate axis.
+    leading candidate axis.  ``aim_detectors`` returns views of its
+    positions-last storage.
 
     ``grazing`` marks, per row and slit, a slit lying on the mirror line;
     ``blocked`` a central reflected ray that crosses the diaphragm plane
@@ -209,22 +228,22 @@ def mirror_axes(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
     dips toward the diaphragm, so the surface normal sends central reflected
     rays off to the -x side, well away from the diaphragm plane.
     """
-    return _axes(app, 0)
+    return tuple(np.stack(axis, axis=-1) for axis in _axes(app.mirror_angle))
 
 
-def _axes(app: Apparatus, trailing: int) -> tuple[np.ndarray, np.ndarray]:
-    """``mirror_axes`` with, for a batch, ``trailing`` unit axes between the
-    candidate axis and the vector axis."""
-    theta = _batched(app.mirror_angle, trailing + 1)
+def _axes(theta):
+    """The (x, y) components of ``mirror_axes``'s two vectors at mirror
+    angle(s) theta: cos X - sin Y and -sin X - cos Y, whose products with
+    0 and 1 and sums with 0 round nothing."""
     cos, sin = np.cos(theta), np.sin(theta)
-    # exact: products with 0 and 1 and sums with 0 round nothing
-    return cos * _X - sin * _Y, -sin * _X - cos * _Y
+    return (cos, -sin), (-sin, -cos)
 
 
 def mirror_frame(app: Apparatus, centers, points) -> tuple[np.ndarray, np.ndarray]:
-    """(along, height) coordinates of points about mirror centres; both
-    arrays of shape (..., 2), broadcast against each other, with a batch's
-    candidate axis leading.
+    """(along, height) coordinates of points about mirror centres, both
+    arrays positions-last: ``centers`` and ``points`` have the coordinate
+    on axis 0, broadcast against each other, and a batch's candidate axis
+    next to last.
 
     ``along`` runs along ``mirror_axes`` toward the mirror's +x end and
     ``height`` along its normal, so the diaphragm side has positive height.
@@ -233,7 +252,7 @@ def mirror_frame(app: Apparatus, centers, points) -> tuple[np.ndarray, np.ndarra
     image) is the point with its height negated.
     """
     rel = np.asarray(points) - centers
-    along, normal = _axes(app, rel.ndim - 2)
+    along, normal = _axes(_batched(app.mirror_angle))
     return _dot(rel, along), _dot(rel, normal)
 
 
@@ -274,31 +293,28 @@ def aim_detectors(app: Apparatus, xs) -> DetectorLayouts:
     """
     centers = _centers(app, xs)
     # unit incident directions slit -> mirror centre, reflected in place
-    # below; axis -2 is the slit
-    directions = centers[..., None, :] - _slit_points(app, 1)
-    directions /= np.sqrt(_dot(directions, directions))[..., None]
-    _, normal = _axes(app, 2)
+    # below; axis 0 is the coordinate and axis 1 the slit
+    directions = centers[:, None] - _slit_points(app, centers.ndim - 1)
+    directions /= np.sqrt(_dot(directions, directions))
+    _, normal = _axes(_batched(app.mirror_angle))
     vn = _dot(directions, normal)
-    directions -= 2.0 * vn[..., None] * normal
+    for k in (0, 1):
+        directions[k] -= 2.0 * vn * normal[k]
     # the rays start on y = L > 0, so they reach y = 0 only when heading down
-    dy = directions[..., 1]
+    dx, dy = directions
     down = dy < 0
-    x_hit = centers[..., None, 0] - centers[..., None, 1] * directions[..., 0] / np.where(
-        down, dy, -1.0
-    )
-    arms = _batched(app.arm1, 3) * _X[:, None] + _batched(app.arm2, 3) * _Y[:, None]
-    detectors = centers[..., None, :] + arms * directions
+    x_hit = centers[0] - centers[1] * dx / np.where(down, dy, -1.0)
+    detectors = np.empty_like(directions)
+    for slit, arm in enumerate((app.arm1, app.arm2)):
+        detectors[:, slit] = centers + _batched(arm) * directions[:, slit]
     # half the aperture along each ray's counterclockwise perpendicular
-    offset = _batched(app.aperture / 2, 3) * directions[..., ::-1] * np.array([-1.0, 1.0])
+    offset = _batched(app.aperture / 2) * directions[::-1]
+    offset[0] *= -1.0
+    blocked = down & (np.abs(x_hit) < 10 * _batched(app.slit_separation))
     return DetectorLayouts(
-        centers=centers,
-        directions=directions,
-        detectors=detectors,
-        left=detectors + offset,
-        right=detectors - offset,
-        grazing=np.abs(vn) < 1e-9,
-        blocked=down & (np.abs(x_hit) < 10 * _batched(app.slit_separation, 2)),
-        x_hit=x_hit,
+        _public(centers, 1),
+        *(_public(a, 2) for a in (directions, detectors, detectors + offset, detectors - offset)),
+        *(_public(a, 1) for a in (np.abs(vn) < 1e-9, blocked, x_hit)),
     )
 
 
@@ -340,15 +356,14 @@ def mirror_footprint(app: Apparatus, xs) -> np.ndarray:
     the span between the projections of the two mirror endpoints onto
     y = L, each along its illuminating ray (slit 1 for the high end, slit 2
     for the low end).  For a batch the candidate axis leads."""
-    slits = _slit_points(app, 1)
-    along, _ = _axes(app, 2)
-    centers = _centers(app, xs)
-    # axis -2: (high end, slit 1) and (low end, slit 2)
-    half = _batched(app.mirror_width / 2, 2) * _SLITS[:, 0]
-    direction = centers[..., None, :] + half[..., None] * along - slits
-    t = (centers[..., None, 1] - slits[..., 1]) / direction[..., 1]
-    feet = slits[..., 0] + t * direction[..., 0]
-    return np.abs(feet[..., 0] - feet[..., 1])
+    (cx, cy), ((ax, ay), _) = _centers(app, xs), _axes(_batched(app.mirror_angle))
+    half, slit = _batched(app.mirror_width / 2), _batched(app.slit_separation / 2)
+    feet = []
+    for sign in _SLITS[0]:  # (high end, slit 1) and (low end, slit 2)
+        end, source = half * sign, slit * sign
+        # the ray from the slit (source, 0) through the mirror end, to y = L
+        feet.append(source + cy / (cy + end * ay) * (cx + end * ax - source))
+    return np.abs(feet[0] - feet[1])
 
 
 def _projected_segment(t_img, h_img, ta, ha, tb, hb):
@@ -388,21 +403,20 @@ def routing_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarra
     the image onto the mirror line and clipped to the mirror, is the
     interval.  A ray that crosses both apertures counts at detector 1.
     """
-    centers = _centers(app, xs)[..., None, :]
-    # below, axis -2 is the slit and axis -1 the detector
-    t_img, h_img = mirror_frame(app, centers, _slit_points(app, 1))
-    t_img, h_img = t_img[..., None], -h_img[..., None]
-    ta, ha = mirror_frame(app, centers, layouts.left)
-    tb, hb = mirror_frame(app, centers, layouts.right)
+    centers = _centers(app, xs)[:, None]
+    # below, positions-last: axis 0 is the detector and axis 1 the slit
+    t_img, h_img = mirror_frame(app, centers, _slit_points(app, centers.ndim - 2))
+    ta, ha = mirror_frame(app, centers, _positions_last(layouts.left, 2))
+    tb, hb = mirror_frame(app, centers, _positions_last(layouts.right, 2))
     ua, ub, empty = _projected_segment(
-        t_img, h_img, ta[..., None, :], ha[..., None, :], tb[..., None, :], hb[..., None, :]
+        t_img[None], -h_img[None], ta[:, None], ha[:, None], tb[:, None], hb[:, None]
     )
-    width = _batched(app.mirror_width, 3)
+    width = _batched(app.mirror_width)
     half = width / 2
     # an empty interval starts at the mirror's upper end, so has no length
     lo = np.where(empty, half, np.maximum(np.minimum(ua, ub), -half))
     hi = np.minimum(np.maximum(ua, ub), half)
     f = np.maximum(hi - lo, 0.0)
     # rays that cross both apertures count at detector 1 only
-    f[..., 1] -= np.maximum(hi.min(axis=-1) - lo.max(axis=-1), 0.0)
-    return f / width
+    f[1] -= np.maximum(hi.min(axis=0) - lo.max(axis=0), 0.0)
+    return _public(f / width, 2)

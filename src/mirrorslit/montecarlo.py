@@ -32,11 +32,10 @@ from .wavemodel import (
     FringePattern,
     OutcomeHypothesis,
     fringe_spacing,
-    fit_visibility,
+    fit_visibilities,
     hypothesis_visibility,
     phase,
     screen_intensity,
-    detector_intensity,
 )
 
 
@@ -45,6 +44,8 @@ class ScanError(ValueError):
 
 
 _MAX_PHOTONS = int(np.iinfo(np.int64).max)
+_RECORD = np.dtype([("x", float), ("n", np.int64), ("n1", np.int64), ("n2", np.int64),
+                    ("misdetected", np.int64), ("i1_theory", float), ("i2_theory", float)])
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,12 @@ def simulate_scan(
     if not verdicts.feasible:
         warnings.warn("apparatus fails design validation; simulating anyway", stacklevel=2)
 
-    v = hypothesis_visibility(hyp)
-    p = (0.5 * _acceptance_rate(app, xs, v))[:, None] * fractions.reshape(-1, 4)
+    # one phase evaluation: its cosine gives the fringe rate (_acceptance_rate)
+    # and detector 1's intensity (detector_intensity), which serves detector
+    # 2 too: its phase is the mirror image of detector 1's, and cos is even
+    cos = np.cos(phase(app, xs))
+    rate = 0.5 * (1.0 + hypothesis_visibility(hyp) * cos)
+    p = (0.5 * rate)[:, None] * fractions.reshape(-1, 4)
     # rounding can carry the sum of p a hair past 1 when the routed shares
     # cover the whole mirror; numpy rejects a negative last probability
     table = np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
@@ -140,25 +145,17 @@ def simulate_scan(
     c11, c12, c21, c22 = counts[:, :4].T
     n1, n2, mis = c11 + c21, c12 + c22, c12 + c21
     n = n1 + n2
-    # detector 2 sees the mirror image of detector 1's phase, and cos is
-    # even, so one evaluation serves both columns
-    intensity = detector_intensity(app, xs, 1)
-    records = np.rec.fromarrays(
-        [xs, n, n1, n2, mis, intensity, intensity],
-        names="x,n,n1,n2,misdetected,i1_theory,i2_theory",
-    )
+    intensity = 2.0 * (1.0 + cos)
+    records = np.recarray(len(xs), _RECORD)
+    for name, column in zip(_RECORD.names, (xs, n, n1, n2, mis, intensity, intensity)):
+        records[name] = column
     total_n = int(n.sum())
-
-    f_s = fringe_spacing(app)
-
-    def fitted(values: np.ndarray) -> float:
-        return fit_visibility(FringePattern(xs, values.astype(float)), f_s).visibility
-
+    fits = fit_visibilities(xs, [n, n1, n2], fringe_spacing(app))
     return ScanSummary(
         records=records,
-        v_total=fitted(n),
-        v_1=fitted(n1),
-        v_2=fitted(n2),
+        v_total=fits[0].visibility,
+        v_1=fits[1].visibility,
+        v_2=fits[2].visibility,
         misdetection_rate=(int(mis.sum()) / total_n) if total_n else 0.0,
         verdicts=verdicts,
     )

@@ -138,27 +138,39 @@ def fit_visibility(pattern: FringePattern, period: float) -> FringeFit:
     shot noise, hence the fit.  Requires a span of at least two periods
     sampled at four or more points per period on average.
     """
+    return fit_visibilities(pattern.positions, [pattern.intensities], period)[0]
+
+
+def fit_visibilities(positions: np.ndarray, columns, period: float) -> list[FringeFit]:
+    """``fit_visibility`` of each column of samples taken at the same
+    increasing positions: the sampling is checked and the design matrix
+    built once, and each column gets its own lstsq, since one lstsq with a
+    2-D right-hand side changes the last bits of V."""
     if period <= 0:
         raise FitError("period must be positive")
-    n = len(pattern)
+    n = len(positions)
     if n < 8:
         raise FitError(f"need at least 8 samples, got {n}")
-    span = float(pattern.positions[-1] - pattern.positions[0])
+    span = float(positions[-1] - positions[0])
     if span < 2.0 * period:
         raise FitError("pattern must span at least two fringe periods")
     if span / (n - 1) > period / 4.0:
         raise FitError("mean sample spacing exceeds a quarter period")
-    u = 2.0 * math.pi * pattern.positions / period
+    u = 2.0 * math.pi * positions / period
     design = np.column_stack([np.ones(n), np.cos(u), np.sin(u)])
-    coef, *_ = np.linalg.lstsq(design, pattern.intensities, rcond=None)
-    a, b, c = (float(v) for v in coef)
-    if a <= 0:
-        raise FitError("degenerate fit: non-positive baseline")
-    v = min(math.hypot(b, c) / a, 1.0)
-    phase = math.atan2(-c, b)
-    residual = pattern.intensities - design @ coef
-    rms = float(np.sqrt(np.mean(residual**2)))
-    return FringeFit(visibility=v, phase=phase, baseline=a, rms_residual=rms)
+    fits = []
+    for values in columns:
+        values = np.asarray(values, dtype=float)
+        coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+        a, b, c = (float(v) for v in coef)
+        if a <= 0:
+            raise FitError("degenerate fit: non-positive baseline")
+        v = min(math.hypot(b, c) / a, 1.0)
+        phase = math.atan2(-c, b)
+        residual = values - design @ coef
+        rms = float(np.sqrt(np.mean(residual**2)))
+        fits.append(FringeFit(visibility=v, phase=phase, baseline=a, rms_residual=rms))
+    return fits
 
 
 def duality_check(p: DualityPoint, tol: float = 1e-9) -> tuple[bool, float]:

@@ -15,7 +15,10 @@ draws and judges one candidate at a time with the scalar ``validate``.
 ``cli`` writes its CSV files with one %-format over whole columns;
 ``curves_csv`` and ``counts_csv`` here write them one row at a time.
 ``visibility`` is the raw-extrema contrast that ``wavemodel.fit_visibility``
-replaces on noisy counts.
+replaces on noisy counts.  ``geometry`` stores its layout and routing
+arrays positions-last; ``coordinate_last_layouts`` and
+``coordinate_last_fractions`` here are the same formulas with the
+coordinate on the last axis, as the kernels were first written.
 """
 
 from __future__ import annotations
@@ -566,3 +569,89 @@ def counts_csv(stamp: list[str], records: np.recarray) -> str:
     for x, n, n1, n2, mis, i1, _ in records.tolist():  # i2_theory is i1_theory
         lines.append(f"{x:.9e},{n},{n1},{n2},{mis}" + f",{i1:.9e}" * 2)
     return "\n".join(lines) + "\n"
+
+
+_X, _Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+# slit 1 at (+d/2, 0) and slit 2 at (-d/2, 0), in units of d/2, one per row
+_SLITS_LAST = np.array([[1.0, 0.0], [-1.0, 0.0]])
+
+
+def _column(value, trailing: int):
+    """A batch field with ``trailing`` unit axes appended; a scalar as is."""
+    if isinstance(value, np.ndarray):
+        return value.reshape(value.shape + (1,) * trailing)
+    return value
+
+
+def _dot_last(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _frame_last(app: Apparatus, centers, points, trailing: int):
+    """``geometry.mirror_frame`` with the coordinate on the last axis."""
+    theta = _column(app.mirror_angle, trailing + 1)
+    cos, sin = np.cos(theta), np.sin(theta)
+    along, normal = cos * _X - sin * _Y, -sin * _X - cos * _Y
+    rel = points - centers
+    return _dot_last(rel, along), _dot_last(rel, normal)
+
+
+def _centers_last(app: Apparatus, xs) -> np.ndarray:
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    length = _column(app.screen_distance, 1)
+    shape = np.broadcast_shapes(xs.shape, length.shape) if np.ndim(length) else xs.shape
+    centers = np.empty(shape + (2,))
+    centers[..., 0] = xs
+    centers[..., 1] = length
+    return centers
+
+
+def coordinate_last_layouts(app: Apparatus, xs) -> DetectorLayouts:
+    """``geometry.aim_detectors`` computed on (..., n, 2, 2) arrays, the
+    candidate axis leading and the coordinate last."""
+    centers = _centers_last(app, xs)
+    directions = centers[..., None, :] - _column(app.slit_separation / 2, 3) * _SLITS_LAST
+    directions /= np.sqrt(_dot_last(directions, directions))[..., None]
+    theta = _column(app.mirror_angle, 3)
+    normal = -np.sin(theta) * _X - np.cos(theta) * _Y
+    vn = _dot_last(directions, normal)
+    directions -= 2.0 * vn[..., None] * normal
+    dy = directions[..., 1]
+    down = dy < 0
+    x_hit = centers[..., None, 0] - centers[..., None, 1] * directions[..., 0] / np.where(
+        down, dy, -1.0
+    )
+    arms = _column(app.arm1, 3) * _X[:, None] + _column(app.arm2, 3) * _Y[:, None]
+    detectors = centers[..., None, :] + arms * directions
+    offset = _column(app.aperture / 2, 3) * directions[..., ::-1] * np.array([-1.0, 1.0])
+    return DetectorLayouts(
+        centers=centers,
+        directions=directions,
+        detectors=detectors,
+        left=detectors + offset,
+        right=detectors - offset,
+        grazing=np.abs(vn) < 1e-9,
+        blocked=down & (np.abs(x_hit) < 10 * _column(app.slit_separation, 2)),
+        x_hit=x_hit,
+    )
+
+
+def coordinate_last_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarray:
+    """``geometry.routing_fractions`` computed on (..., n, 2, 2) arrays, the
+    slit on axis -2 and the detector on axis -1."""
+    centers = _centers_last(app, xs)[..., None, :]
+    slits = _column(app.slit_separation / 2, 3) * _SLITS_LAST
+    t_img, h_img = _frame_last(app, centers, slits, 2)
+    t_img, h_img = t_img[..., None], -h_img[..., None]
+    ta, ha = _frame_last(app, centers, layouts.left, 2)
+    tb, hb = _frame_last(app, centers, layouts.right, 2)
+    ua, ub, empty = geometry._projected_segment(
+        t_img, h_img, ta[..., None, :], ha[..., None, :], tb[..., None, :], hb[..., None, :]
+    )
+    width = _column(app.mirror_width, 3)
+    half = width / 2
+    lo = np.where(empty, half, np.maximum(np.minimum(ua, ub), -half))
+    hi = np.minimum(np.maximum(ua, ub), half)
+    f = np.maximum(hi - lo, 0.0)
+    f[..., 1] -= np.maximum(hi.min(axis=-1) - lo.max(axis=-1), 0.0)
+    return f / width

@@ -144,7 +144,9 @@ class TestOneVerdictPerConfig:
         [
             ({"hypothesis": {"kind": "sideways"}},
              "hypothesis kind must be full, exclusive or partial, got 'sideways'"),
-            ({"scan": {"positions": 1}}, "need at least two scan positions"),
+            ({"scan": {"positions": 1}}, "scan.positions must be >= 2, got 1"),
+            ({"scan": {"positions": 0}}, "scan.positions must be >= 2, got 0"),
+            ({"scan": {"positions": -127}}, "scan.positions must be >= 2, got -127"),
             ({"search": {"samples": 0}}, "search.samples must be >= 1, got 0"),
             ({"search": {"arm": [2, 1]}}, "invalid interval for arm: [2.0, 1.0]"),
             ({"hypothesis": {"kind": "partial", "distinguishability": 1.5}},
@@ -152,9 +154,14 @@ class TestOneVerdictPerConfig:
             # each length is in range, but lambda L / d is 1e-596, below the least float
             ({"apparatus": {"wavelength": 1e-300, "screen_distance": 1e-300}},
              "config values out of numeric range: underflow encountered in the fringe period"),
+            ({"x_max": 1e308},
+             "config values out of numeric range: overflow encountered in the square of x_max"),
+            ({"search": {"x_max": -1e200}}, "config values out of numeric range: "
+             "overflow encountered in the square of search.x_max"),
         ],
-        ids=["hypothesis-kind", "scan-positions", "search-samples", "search-interval",
-             "hypothesis-distinguishability", "fringe-period-underflow"],
+        ids=["hypothesis-kind", "scan-positions", "scan-positions-zero", "scan-positions-negative",
+             "search-samples", "search-interval", "hypothesis-distinguishability",
+             "fringe-period-underflow", "judged-extent-overflow", "search-extent-overflow"],
     )
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_command_exits_one(self, tmp_path, capsys, command, config, error):
@@ -162,6 +169,33 @@ class TestOneVerdictPerConfig:
         assert code == EXIT_USAGE
         assert single_error(capsys) == f"error: {error}"
         assert not out.exists()
+
+
+def test_judged_extent_one_verdict_per_decade(tmp_path, capsys):
+    # validate judges [0, x_max] on layouts that square x_max; load refuses
+    # an x_max whose square overflows, for all four commands alike, and
+    # below that bound no command refuses the config (validate's own
+    # verdict on so long a scan, exit 2, is the design's, not the config's)
+    config = {"scan": {"photons_per_position": 10}, "search": {"samples": 2}}
+    refused = set()
+    for exponent in range(100, 309):
+        codes, errors = set(), set()
+        (tmp_path / str(exponent)).mkdir()
+        for command in COMMANDS:
+            payload = {**config, "x_max": float(f"1e{exponent}")}
+            code, out = run(tmp_path / str(exponent), command, payload)
+            err = capsys.readouterr().err.strip().splitlines()
+            if code == EXIT_USAGE:
+                assert len(err) == 1
+                errors.add(err[0])
+            codes.add(code)
+        assert len({code == EXIT_USAGE for code in codes}) == 1, (exponent, codes)
+        if EXIT_USAGE in codes:
+            assert errors == {"error: config values out of numeric range: "
+                              "overflow encountered in the square of x_max"}
+            assert not out.exists()
+            refused.add(exponent)
+    assert refused == set(range(155, 309))
 
 
 class TestValidateCommand:

@@ -14,6 +14,8 @@ from mirrorslit.wavemodel import fringe_spacing
 from oracle import (
     OffMirrorError,
     clearance_angles,
+    coordinate_last_fractions,
+    coordinate_last_layouts,
     mirror_placement,
     point,
     reflect_direction,
@@ -151,8 +153,9 @@ class TestMirrorFrame:
     def test_ends_on_the_line_and_slits_in_front(self, app, f_s):
         for x in (0.0, 3 * f_s):
             pl = mirror_placement(app, x)
+            # positions-last: the coordinate on axis 0, the four points last
             t, h = geometry.mirror_frame(
-                app, pl.center, np.array([pl.end_low, pl.end_high, *app.slits()])
+                app, pl.center[:, None], np.array([pl.end_low, pl.end_high, *app.slits()]).T
             )
             half = app.mirror_width / 2
             np.testing.assert_allclose(t[:2], [-half, half], rtol=1e-12)
@@ -373,3 +376,74 @@ def test_negative_half_never_worse():
     for pos, neg in zip(positive, negative):
         assert not (neg & ~pos).any()
         assert (pos & ~neg).any()  # the positive half is the stricter one
+
+
+def random_batch(rng, n: int) -> Apparatus:
+    """n random apparatus, shallow and steep tilts included, so that some
+    layouts graze or re-enter the diaphragm."""
+
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    return Apparatus(
+        wavelength=rng.uniform(0.4e-6, 0.9e-6, n),
+        slit_separation=log_uniform(10e-6, 1e-3),
+        screen_distance=log_uniform(0.01, 1.0),
+        mirror_width=log_uniform(10e-6, 3e-3),
+        mirror_angle=rng.uniform(0.01, 1.56, n),
+        arm1=log_uniform(1e-3, 10.0),
+        arm2=log_uniform(1e-3, 10.0),
+        aperture=log_uniform(0.1e-3, 30e-3),
+    )
+
+
+def candidate(batch: Apparatus, i: int) -> Apparatus:
+    fields = vars(batch).items()
+    return Apparatus(**{k: float(v[i]) if np.ndim(v) else v for k, v in fields})
+
+
+class TestPositionsLastKernels:
+    """The positions-last kernels against the coordinate-last formulas kept
+    in tests/oracle.py: equal arrays, signs of zeros included."""
+
+    FIELDS = ("centers", "directions", "detectors", "left", "right", "grazing", "blocked", "x_hit")
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    def check(self, app, xs, aim_at=None):
+        aim_at = xs if aim_at is None else aim_at
+        layouts, expected = geometry.aim_detectors(app, aim_at), coordinate_last_layouts(app, aim_at)
+        for name in self.FIELDS:
+            self.assert_same(getattr(layouts, name), getattr(expected, name))
+        self.assert_same(
+            geometry.routing_fractions(app, xs, layouts),
+            coordinate_last_fractions(app, xs, expected),
+        )
+        return layouts
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_and_batched(self, seed):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, 12)
+        f_s = fringe_spacing(batch)
+        grid = np.linspace(-3.0, 3.0, 41) * np.median(f_s)
+        own = rng.uniform(-6.0, 6.0, (12, 5)) * f_s[:, None]
+        self.check(batch, grid)
+        layouts = self.check(batch, own)
+        for i in range(12):
+            single = candidate(batch, i)
+            self.check(single, grid)
+            # the (1, 2) @ (2, 1) BLAS dot: a batch row and the single
+            # apparatus agree to the last bit
+            for row in range(5):
+                expected = geometry.separations(geometry.aim_detectors(single, own[i]), row)
+                self.assert_same(geometry.separations(layouts, row)[i], expected)
+
+    def test_frozen_one_row_layout(self, app, f_s):
+        grid = np.linspace(-3.0 * f_s, 3.0 * f_s, 41)
+        for a in (app, Apparatus(mirror_width=0.6e-3, mirror_angle=0.9)):
+            self.check(a, grid, aim_at=0.0)
+        self.check(random_batch(np.random.default_rng(3), 8), grid, aim_at=0.0)

@@ -21,6 +21,7 @@ from mirrorslit.wavemodel import (
     detector_intensity,
     duality_check,
     DualityPoint,
+    fit_visibility,
     fringe_spacing,
     hypothesis_visibility,
     screen_intensity,
@@ -316,6 +317,53 @@ class TestSimulateScan:
             assert (record.n1, record.n2, record.misdetected) == expected
             assert record.i1_theory == record.i2_theory == detector_intensity(app, x, 1)
         assert summary.misdetection_rate > 0.0
+
+
+class TestComputedOnce:
+    """``simulate_scan`` evaluates the phase once, fits its three count
+    columns on one design matrix and fills its records in place; every
+    result equals that of the public function, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "hyp",
+        [FULL, EXCLUSIVE, OutcomeHypothesis(HypothesisKind.PARTIAL, 0.6)],
+        ids=["full", "exclusive", "partial-0.6"],
+    )
+    @pytest.mark.parametrize(
+        "positions, frozen", [(41, False), (1001, False), (41, True)], ids=["41", "1001", "frozen"]
+    )
+    def test_equals_the_public_functions(self, app, f_s, monkeypatch, seed, hyp, positions, frozen):
+        xs = np.linspace(-3 * f_s, 3 * f_s, positions)
+        tables = []
+        default_rng = np.random.default_rng
+
+        class Recording:  # the scan's generator, keeping the table it draws from
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def multinomial(self, n, pvals):
+                tables.append(pvals)
+                return self.rng.multinomial(n, pvals)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the frozen layout fails validation
+            summary = simulate_scan(app, ScanConfig(xs, 1000, seed, frozen), hyp)
+        monkeypatch.undo()
+        records = summary.records
+        for fitted, name in ((summary.v_total, "n"), (summary.v_1, "n1"), (summary.v_2, "n2")):
+            assert fitted == fit_visibility(FringePattern(xs, records[name]), f_s).visibility
+        intensity = detector_intensity(app, xs, 1)
+        assert np.array_equal(records.i1_theory, intensity)
+        assert np.array_equal(records.i2_theory, intensity)
+        rate = montecarlo._acceptance_rate(app, xs, hypothesis_visibility(hyp))
+        layouts = geometry.detector_layouts(app, 0.0 if frozen else xs)
+        fractions = geometry.routing_fractions(app, xs, layouts)
+        (table,) = tables
+        assert np.array_equal(table[:, :4], (0.5 * rate)[:, None] * fractions.reshape(-1, 4))
+        assert records.dtype.names == ("x", "n", "n1", "n2", "misdetected", "i1_theory", "i2_theory")
+        assert np.array_equal(records.x, xs)
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 1, 10**41]
