@@ -180,8 +180,8 @@ def load(config: dict) -> Run:
     """Build every input of a run from ``read_config``'s sections, whichever
     command runs, each field not given at its default below.  The library
     constructors check the values and raise ValueError; a fringe period F_s
-    outside (0, inf), or a judged extent x_max whose square overflows, is a
-    FloatingPointError."""
+    outside (0, inf), or a length whose square the layouts would overflow,
+    is a FloatingPointError."""
     app = Apparatus(**config["apparatus"])
     f_s = fringe_spacing(app)
     if not 0 < f_s < math.inf:  # a product of floats, which numpy never sees
@@ -189,16 +189,28 @@ def load(config: dict) -> Run:
         raise FloatingPointError(f"{flow} encountered in the fringe period")
     x_max = 3.0 * f_s
     judged = config[None].get("x_max", x_max)
-    search = {"x_max": x_max, "samples": 64, "seed": 0, **config["search"]}
-    # the layouts design.judge aims square the extent it judges
-    for name, extent in (("x_max", judged), ("search.x_max", search["x_max"])):
-        if not math.isfinite(extent * extent):
-            raise FloatingPointError(f"overflow encountered in the square of {name}")
     scan = {"x_min": -x_max, "x_max": x_max, "positions": 41, "photons_per_position": 10_000,
             "seed": 0, **config["scan"]}
     hypothesis = {"kind": "full", "distinguishability": 0.0, **config["hypothesis"]}
+    search = {"x_max": x_max, "samples": 64, "seed": 0, **config["search"]}
     for name in design._SEARCHED:  # the apparatus value, arm that of arm1
         search.setdefault(name, (getattr(app, "arm1" if name == "arm" else name),) * 2)
+    # The layouts of validate, simulate and search square distances from a
+    # mirror at x to a slit or a detector edge, at most |x| plus the largest
+    # lengths of the apparatus and of the search space (whose candidates have
+    # two equal arms).  x is a judged or scanned extent, or 3 F_s, where
+    # design.solve aims at slit 1.
+    top = {name: max(getattr(app, name), search[name][1])
+           for name in ("wavelength", "slit_separation", "screen_distance", "aperture")}
+    lengths = (top["slit_separation"] / 2 + top["screen_distance"] + top["aperture"]
+               + max(app.arm1 + app.arm2, 2.0 * search["arm"][1]))
+    d_lo = min(app.slit_separation, search["slit_separation"][0])  # <= 0: SearchSpace refuses
+    probe = 3.0 * top["wavelength"] * top["screen_distance"] / d_lo if d_lo > 0 else 0.0
+    extents = {"the apparatus lengths": 0.0, "x_max": judged, "search.x_max": search["x_max"],
+               "3 F_s": probe, "scan.x_min": scan["x_min"], "scan.x_max": scan["x_max"]}
+    for name, extent in extents.items():
+        if not math.isfinite((abs(extent) + lengths) * (abs(extent) + lengths)):
+            raise FloatingPointError(f"overflow encountered in the square of {name}")
     grid = np.linspace(scan.pop("x_min"), scan.pop("x_max"), scan.pop("positions"))
     samples, seed = search.pop("samples"), search.pop("seed")
     return Run(
@@ -258,27 +270,21 @@ def _float_pieces(values: np.ndarray) -> list[np.ndarray]:
     unless its fraction lies within 1e-5 of one half.  Those entries, zeros,
     non-finite values and |v| outside [1e-290, 1e290] go through ``"%.9e"``
     one at a time.  An error of one ulp in log10 next to a power of ten only
-    moves m to 10^9 or 10^10, which the carry handles.  m < 2^53, so float
-    divmod splits its digits exactly."""
+    moves m to 10^9 or 10^10, which the carry handles."""
     magnitude = np.abs(values)
     odd = ~((magnitude >= 1e-290) & (magnitude <= 1e290))
     magnitude[odd] = 1.0  # any finite value: "%" prints these entries
-    exponent = np.floor(np.log10(magnitude))
-    scaled = magnitude * _POW10[(299 - exponent).astype(np.intp)]
-    mantissa = np.rint(scaled)
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+    scaled = magnitude * _POW10[299 - exponent]
+    mantissa = np.rint(scaled).astype(np.int64)
     odd |= np.abs(scaled - mantissa) > 0.5 - 1e-5
-    carry = mantissa == 1e10
-    mantissa[carry] = 1e9
+    carry = mantissa == 10**10
+    mantissa[carry] = 10**9
     exponent[carry] += 1
-    lead, rest = np.divmod(mantissa, 1e7)  # the first three digits
-    middle, trail = np.divmod(rest, 1e3)
-    pieces = [
-        np.where(np.signbit(values), b"-", b""),
-        _LEADS[lead.astype(np.intp)],
-        _DIGITS[middle.astype(np.intp)],
-        _TRAILS[trail.astype(np.intp)],
-        _EXPONENTS[exponent.astype(np.intp) + 290],
-    ]
+    lead, rest = np.divmod(mantissa, 10**7)  # the first three digits
+    middle, trail = np.divmod(rest, 10**3)
+    pieces = [np.where(np.signbit(values), b"-", b""), _LEADS[lead], _DIGITS[middle],
+              _TRAILS[trail], _EXPONENTS[exponent + 290]]
     for i in np.flatnonzero(odd).tolist():
         text = b"%.9e" % values[i]
         for piece, start in zip(pieces, (0, 1, 5, 9, 13)):

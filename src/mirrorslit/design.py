@@ -128,10 +128,12 @@ def _short_scan(x0: float, app: Apparatus) -> str:
 def _sampling(app: Apparatus, x0: float):
     """The sampling rule for a scan over [0, x0], per candidate of a batch:
     whether the scan exceeds two fringe periods, whether it also keeps the
-    mirror footprint on the screen line (``geometry.mirror_footprint`` on
-    a grid 0 <= x <= x0) under F_s / 2, and the worst footprint."""
+    mirror footprint on the screen line (``geometry.mirror_footprint``)
+    under F_s / 2 for 0 <= x <= x0, and the worst footprint.  Both ends of
+    the footprint move affinely with x, so their distance peaks at x = 0 or
+    x = x0, the two positions read."""
     f_s = fringe_spacing(app)
-    worst = np.max(geometry.mirror_footprint(app, np.linspace(0.0, x0, 101)), axis=-1)
+    worst = np.max(geometry.mirror_footprint(app, [0.0, x0]), axis=-1)
     long_scan = x0 > 2.0 * f_s
     return long_scan, long_scan & (worst < f_s / 2.0), worst
 

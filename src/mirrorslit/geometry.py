@@ -52,12 +52,10 @@ def _inside(value, hi: float, shapes: set) -> bool:
     return 0.0 < value < hi
 
 
-def _batched(value) -> np.ndarray:
+def _batched(value):
     """A field that broadcasts along the positions: a batch field as a
-    (c, 1) column, a scalar as shape (1,)."""
-    if isinstance(value, np.ndarray):
-        return value[:, None]
-    return np.array([value])
+    (c, 1) column, a scalar as it is."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
 
 
 def _dot(a, b):
@@ -209,15 +207,11 @@ class DetectorLayouts:
 def path_lengths(app: Apparatus, x) -> tuple:
     """Exact distances from each slit to the mirror center at (x, L).
 
-    Floats for a scalar x, arrays for an array of positions.
+    Numpy floats for a scalar x, arrays for an array of positions.
     """
     xs = _positions(x)
     half = app.slit_separation / 2
-    d1 = np.hypot(xs - half, app.screen_distance)
-    d2 = np.hypot(xs + half, app.screen_distance)
-    if xs.ndim == 0:
-        return float(d1), float(d2)
-    return d1, d2
+    return np.hypot(xs - half, app.screen_distance), np.hypot(xs + half, app.screen_distance)
 
 
 def mirror_axes(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
@@ -267,19 +261,16 @@ def incidence_angles(app: Apparatus, x) -> tuple:
     """Signed angles at the mirror center between the normal and each slit ray.
 
     Positive when the slit lies on the counterclockwise side of the normal;
-    gamma1 (slit at +d/2) exceeds gamma2 for every x.  Floats for a scalar
-    x, arrays for an array of positions.
+    gamma1 (slit at +d/2) exceeds gamma2 for every x.  Numpy floats for a
+    scalar x, arrays for an array of positions.
     """
     xs = _positions(x)
     half = app.slit_separation / 2
     _, (n0, n1) = mirror_axes(app)
     vy = -app.screen_distance
-    g1, g2 = (
+    return tuple(
         np.arctan2(n0 * vy - n1 * vx, n0 * vx + n1 * vy) for vx in (half - xs, -half - xs)
     )
-    if xs.ndim == 0:
-        return float(g1), float(g2)
-    return g1, g2
 
 
 def aim_detectors(app: Apparatus, xs) -> DetectorLayouts:

@@ -106,9 +106,8 @@ def phase(app: Apparatus, x) -> np.ndarray | float:
 
 def screen_intensity(app: Apparatus, x) -> np.ndarray | float:
     """Two-beam intensity 2(1 + cos(k (d1 - d2))) at screen position(s) x."""
-    d1, d2 = path_lengths(app, np.atleast_1d(np.asarray(x, dtype=float)))
-    out = 2.0 * (1.0 + np.cos(wave_number(app) * (d1 - d2)))
-    return out if np.ndim(x) else float(out[0])
+    d1, d2 = path_lengths(app, x)
+    return 2.0 * (1.0 + np.cos(wave_number(app) * (d1 - d2)))
 
 
 def detector_intensity(app: Apparatus, x, which: int) -> np.ndarray | float:
@@ -118,8 +117,7 @@ def detector_intensity(app: Apparatus, x, which: int) -> np.ndarray | float:
     if which not in (1, 2):
         raise ValueError("detector index must be 1 or 2")
     p = phase(app, x)
-    out = 2.0 * (1.0 + np.cos(p if which == 1 else -p))
-    return out if np.ndim(x) else float(out)
+    return 2.0 * (1.0 + np.cos(p if which == 1 else -p))
 
 
 @dataclass(frozen=True)

@@ -358,8 +358,8 @@ def bisect_required_width(app: Apparatus) -> float:
 
 def sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
     """``design._sampling``'s rule for one apparatus: whether the mirror
-    footprint on the screen line (on a grid 0 <= x <= x0) stays under
-    F_s / 2, and the worst footprint.  x0 must exceed two fringe periods
+    footprint on the screen line stays under F_s / 2 for 0 <= x <= x0, and
+    the worst footprint.  x0 must exceed two fringe periods
     for the scan to be meaningful at all."""
     long_scan, ok, worst = design._sampling(app, x0)
     if not long_scan:
@@ -368,16 +368,20 @@ def sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
 
 
 def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
-    """``sampling_constraint`` one mirror placement at a time."""
+    """``sampling_constraint`` one mirror position at a time, on a grid of
+    101 positions 0 <= x <= x0."""
     f_s = fringe_spacing(app)
     if x0 <= 2.0 * f_s:
         raise DesignError(f"scan extent {x0} must exceed two fringe periods {2 * f_s}")
     s1, s2 = app.slits()
+    # the mirror ends as ``mirror_placement`` places them
+    along, _ = geometry.mirror_axes(app)
+    half = app.mirror_width / 2
     worst = 0.0
     for x in np.linspace(0.0, x0, 101):
-        pl = mirror_placement(app, x)
+        center = point(x, app.screen_distance)
         feet = []
-        for endpoint, slit in ((pl.end_high, s1), (pl.end_low, s2)):
+        for endpoint, slit in ((center + half * along, s1), (center - half * along, s2)):
             direction = endpoint - slit
             t = (app.screen_distance - slit[1]) / direction[1]
             feet.append(slit[0] + t * direction[0])
@@ -385,28 +389,56 @@ def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
     return bool(worst < f_s / 2.0), float(worst)
 
 
+def _cross(a, b):
+    """The 2D cross product a x b over the last axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
 def traced_misdetection_free(app: Apparatus, xs, n_points: int = 2001) -> bool:
     """True when, at every position in ``xs`` with the detectors re-aimed
     there, no ray reflected at ``n_points`` evenly spaced mirror points,
-    both ends included, reaches the other slit's detector.  Every position
-    is traced in one array call; a ray crossing both apertures counts at
-    detector 1, as in ``route_rays``."""
+    both ends included, reaches the other slit's detector.  A ray crossing
+    both apertures counts at detector 1, as in ``route_rays``.
+
+    Each slit's rays at every position are traced in one array pass, slit
+    2's against detector 1 alone.  The mirror point a fraction f along the
+    mirror is p = low + f m, m running from ``end_low`` to ``end_high``.
+    Reflection is linear and keeps m, so the ray from slit s leaves p along
+    r = refl(low - s) + f m.  It crosses the aperture segment left + u g at
+    p + t r, where t = (w x g) / (r x g) and u = (w x r) / (r x g) with
+    w = left - p.  Since m x m = 0, all three cross products are affine in
+    f: one multiply-add per ray each."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     layouts = geometry.detector_layouts(app, xs)
     along, normal = geometry.mirror_axes(app)
     half = app.mirror_width / 2
+    m = 2.0 * half * along
+    # ``end_low`` of ``mirror_placement`` at each position
+    low = np.stack([xs - half * along[0], np.full(len(xs), app.screen_distance - half * along[1])], -1)
     frac = np.linspace(0.0, 1.0, n_points)
-    # mirror points as in ``mirror_placement``, axes (position, point)
-    low_x, high_x = xs - half * along[0], xs + half * along[0]
-    low_y, high_y = app.screen_distance - half * along[1], app.screen_distance + half * along[1]
-    px = low_x[:, None] + frac * (high_x - low_x)[:, None]
-    py = np.broadcast_to(low_y + frac * (high_y - low_y), px.shape)
-    edges = (layouts.left[:, None], layouts.right[:, None])
-    for slit, (sx, sy) in zip((1, 2), app.slits()):
-        hits = _reflect_and_route(px, py, sx, sy, normal, edges)
-        if np.any((hits != 0) & (hits != slit)):
-            return False
-    return True
+
+    def crossings(source, detectors):
+        """Whether each ray from ``source`` crosses the aperture of each of
+        ``detectors``: axes (position, detector, mirror point)."""
+        g = layouts.right[:, detectors] - layouts.left[:, detectors]
+        w = layouts.left[:, detectors] - low[:, None]  # at f = 0
+        incident = low - source
+        r = (incident - 2.0 * (incident @ normal)[:, None] * normal)[:, None]  # at f = 0
+
+        def along_mirror(at_low, slope):
+            return at_low[..., None] + slope[..., None] * frac
+
+        denom = along_mirror(_cross(r, g), _cross(m, g))
+        t = along_mirror(_cross(w, g), -_cross(m, g)) / denom
+        u = along_mirror(_cross(w, r), _cross(w, m) + _cross(r, m)) / denom
+        return (t > 0) & (u >= 0.0) & (u <= 1.0)
+
+    s1, s2 = app.slits()
+    # slit 2 first: its rays are mis-detected wherever they cross detector 1
+    if crossings(s2, [0]).any():
+        return False
+    both = crossings(s1, [0, 1])
+    return not (both[:, 1] & ~both[:, 0]).any()
 
 
 def loop_validate(app: Apparatus, x_max: float) -> DesignReport:

@@ -198,6 +198,36 @@ def test_judged_extent_one_verdict_per_decade(tmp_path, capsys):
     assert refused == set(range(155, 309))
 
 
+LENGTHS = [f"apparatus.{field.name}" for field in dataclasses.fields(Apparatus)
+           if field.name != "mirror_angle"]
+
+
+@pytest.mark.parametrize("field", LENGTHS + ["scan.x_max", "search.x_max"])
+def test_huge_lengths_one_verdict_per_decade(tmp_path, capsys, field):
+    # each apparatus length and scan or search extent at every decade
+    # 1e100 - 1e300 (the root x_max: the test above): load refuses a length
+    # whose square the layouts would overflow, for all four commands alike,
+    # and no command meets an overflow that load let through; the refused
+    # decades run up to 1e300
+    section, name = field.split(".")
+    refused = []
+    for exponent in range(100, 301):
+        config = {"scan": {"photons_per_position": 10}, "search": {"samples": 2}}
+        config.setdefault(section, {})[name] = float(f"1e{exponent}")
+        argv = ["--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "out")]
+        codes, errors = [], set()
+        for command in COMMANDS:
+            codes.append(main([command, *argv]))
+            if codes[-1] == EXIT_USAGE:
+                errors.add(single_error(capsys))
+        capsys.readouterr()
+        if EXIT_USAGE in codes:
+            assert codes == [EXIT_USAGE] * 4 and len(errors) == 1, (exponent, codes, errors)
+            assert errors.pop().startswith("error: config values out of numeric range: ")
+            refused.append(exponent)
+    assert not refused or refused == list(range(refused[0], 301)), refused
+
+
 class TestValidateCommand:
     def test_bench_design_exits_zero(self, tmp_path):
         code, out = run(tmp_path, "validate", {})

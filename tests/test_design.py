@@ -427,6 +427,31 @@ class TestValidateAgainstLoop:
         assert all(seen[name] == {True, False} for name in self.VERDICTS), seen
         assert same_limits >= 290
 
+    def test_batch_footprint(self):
+        # seed 29: a block of 128 draws from the design_sweep search space
+        # with mirror widths 1 um - 2 mm; for each of four extents x0 in
+        # 0.1 - 5 mm, one _sampling call judges the whole block, and per
+        # candidate its verdict and worst footprint equal the 101-point
+        # loop's exactly, or the loop refuses the scan as too short
+        rng = np.random.default_rng(29)
+        space = [(4e-7, 9e-7), (5e-5, 2e-4), (0.05, 0.2), (0.5, 1.1), (1.0, 10.0), (3e-4, 2e-3)]
+        lo, hi = np.array(space).T
+        draws = rng.uniform(lo, hi, size=(128, len(space)))
+        widths = rng.uniform(1e-6, 2e-3, size=128)
+        batch = design._candidates(draws.T, mirror_width=widths)
+        seen = set()
+        for x0 in rng.uniform(0.1e-3, 5e-3, size=4):
+            long_scan, ok, worst = design._sampling(batch, x0)
+            for i, (row, width) in enumerate(zip(draws.tolist(), widths.tolist())):
+                app = design._candidates(row, mirror_width=width)
+                if long_scan[i]:
+                    assert loop_sampling_constraint(app, x0) == (ok[i], worst[i]), (app, x0)
+                else:
+                    with pytest.raises(DesignError):
+                        loop_sampling_constraint(app, x0)
+                seen.add((bool(long_scan[i]), bool(ok[i])))
+        assert seen == {(False, False), (True, False), (True, True)}
+
 
 class TestShallowTiltMisdetection:
     # draw 125 of TestValidateAgainstLoop's seed-403 set: at a 0.0166 rad
