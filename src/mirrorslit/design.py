@@ -13,7 +13,7 @@ and ``design_search`` solves blocks of draws, judges a few and reports on one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,30 +140,19 @@ def _sampling(app: Apparatus, x0: float):
 
 @dataclass(frozen=True)
 class Solution:
-    """Grazing limits w1, w2 (axis -1, after a batch's candidate axis), solved on ``layouts``
-    row 0 for slit 1 and row 1 for slit 2.  None of it depends on the mirror width."""
+    """Grazing limits w1, w2 (axis -1, after a batch's candidate axis), solved with
+    the detectors aimed at ``probes``.  None of it depends on the mirror width."""
 
+    probes: np.ndarray  # the x of each slit's limit
     half_widths: np.ndarray  # w1 and w2 as solved, failed or not
     failure: np.ndarray  # SOLVED, GRAZING, BLOCKED or UNBRACKETED
     required_width: np.ndarray  # 2 min(w'/2, w1, w2), failed limits as inf
-    separation: np.ndarray  # L12 = |D1 - D2| in row 1
-    layouts: DetectorLayouts
-
-    def raise_failure(self, slit: int) -> None:
-        """For one apparatus, raise the error of the slit's limit if it
-        failed: BracketError, or the error of its layout."""
-        i = slit - 1
-        if self.failure[i] == UNBRACKETED:
-            raise BracketError(
-                f"grazing limit {self.half_widths[i]:.3g} m not within [{_HALF_WIDTH_LO}, "
-                f"{_HALF_WIDTH_HI}] m; width is limited by the sampling constraint instead"
-            )
-        _row(self.layouts, slice(i, i + 1)).raise_first_failure()
+    separation: np.ndarray  # L12 = |D1 - D2| at the slit-2 probe
 
 
 def _row(batch, i):
-    """Row i (an index or a slice) of a batch dataclass, nested ones included."""
-    return type(batch)(*(_row(a, i) if is_dataclass(a) else a[i] for a in vars(batch).values()))
+    """Row i of a batch dataclass of arrays."""
+    return type(batch)(*(a[i] for a in vars(batch).values()))
 
 
 def _grazing(app: Apparatus, xs) -> Solution:
@@ -178,8 +167,8 @@ def _grazing(app: Apparatus, xs) -> Solution:
     layouts = geometry.aim_detectors(app, xs)
     edges = np.stack([layouts.right[..., 0, 1, :], layouts.left[..., 1, 0, :]], axis=-2)
     points = np.stack(np.broadcast_arrays(np.stack(app.slits(), axis=-2), edges), axis=-2)
-    centers = geometry._positions_last(layouts.centers, 1)[:, None]
-    t, h = geometry.mirror_frame(app, centers, geometry._positions_last(points, 2))
+    centers = np.moveaxis(layouts.centers, -1, 0)[:, None]
+    t, h = geometry.mirror_frame(app, centers, np.moveaxis(points, (-1, -2), (0, 1)))
     half_widths = geometry.project_from_image(t[0], -h[0], t[1], h[1]) * [1, -1]
     bracketed = (_HALF_WIDTH_LO <= half_widths) & (half_widths <= _HALF_WIDTH_HI)
     failure = np.where(
@@ -189,7 +178,7 @@ def _grazing(app: Apparatus, xs) -> Solution:
     )
     limits = np.where(failure == SOLVED, half_widths, np.inf)
     required_width = 2.0 * np.minimum(default_mirror_params(app)[0] / 2.0, limits.min(axis=-1))
-    return Solution(half_widths, failure, required_width, geometry.separations(layouts, 1), layouts)
+    return Solution(xs, half_widths, failure, required_width, geometry.separations(layouts, 1))
 
 
 def solve(app: Apparatus) -> Solution:
@@ -204,20 +193,29 @@ def solve(app: Apparatus) -> Solution:
 
 def limiting_half_width(app: Apparatus, x: float, slit: int) -> float:
     """The slit's grazing limit, the detectors aimed at x (``_grazing``); when it
-    fails, raises BracketError or the error of the layout at x."""
+    fails, raises BracketError or the error ``geometry.detector_layouts`` raises at x."""
     if slit not in (1, 2):
         raise DesignError("slit must be 1 or 2")
-    solution = _grazing(app, [x, x])
-    solution.raise_failure(slit)
-    return float(solution.half_widths[slit - 1])
+    i = slit - 1
+    solution = _grazing(app, np.array([x, x]))
+    if solution.failure[i] == UNBRACKETED:
+        raise BracketError(
+            f"grazing limit {solution.half_widths[i]:.3g} m not within [{_HALF_WIDTH_LO}, "
+            f"{_HALF_WIDTH_HI}] m; width is limited by the sampling constraint instead"
+        )
+    if solution.failure[i] != SOLVED:
+        geometry.detector_layouts(app, x)
+    return float(solution.half_widths[i])
 
 
 def required_mirror_width(app: Apparatus) -> float:
     """``solve``'s required width 2 min(w'/2, w1, w2); raises as
-    ``limiting_half_width`` does when either limit fails, slit 1 first."""
+    ``limiting_half_width`` does at ``solve``'s probes when either limit
+    fails, slit 1 first."""
     solution = solve(app)
-    solution.raise_failure(1)
-    solution.raise_failure(2)
+    for slit, (x, failure) in enumerate(zip(solution.probes, solution.failure), 1):
+        if failure != SOLVED:
+            limiting_half_width(app, x, slit)
     return float(solution.required_width)
 
 
@@ -255,11 +253,12 @@ def judge(
 
 def _report(app: Apparatus, x_max: float, solution, verdicts, layouts) -> DesignReport:
     """One apparatus's report, warnings included, from its ``solve`` and ``judge``
-    results.  A limit that failed on grazing incidence raises its layout error."""
+    results.  A limit that failed on grazing incidence raises as ``limiting_half_width``
+    does at its probe."""
     warnings_list = app.regime_warnings()
     for slit, failure in enumerate(solution.failure.tolist(), 1):
         if failure == GRAZING:
-            solution.raise_failure(slit)
+            limiting_half_width(app, solution.probes[slit - 1], slit)
         elif failure == BLOCKED:
             warnings_list.append(
                 f"slit-{slit} grazing limit undefined: reflected beam hits the diaphragm"

@@ -1,4 +1,4 @@
-"""Scalar two-beam intensities, fringe visibility, and the duality tradeoff.
+"""Two-beam intensities over arrays of positions, fringe visibility, and the duality tradeoff.
 
 Intensities keep the unnormalized two-beam convention (amplitude 1 per
 slit, range 0..4); the Monte Carlo layer rescales counts by its own rate.

@@ -209,6 +209,22 @@ class TestValidate:
         assert not report.feasible
         assert report.warnings
 
+    def test_slit_on_mirror_line_at_a_probe_raises(self):
+        # at this tilt slit 1 lies on the mirror line at its probe x = 3 F_s,
+        # beyond the judged grid [0, 2.5 F_s], so only its grazing limit raises
+        grazing = geometry.GrazingIncidenceError
+        app = Apparatus(slit_separation=0.01, mirror_angle=1.5210474095731559)
+        assert not design.judge(app, 2.5 * fringe_spacing(app))[1].failed().any()
+        with pytest.raises(grazing, match="parallel to the mirror surface"):
+            design.validate(app, 2.5 * fringe_spacing(app))
+        # here slit 1 lies on the mirror line at x = 0, slit 2's probe; slit 1's
+        # limit at 3 F_s is out of bracket, and its error comes first
+        app = Apparatus(mirror_angle=math.atan(2 * 0.1 / 1e-4))
+        with pytest.raises(BracketError):
+            design.required_mirror_width(app)
+        with pytest.raises(grazing, match="parallel to the mirror surface"):
+            design.limiting_half_width(app, 0.0, 2)
+
 
 class TestDesignSearch:
     def bench_space(self, f_s, **overrides):
