@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# End-to-end checks of the mirrorslit command, run from the repo root:
+#   bash ci/cli_checks.sh
+# The command is ${MIRRORSLIT:-mirrorslit}: the installed console script by
+# default, or for a source checkout
+#   MIRRORSLIT="python -m mirrorslit.cli" PYTHONPATH=src bash ci/cli_checks.sh
+# Outputs go to the working directory (listed in .gitignore).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# `command` skips this function, so the default finds the console script
+mirrorslit() {
+  command ${MIRRORSLIT:-mirrorslit} "$@"
+}
+
+# the command on the README config, which sets every section
+python -c 'import re; open("readme.json", "w").write(re.search(r"```json\n(.*?)```", open("README.md").read(), re.S).group(1))'
+mirrorslit validate --config readme.json --out cli-out
+mirrorslit scan --config readme.json --out cli-out --no-timestamp
+mirrorslit search --config readme.json --out cli-out --no-timestamp
+mirrorslit simulate --config readme.json --out cli-out --no-timestamp
+# a rerun without timestamps writes the same bytes
+mirrorslit scan --config readme.json --out cli-out-2 --no-timestamp
+mirrorslit search --config readme.json --out cli-out-2 --no-timestamp
+mirrorslit simulate --config readme.json --out cli-out-2 --no-timestamp
+cmp cli-out/curves.csv cli-out-2/curves.csv
+cmp cli-out/best_apparatus.json cli-out-2/best_apparatus.json
+cmp cli-out/report.json cli-out-2/report.json
+cmp cli-out/counts.csv cli-out-2/counts.csv
+cmp cli-out/summary.json cli-out-2/summary.json
+# and so does a fine grid: 1001 positions, 10^3 photons each
+echo '{"scan": {"positions": 1001, "photons_per_position": 1000, "seed": 7}}' > fine.json
+mirrorslit scan --config fine.json --out cli-fine --no-timestamp
+mirrorslit scan --config fine.json --out cli-fine-2 --no-timestamp
+mirrorslit simulate --config fine.json --out cli-fine --no-timestamp
+mirrorslit simulate --config fine.json --out cli-fine-2 --no-timestamp
+cmp cli-fine/curves.csv cli-fine-2/curves.csv
+cmp cli-fine/counts.csv cli-fine-2/counts.csv
+cmp cli-fine/summary.json cli-fine-2/summary.json
+
+# main maps every outcome to an exit code and stderr lines, for every
+# command, a usage error included: expected code, stderr lines, command,
+# config and, if not exit-out, the output directory; a failed run prints
+# exactly one error line
+check() {
+  echo "$4" > exit.json
+  code=0
+  mirrorslit "$3" --config exit.json --out "${5:-exit-out}" 2> exit.err > /dev/null || code=$?
+  cat exit.err
+  test "$code" -eq "$1"
+  test "$(wc -l < exit.err)" -eq "$2"
+  if [ "$1" -gt 0 ]; then test "$(grep -c '^error: ' exit.err)" -eq 1; fi
+}
+check 1 1 validate '{"apparatus": {"colour": 1}}'
+check 1 1 sideways '{}'
+check 2 1 scan '{"scan": {"positions": 7}}'
+check 2 1 validate '{"apparatus": {"mirror_width": 6e-4}}'
+check 3 1 search '{"search": {"aperture": 1.0, "samples": 4}}'
+# a value only simulate reads, and a fringe period that underflows
+check 1 1 validate '{"hypothesis": {"kind": "sideways"}}'
+check 1 1 validate '{"apparatus": {"wavelength": 1e-300, "screen_distance": 1e-300}}'
+# an x_max whose square overflows, and a negative scan.positions
+check 1 1 scan '{"x_max": 1e308}'
+check 1 1 simulate '{"scan": {"positions": -127}}'
+# lengths whose squares only the layouts form, which scan never builds
+check 1 1 scan '{"apparatus": {"screen_distance": 1e155}}'
+check 1 1 scan '{"apparatus": {"arm1": 1e200}}'
+check 1 1 scan '{"apparatus": {"slit_separation": 1e200}}'
+# slit 1 on the mirror line at its grazing probe x = 3 F_s, beyond x_max
+check 2 1 validate '{"x_max": 1.75e-5, "apparatus": {"slit_separation": 0.01, "mirror_angle": 1.5210474095731559}}'
+touch exit-file
+check 1 1 validate '{}' exit-file
+echo "cli checks passed"

@@ -13,7 +13,8 @@ error into one ``error:`` line and exit 1 (usage, config or an unwritable
 fringes) or 3 (an empty search result); else exit 0.
 
 CSV files print floats as ``%.9e`` and counts as ``%d``.  Their bodies are
-encoded from numpy arrays, byte for byte as ``%`` would print them.
+encoded from numpy arrays, byte for byte as ``%`` would print them.  JSON
+files are strict JSON: a non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -330,11 +331,14 @@ def _csv_body(formats: list[str], columns: list[np.ndarray]) -> str:
 
 def _text(content, stamp: str | None) -> str:
     """A file's text, under ``stamp`` unless it is None: a JSON payload
-    dict, or a CSV table ``(header, row_format, columns)``."""
+    dict, whose non-finite numbers are written as null (strict JSON has no
+    NaN or Infinity), or a CSV table ``(header, row_format, columns)``."""
     if isinstance(content, dict):
+        content = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                   for key, value in content.items()}
         if stamp is not None:
             content = {"generated": stamp, **content}
-        return json.dumps(content, indent=2) + "\n"
+        return json.dumps(content, indent=2, allow_nan=False) + "\n"
     header, row_format, columns = content
     lines = ([] if stamp is None else [f"# generated {stamp}"]) + [header]
     return "\n".join(lines) + "\n" + _csv_body(row_format.split(","), columns)

@@ -156,24 +156,15 @@ def _row(batch, i):
 
 
 def _grazing(app: Apparatus, xs) -> Solution:
-    """Both grazing limits, the detectors aimed at xs[..., 0] for slit 1 and
-    xs[..., 1] for slit 2 in one call.  A limit is the mirror half-width at
-    which the slit's ray, reflected at the probe end of the mirror (high
-    for slit 1, low for slit 2), grazes the other detector's near aperture
-    edge (d2_right, d1_left): the image-source ray lies on the line from
-    the slit's image through that edge, and the probe end is where that
-    line crosses the mirror line.  Out of [1 um, 2 mm] it fails, and the
-    sampling width governs."""
+    """Both grazing limits (``geometry.grazing_half_widths``), the detectors
+    aimed at xs[..., 0] for slit 1 and xs[..., 1] for slit 2 in one call.
+    Out of [1 um, 2 mm] a limit fails, and the sampling width governs."""
     layouts = geometry.aim_detectors(app, xs)
-    edges = np.stack([layouts.right[..., 0, 1, :], layouts.left[..., 1, 0, :]], axis=-2)
-    points = np.stack(np.broadcast_arrays(np.stack(app.slits(), axis=-2), edges), axis=-2)
-    centers = np.moveaxis(layouts.centers, -1, 0)[:, None]
-    t, h = geometry.mirror_frame(app, centers, np.moveaxis(points, (-1, -2), (0, 1)))
-    half_widths = geometry.project_from_image(t[0], -h[0], t[1], h[1]) * [1, -1]
+    half_widths = geometry.grazing_half_widths(app, layouts)
     bracketed = (_HALF_WIDTH_LO <= half_widths) & (half_widths <= _HALF_WIDTH_HI)
     failure = np.where(
         layouts.failed(),
-        np.where(layouts.grazing.any(axis=-1), GRAZING, BLOCKED),
+        np.where(layouts.grazing.any(axis=0), GRAZING, BLOCKED),
         np.where(bracketed, SOLVED, UNBRACKETED),
     )
     limits = np.where(failure == SOLVED, half_widths, np.inf)
@@ -245,7 +236,7 @@ def judge(
         long_scan=long_scan,
         sampling_ok=sampling_ok,
         diaphragm_clear=clear,
-        misdetection_free=clear & ~fractions[..., [0, 1], [1, 0]].any(axis=(-2, -1)),
+        misdetection_free=clear & ~fractions[[0, 1], [1, 0]].any(axis=(0, -1)),
         separation=np.where(failed[..., 0], np.nan, geometry.separations(layouts)),
     )
     return verdicts, layouts
@@ -253,8 +244,9 @@ def judge(
 
 def _report(app: Apparatus, x_max: float, solution, verdicts, layouts) -> DesignReport:
     """One apparatus's report, warnings included, from its ``solve`` and ``judge``
-    results.  A limit that failed on grazing incidence raises as ``limiting_half_width``
-    does at its probe."""
+    results; the judged layouts are read only where the beams do not clear the
+    diaphragm.  A limit that failed on grazing incidence raises as
+    ``limiting_half_width`` does at its probe."""
     warnings_list = app.regime_warnings()
     for slit, failure in enumerate(solution.failure.tolist(), 1):
         if failure == GRAZING:
@@ -267,10 +259,11 @@ def _report(app: Apparatus, x_max: float, solution, verdicts, layouts) -> Design
             warnings_list.append(f"slit-{slit} grazing limit unbounded below 2 mm")
     if not verdicts.long_scan:
         warnings_list.append(_short_scan(x_max, app))
-    try:
-        layouts.raise_first_failure()
-    except DiaphragmClearanceError as exc:
-        warnings_list.append(str(exc))
+    if not verdicts.diaphragm_clear:
+        try:
+            layouts.raise_first_failure()
+        except DiaphragmClearanceError as exc:
+            warnings_list.append(str(exc))
 
     w1, w2 = np.where(solution.failure == SOLVED, solution.half_widths, math.inf).tolist()
     return DesignReport(
@@ -334,13 +327,14 @@ def design_search(
         while done < len(order):
             rows = order[done : done + chunk]
             batch = _candidates(draws[rows].T, mirror_width=width[rows])
-            verdicts, layouts = judge(batch, space.x_max)
+            verdicts, _ = judge(batch, space.x_max)
             if verdicts.feasible.any():
                 j = np.argmax(verdicts.feasible)
                 i = rows[j]
                 best_sep = separation[i]
                 candidate = _candidates(draws[i].tolist(), mirror_width=float(width[i]))
-                picked = _row(solution, i), _row(verdicts, j), _row(layouts, j)
+                # a feasible winner clears the diaphragm: its report reads no layout
+                picked = _row(solution, i), _row(verdicts, j), None
                 best = candidate, _report(candidate, space.x_max, *picked)
                 break
             done, chunk = done + chunk, min(2 * chunk, _CHUNK)

@@ -12,11 +12,9 @@ An ``Apparatus`` whose fields are equal-length 1-D arrays is a *batch* of
 candidate apparatus (a scalar field is shared by every candidate).  The
 layout, mirror-frame and routing kernels broadcast over a batch.
 
-The kernels store their arrays positions-last: the coordinate, slit and
-detector axes first, then a batch's candidate axis, then the positions, so
-numpy loops run along the positions, not over axes of length 2.  Their
-results keep the public layout (candidate axis first, vector axes last) as
-zero-copy transposed views; ``_positions_last`` turns a view back.
+Every array here is positions-last: the coordinate, slit and detector axes
+first, then a batch's candidate axis, then the positions, so numpy loops run
+along the positions, not over axes of length 2.
 """
 
 from __future__ import annotations
@@ -61,19 +59,6 @@ def _batched(value):
 def _dot(a, b):
     """Dot product over axis 0 (length 2) of arrays or (x, y) pairs."""
     return a[0] * b[0] + a[1] * b[1]
-
-
-def _public(stored: np.ndarray, k: int) -> np.ndarray:
-    """The public view of positions-last storage: its first k axes moved
-    behind the others in reverse order, so the coordinate comes last."""
-    return stored.transpose(*range(k, stored.ndim), *range(k - 1, -1, -1))
-
-
-def _positions_last(a: np.ndarray, k: int) -> np.ndarray:
-    """The positions-last view of a public array such as a ``DetectorLayouts``
-    field: its last k axes (coordinate, slit, detector) first, reversed."""
-    m = a.ndim
-    return a.transpose(*range(m - 1, m - k - 1, -1), *range(m - k))
 
 
 def _positions(x) -> np.ndarray:
@@ -129,12 +114,6 @@ class Apparatus:
             )
         return out
 
-    def slits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of slit 1 (+d/2) and slit 2 (-d/2) on the diaphragm,
-        each of shape (2,), or (c, 2) for a batch of c."""
-        both = np.asarray(self.slit_separation / 2)[..., None, None] * _SLITS.T
-        return both[..., 0, :], both[..., 1, :]
-
 
 def _slit_points(app: Apparatus, ndim: int) -> np.ndarray:
     """Both slits positions-last: the coordinate on axis 0 and the slit on
@@ -160,45 +139,44 @@ class DetectorLayouts:
     """Detector aperture centres and edges, re-aimed for each of an array
     of mirror positions.
 
-    Row i belongs to the mirror centred at ``centers[i]``; the second axis
-    of the other arrays is the detector, so ``right[i, 1]`` is detector 2's
-    right aperture edge.  Edges are labelled left/right looking along the
-    arriving central ray (left = counterclockwise perpendicular of the
-    propagation direction).  For a batch of apparatus every array gains a
-    leading candidate axis.  ``aim_detectors`` returns views of its
-    positions-last storage.
+    Position i is the last index: the mirror centred at ``centers[:, i]``,
+    and ``right[:, 1, i]`` is detector 2's right aperture edge there.  Edges
+    are labelled left/right looking along the arriving central ray (left =
+    counterclockwise perpendicular of the propagation direction).  For a
+    batch of apparatus every array gains a candidate axis just before the
+    positions.
 
-    ``grazing`` marks, per row and slit, a slit lying on the mirror line;
-    ``blocked`` a central reflected ray that crosses the diaphragm plane
-    y = 0 within 10 slit separations of the axis, at ``x_hit``.
+    ``grazing`` marks, per slit and position, a slit lying on the mirror
+    line; ``blocked`` a central reflected ray that crosses the diaphragm
+    plane y = 0 within 10 slit separations of the axis, at ``x_hit``.
     """
 
-    centers: np.ndarray  # (n, 2)
-    directions: np.ndarray  # (n, 2, 2) central reflected ray of slit 1 and 2
-    detectors: np.ndarray  # (n, 2, 2) aperture centres
-    left: np.ndarray  # (n, 2, 2)
-    right: np.ndarray  # (n, 2, 2)
-    grazing: np.ndarray  # (n, 2)
-    blocked: np.ndarray  # (n, 2)
-    x_hit: np.ndarray  # (n, 2), meaningful where blocked
+    centers: np.ndarray  # (2, ..., n): coordinate, position
+    directions: np.ndarray  # (2, slit, ..., n) central reflected rays
+    detectors: np.ndarray  # (2, detector, ..., n) aperture centres
+    left: np.ndarray  # (2, detector, ..., n)
+    right: np.ndarray  # (2, detector, ..., n)
+    grazing: np.ndarray  # (slit, ..., n)
+    blocked: np.ndarray  # (slit, ..., n)
+    x_hit: np.ndarray  # (slit, ..., n), meaningful where blocked
 
     def failed(self) -> np.ndarray:
-        """Per row: does either slit graze the mirror or either ray re-enter
-        the diaphragm?"""
-        return (self.grazing | self.blocked).any(axis=-1)
+        """Per position: does either slit graze the mirror or either ray
+        re-enter the diaphragm?"""
+        return (self.grazing | self.blocked).any(axis=0)
 
     def raise_first_failure(self) -> None:
-        """Raise the error of the first failing row, if any:
-        GrazingIncidenceError if a slit lies on the mirror line there, else
-        DiaphragmClearanceError.  Within a row grazing incidence comes
-        before clearance and slit 1 before slit 2."""
+        """Raise the error of the first failing position, candidates in
+        order, if any: GrazingIncidenceError if a slit lies on the mirror
+        line there, else DiaphragmClearanceError.  At one position grazing
+        incidence comes before clearance and slit 1 before slit 2."""
         failed = self.failed().ravel()
         if not failed.any():
             return
         i = np.argmax(failed)
-        if self.grazing.reshape(-1, 2)[i].any():
+        if self.grazing.reshape(2, -1)[:, i].any():
             raise GrazingIncidenceError("incident ray is parallel to the mirror surface")
-        x_bad = self.x_hit.reshape(-1, 2)[i, np.argmax(self.blocked.reshape(-1, 2)[i])]
+        x_bad = self.x_hit.reshape(2, -1)[np.argmax(self.blocked.reshape(2, -1)[:, i]), i]
         raise DiaphragmClearanceError(
             f"reflected central ray re-enters the diaphragm at x={x_bad:.3g}"
         )
@@ -214,21 +192,16 @@ def path_lengths(app: Apparatus, x) -> tuple:
     return np.hypot(xs - half, app.screen_distance), np.hypot(xs + half, app.screen_distance)
 
 
-def mirror_axes(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vector along the mirror toward its +x end, and the unit normal
-    facing the diaphragm; shape (2,), or (c, 2) for a batch.
+def _axes(theta):
+    """The (x, y) components of the unit vector along the mirror toward its
+    +x end, cos X - sin Y, and of the unit normal facing the diaphragm,
+    -sin X - cos Y, at mirror angle(s) theta; their products with 0 and 1
+    and sums with 0 round nothing.
 
     The mirror line makes ``mirror_angle`` with the screen line; the +x end
     dips toward the diaphragm, so the surface normal sends central reflected
     rays off to the -x side, well away from the diaphragm plane.
     """
-    return tuple(np.stack(axis, axis=-1) for axis in _axes(app.mirror_angle))
-
-
-def _axes(theta):
-    """The (x, y) components of ``mirror_axes``'s two vectors at mirror
-    angle(s) theta: cos X - sin Y and -sin X - cos Y, whose products with
-    0 and 1 and sums with 0 round nothing."""
     cos, sin = np.cos(theta), np.sin(theta)
     return (cos, -sin), (-sin, -cos)
 
@@ -239,7 +212,7 @@ def mirror_frame(app: Apparatus, centers, points) -> tuple[np.ndarray, np.ndarra
     on axis 0, broadcast against each other, and a batch's candidate axis
     next to last.
 
-    ``along`` runs along ``mirror_axes`` toward the mirror's +x end and
+    ``along`` runs along the mirror (``_axes``) toward its +x end and
     ``height`` along its normal, so the diaphragm side has positive height.
     In this frame the mirror image of a point (the image-source method: a
     flat mirror makes reflected rays look as if they come from the source's
@@ -266,7 +239,7 @@ def incidence_angles(app: Apparatus, x) -> tuple:
     """
     xs = _positions(x)
     half = app.slit_separation / 2
-    _, (n0, n1) = mirror_axes(app)
+    _, (n0, n1) = _axes(app.mirror_angle)
     vy = -app.screen_distance
     return tuple(
         np.arctan2(n0 * vy - n1 * vx, n0 * vx + n1 * vy) for vx in (half - xs, -half - xs)
@@ -303,9 +276,8 @@ def aim_detectors(app: Apparatus, xs) -> DetectorLayouts:
     offset[0] *= -1.0
     blocked = down & (np.abs(x_hit) < 10 * _batched(app.slit_separation))
     return DetectorLayouts(
-        _public(centers, 1),
-        *(_public(a, 2) for a in (directions, detectors, detectors + offset, detectors - offset)),
-        *(_public(a, 1) for a in (np.abs(vn) < 1e-9, blocked, x_hit)),
+        centers, directions, detectors, detectors + offset, detectors - offset,
+        np.abs(vn) < 1e-9, blocked, x_hit,
     )
 
 
@@ -323,10 +295,12 @@ def detector_layouts(app: Apparatus, xs) -> DetectorLayouts:
 
 
 def separations(layouts: DetectorLayouts, row: int = 0) -> np.ndarray:
-    """Exact |D1 - D2| in row ``row`` of ``layouts``, per candidate for a
-    batch.  A (1, 2) @ (2, 1) product takes the BLAS dot of one vector, so
-    a batch and a single apparatus agree to the last bit."""
-    d = layouts.detectors[..., row, 0, :] - layouts.detectors[..., row, 1, :]
+    """Exact |D1 - D2| at position ``row`` of ``layouts``, per candidate for
+    a batch.  A (1, 2) @ (2, 1) product on a C-contiguous (..., 2)
+    difference takes the BLAS dot of one vector, so a batch and a single
+    apparatus agree to the last bit."""
+    detectors = layouts.detectors[..., row]
+    d = np.subtract(detectors[:, 0].T, detectors[:, 1].T, order="C")
     return np.sqrt((d[..., None, :] @ d[..., None])[..., 0, 0])
 
 
@@ -381,26 +355,27 @@ def _projected_segment(t_img, h_img, ta, ha, tb, hb):
 def routing_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarray:
     """Share of the mirror length that routes each slit into each detector.
 
-    ``f[i, s - 1, d - 1]`` is the fraction of mirror points, uniform along
+    ``f[s - 1, d - 1, i]`` is the fraction of mirror points, uniform along
     the mirror at scan position ``xs[i]``, whose reflection of a ray from
     slit s crosses the aperture of detector d, with the detectors of
-    ``layouts`` row i; a one-row layout serves every position.  For a batch
-    the candidate axis leads.  A flat mirror reflects slit s as its mirror
-    image s' = s - 2((s - c).n) n (the image-source method), so each
-    (slit, detector) pair is hit from one interval of the mirror.  A
-    reflected ray runs on the line from the image through the mirror point,
-    beyond it, so it can only reach the part of the aperture segment on the
-    side of the mirror line opposite the image; that part, projected from
-    the image onto the mirror line and clipped to the mirror, is the
-    interval.  A ray that crosses both apertures counts at detector 1.
+    ``layouts`` at position i; a one-position layout serves every position.
+    For a batch the candidate axis comes just before the positions.  A flat
+    mirror reflects slit s as its mirror image s' = s - 2((s - c).n) n (the
+    image-source method), so each (slit, detector) pair is hit from one
+    interval of the mirror.  A reflected ray runs on the line from the image
+    through the mirror point, beyond it, so it can only reach the part of
+    the aperture segment on the side of the mirror line opposite the image;
+    that part, projected from the image onto the mirror line and clipped to
+    the mirror, is the interval.  A ray that crosses both apertures counts
+    at detector 1.
     """
     centers = _centers(app, xs)[:, None]
-    # below, positions-last: axis 0 is the detector and axis 1 the slit
+    # below, axis 0 is the slit and axis 1 the detector
     t_img, h_img = mirror_frame(app, centers, _slit_points(app, centers.ndim - 2))
-    ta, ha = mirror_frame(app, centers, _positions_last(layouts.left, 2))
-    tb, hb = mirror_frame(app, centers, _positions_last(layouts.right, 2))
+    ta, ha = mirror_frame(app, centers, layouts.left)
+    tb, hb = mirror_frame(app, centers, layouts.right)
     ua, ub, empty = _projected_segment(
-        t_img[None], -h_img[None], ta[:, None], ha[:, None], tb[:, None], hb[:, None]
+        t_img[:, None], -h_img[:, None], ta[None], ha[None], tb[None], hb[None]
     )
     width = _batched(app.mirror_width)
     half = width / 2
@@ -409,5 +384,26 @@ def routing_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarra
     hi = np.minimum(np.maximum(ua, ub), half)
     f = np.maximum(hi - lo, 0.0)
     # rays that cross both apertures count at detector 1 only
-    f[1] -= np.maximum(hi.min(axis=0) - lo.max(axis=0), 0.0)
-    return _public(f / width, 2)
+    f[:, 1] -= np.maximum(hi.min(axis=1) - lo.max(axis=1), 0.0)
+    return f / width
+
+
+def grazing_half_widths(app: Apparatus, layouts: DetectorLayouts) -> np.ndarray:
+    """Both grazing limits from layouts aimed at two probes per apparatus,
+    slit 1's at the first and slit 2's at the second: shape (..., 2).  A
+    limit is the mirror half-width at which the slit's ray, reflected at the
+    probe end of the mirror (high for slit 1, low for slit 2), grazes the
+    other detector's near aperture edge (detector 2's right, detector 1's
+    left): the image-source ray lies on the line from the slit's image
+    through that edge, and the probe end is where that line crosses the
+    mirror line."""
+    centers = layouts.centers
+    # axis 1 holds the slit, then the edge its ray grazes; at probe p (the
+    # last axis) the slit is slit p
+    points = np.empty((2, 2) + centers.shape[1:])
+    slits = _SLITS.reshape((2,) + (1,) * (centers.ndim - 2) + (2,))
+    points[:, 0] = slits * _batched(app.slit_separation / 2)
+    points[:, 1, ..., 0] = layouts.right[:, 1, ..., 0]
+    points[:, 1, ..., 1] = layouts.left[:, 0, ..., 1]
+    t, h = mirror_frame(app, centers[:, None], points)
+    return project_from_image(t[0], -h[0], t[1], h[1]) * [1, -1]

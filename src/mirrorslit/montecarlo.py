@@ -137,10 +137,10 @@ def simulate_scan(
     # 2 too: its phase is the mirror image of detector 1's, and cos is even
     cos = np.cos(phase(app, xs))
     rate = 0.5 * (1.0 + hypothesis_visibility(hyp) * cos)
-    p = (0.5 * rate)[:, None] * fractions.reshape(-1, 4)
+    p = 0.5 * rate * fractions.reshape(4, -1)
     # rounding can carry the sum of p a hair past 1 when the routed shares
     # cover the whole mirror; numpy rejects a negative last probability
-    table = np.column_stack([p, np.maximum(1.0 - p.sum(axis=1), 0.0)])
+    table = np.column_stack([*p, np.maximum(1.0 - p.sum(axis=0), 0.0)])
     counts = np.random.default_rng(config.seed).multinomial(config.photons_per_position, table)
     c11, c12, c21, c22 = counts[:, :4].T
     n1, n2, mis = c11 + c21, c12 + c22, c12 + c21

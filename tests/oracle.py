@@ -15,10 +15,13 @@ draws and judges one candidate at a time with the scalar ``validate``.
 ``cli`` writes its CSV files with one %-format over whole columns;
 ``curves_csv`` and ``counts_csv`` here write them one row at a time.
 ``visibility`` is the raw-extrema contrast that ``wavemodel.fit_visibility``
-replaces on noisy counts.  ``geometry`` stores its layout and routing
+replaces on noisy counts.  ``geometry`` computes its layout and routing
 arrays positions-last; ``coordinate_last_layouts`` and
 ``coordinate_last_fractions`` here are the same formulas with the
-coordinate on the last axis, as the kernels were first written.
+coordinate on the last axis, as the kernels were first written, and
+``coordinate_last`` views ``geometry``'s arrays that way.  ``slits`` and
+``mirror_axes`` give the slit positions and the mirror's unit vectors one
+(x, y) vector each.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ from mirrorslit.wavemodel import (
 )
 
 _BISECT_TOL = 1e-7
+_X, _Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+# slit 1 at (+d/2, 0) and slit 2 at (-d/2, 0), in units of d/2, one per row
+_SLITS_LAST = np.array([[1.0, 0.0], [-1.0, 0.0]])
 
 
 class OffMirrorError(GeometryError):
@@ -84,6 +90,36 @@ class MirrorPlacement:
         return float(np.linalg.norm(self.end_high - self.center))
 
 
+def slits(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of slit 1 (+d/2) and slit 2 (-d/2) on the diaphragm,
+    each of shape (2,), or (c, 2) for a batch of c."""
+    both = np.asarray(app.slit_separation / 2)[..., None, None] * _SLITS_LAST
+    return both[..., 0, :], both[..., 1, :]
+
+
+def mirror_axes(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vector along the mirror toward its +x end, cos X - sin Y, and
+    the unit normal facing the diaphragm, -sin X - cos Y; shape (2,), or
+    (c, 2) for a batch."""
+    cos, sin = np.cos(app.mirror_angle), np.sin(app.mirror_angle)
+    return np.stack([cos, -sin], axis=-1), np.stack([-sin, -cos], axis=-1)
+
+
+def coordinate_last(stored):
+    """``geometry``'s positions-last arrays viewed with the positions first
+    and the vector axes last: a ``DetectorLayouts`` as (..., n, 2, 2) and
+    (..., n, 2) fields, reversed so that the coordinate comes last
+    (``right[i, 1]`` is detector 2's right edge at position i), or
+    ``routing_fractions`` as (..., n, slit, detector)."""
+    if isinstance(stored, DetectorLayouts):
+        vector_axes = (1, 2, 2, 2, 2, 1, 1, 1)  # per field, in order
+        return DetectorLayouts(*(
+            np.moveaxis(a, range(k), range(-1, -k - 1, -1))
+            for a, k in zip(vars(stored).values(), vector_axes)
+        ))
+    return np.moveaxis(stored, (0, 1), (-2, -1))
+
+
 def point(x: float, y: float) -> np.ndarray:
     """Construct a 2D point/vector (transverse x, longitudinal y), in meters."""
     x, y = float(x), float(y)
@@ -94,7 +130,7 @@ def point(x: float, y: float) -> np.ndarray:
 
 def mirror_placement(app: Apparatus, x: float) -> MirrorPlacement:
     """Place the mirror centered at (x, L), oriented as in ``mirror_axes``."""
-    along, normal = geometry.mirror_axes(app)
+    along, normal = mirror_axes(app)
     center = point(x, app.screen_distance)
     half = app.mirror_width / 2
     return MirrorPlacement(
@@ -139,8 +175,8 @@ def clearance_margins(
     ray passes beyond that edge and clears detector 2.  delta2 is the
     analogous margin for slit 2 against detector 1, safe when negative.
     """
-    _, normal = geometry.mirror_axes(app)
-    s1, s2 = app.slits()
+    _, normal = mirror_axes(app)
+    s1, s2 = slits(app)
     a = [abs(signed_angle(normal, v - p)) for v in (s1, d2_right, s2, d1_left)]
     return a[0] - a[1], a[2] - a[3]
 
@@ -159,13 +195,15 @@ def clearance_angles(
         raise OffMirrorError(f"point {p} is not on the mirror segment at x={x}")
     if layout is None:
         layout = geometry.detector_layouts(app, x)
+    layout = coordinate_last(layout)
     delta1, delta2 = clearance_margins(app, p, layout.right[0, 1], layout.left[0, 0])
     return float(delta1), float(delta2)
 
 
 def row_edges(layouts: DetectorLayouts, i: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Left and right aperture edges, shape (2, 2) with the detector first,
-    of row i of ``layouts``."""
+    at position i of ``layouts``."""
+    layouts = coordinate_last(layouts)
     return layouts.left[i], layouts.right[i]
 
 
@@ -225,7 +263,7 @@ def photon_event(
         return 0, slit, False
     pl = mirror_placement(app, x)
     p = pl.end_low + rng.random() * (pl.end_high - pl.end_low)
-    source = app.slits()[slit - 1]
+    source = slits(app)[slit - 1]
     direction = reflect_direction(unit(p - source), pl.normal)
     detector = int(route_rays(p[None, :], direction[None, :], edges)[0])
     misdetected = detector != 0 and detector != slit
@@ -274,7 +312,7 @@ def traced_fractions(
     """
     pl = mirror_placement(app, x)
     f = np.zeros((2, 2))
-    for i, source in enumerate(app.slits()):
+    for i, source in enumerate(slits(app)):
         hits = _trace(pl, source[None, :], rng.random(n_rays), edges)
         f[i] = np.mean(hits == 1), np.mean(hits == 2)
     return f
@@ -291,17 +329,17 @@ def traced_position(
     """Per-photon counts at one position, (n1, n2, misdetected): a slit,
     an acceptance test and a uniform mirror point drawn for every photon,
     and every accepted photon's reflected ray traced."""
-    slits = rng.integers(1, 3, size=n_photons)
+    picked = rng.integers(1, 3, size=n_photons)
     accept = rng.random(n_photons) < _acceptance_rate(app, x, v)
     mirror_frac = rng.random(n_photons)
 
-    slits = slits[accept]
-    s1, s2 = app.slits()
-    sources = np.where((slits == 1)[:, None], s1[None, :], s2[None, :])
+    picked = picked[accept]
+    s1, s2 = slits(app)
+    sources = np.where((picked == 1)[:, None], s1[None, :], s2[None, :])
     hits = _trace(mirror_placement(app, x), sources, mirror_frac[accept], edges)
     n1 = int(np.sum(hits == 1))
     n2 = int(np.sum(hits == 2))
-    mis = int(np.sum((hits != 0) & (hits != slits)))
+    mis = int(np.sum((hits != 0) & (hits != picked)))
     return n1, n2, mis
 
 
@@ -373,9 +411,9 @@ def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
     f_s = fringe_spacing(app)
     if x0 <= 2.0 * f_s:
         raise DesignError(f"scan extent {x0} must exceed two fringe periods {2 * f_s}")
-    s1, s2 = app.slits()
+    s1, s2 = slits(app)
     # the mirror ends as ``mirror_placement`` places them
-    along, _ = geometry.mirror_axes(app)
+    along, _ = mirror_axes(app)
     half = app.mirror_width / 2
     worst = 0.0
     for x in np.linspace(0.0, x0, 101):
@@ -409,8 +447,8 @@ def traced_misdetection_free(app: Apparatus, xs, n_points: int = 2001) -> bool:
     w = left - p.  Since m x m = 0, all three cross products are affine in
     f: one multiply-add per ray each."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    layouts = geometry.detector_layouts(app, xs)
-    along, normal = geometry.mirror_axes(app)
+    layouts = coordinate_last(geometry.detector_layouts(app, xs))
+    along, normal = mirror_axes(app)
     half = app.mirror_width / 2
     m = 2.0 * half * along
     # ``end_low`` of ``mirror_placement`` at each position
@@ -433,7 +471,7 @@ def traced_misdetection_free(app: Apparatus, xs, n_points: int = 2001) -> bool:
         u = along_mirror(_cross(w, r), _cross(w, m) + _cross(r, m)) / denom
         return (t > 0) & (u >= 0.0) & (u <= 1.0)
 
-    s1, s2 = app.slits()
+    s1, s2 = slits(app)
     # slit 2 first: its rays are mis-detected wherever they cross detector 1
     if crossings(s2, [0]).any():
         return False
@@ -603,10 +641,6 @@ def counts_csv(stamp: list[str], records: np.recarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-_X, _Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-# slit 1 at (+d/2, 0) and slit 2 at (-d/2, 0), in units of d/2, one per row
-_SLITS_LAST = np.array([[1.0, 0.0], [-1.0, 0.0]])
-
 
 def _column(value, trailing: int):
     """A batch field with ``trailing`` unit axes appended; a scalar as is."""
@@ -672,8 +706,8 @@ def coordinate_last_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> n
     """``geometry.routing_fractions`` computed on (..., n, 2, 2) arrays, the
     slit on axis -2 and the detector on axis -1."""
     centers = _centers_last(app, xs)[..., None, :]
-    slits = _column(app.slit_separation / 2, 3) * _SLITS_LAST
-    t_img, h_img = _frame_last(app, centers, slits, 2)
+    sources = _column(app.slit_separation / 2, 3) * _SLITS_LAST
+    t_img, h_img = _frame_last(app, centers, sources, 2)
     t_img, h_img = t_img[..., None], -h_img[..., None]
     ta, ha = _frame_last(app, centers, layouts.left, 2)
     tb, hb = _frame_last(app, centers, layouts.right, 2)

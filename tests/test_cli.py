@@ -249,6 +249,19 @@ class TestValidateCommand:
         error = "error: design infeasible: sampling_ok, misdetection_free false"
         assert single_error(capsys) == error
 
+    def test_unbounded_limit_written_as_null(self, tmp_path):
+        # a 5 cm arm2 leaves slit 1's grazing limit unbounded: strict JSON
+        # has no Infinity, so the report writes null
+        code, out = run(tmp_path, "validate", {"apparatus": {"arm2": 0.05}})
+        assert code == EXIT_INFEASIBLE
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert report["w1_limit_m"] is None
+        assert 0.0 < report["w2_limit_m"] < 2e-3
+
     def test_bad_config_exits_one(self, tmp_path):
         code, _ = run(tmp_path, "validate", {"apparatus": {"wavelength": None}})
         assert code == EXIT_USAGE
@@ -462,7 +475,7 @@ class TestSimulateCommand:
         exact, _ = cli.geometry.detector_separation(cli.Apparatus(), 0.0)
         assert summary["L12_m"] == exact
 
-    def test_failed_centre_layout_writes_nan_separation(self, tmp_path, capsys):
+    def test_failed_centre_layout_writes_null_separation(self, tmp_path, capsys):
         # the x = 0 layout sends a reflected beam back into the diaphragm,
         # outside the simulated grid: the run warns and goes on
         payload = {
@@ -481,7 +494,7 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and re.fullmatch("warning: .*fails design validation.*", err[0])
-        assert math.isnan(json.loads((out / "summary.json").read_text())["L12_m"])
+        assert json.loads((out / "summary.json").read_text())["L12_m"] is None
 
     @pytest.mark.parametrize("value", ["no", 0, None])
     def test_freeze_detectors_must_be_boolean(self, tmp_path, capsys, value):

@@ -17,6 +17,7 @@ from oracle import (
     bisect_half_width,
     clearance_angles,
     clearance_at_half_width,
+    coordinate_last,
     loop_design_search,
     loop_sampling_constraint,
     loop_validate,
@@ -24,6 +25,7 @@ from oracle import (
     sampling_constraint,
     scalar_search_steps,
     signed_angle,
+    slits,
     traced_misdetection_free,
 )
 
@@ -383,12 +385,12 @@ def probe_angles(app, x, slit, h):
     """Signed angles from the mirror normal, at the probe end of a mirror of
     half-width h, to the slit and to the other detector's near edge."""
     pl = mirror_placement(replace(app, mirror_width=2 * h), x)
-    layout = geometry.detector_layouts(app, x)
+    layout = coordinate_last(geometry.detector_layouts(app, x))
     if slit == 1:
         p, edge = pl.end_high, layout.right[0, 1]
     else:
         p, edge = pl.end_low, layout.left[0, 0]
-    source = app.slits()[slit - 1]
+    source = slits(app)[slit - 1]
     return signed_angle(pl.normal, source - p), signed_angle(pl.normal, edge - p)
 
 
@@ -497,7 +499,9 @@ class TestShallowTiltMisdetection:
         assert report.diaphragm_clear and not report.misdetection_free
         assert not report.feasible
         xs = np.linspace(0.0, self.X_MAX, 61)
-        f = geometry.routing_fractions(self.APP, xs, geometry.detector_layouts(self.APP, xs))
+        f = coordinate_last(
+            geometry.routing_fractions(self.APP, xs, geometry.detector_layouts(self.APP, xs))
+        )
         assert f[:, 1, 0].max() == pytest.approx(1.0)
         assert not any(traced_misdetection_free(self.APP, x) for x in xs)
 

@@ -14,12 +14,15 @@ from mirrorslit.wavemodel import fringe_spacing
 from oracle import (
     OffMirrorError,
     clearance_angles,
+    coordinate_last,
     coordinate_last_fractions,
     coordinate_last_layouts,
+    mirror_axes,
     mirror_placement,
     point,
     reflect_direction,
     signed_angle,
+    slits,
     unit,
 )
 
@@ -155,7 +158,7 @@ class TestMirrorFrame:
             pl = mirror_placement(app, x)
             # positions-last: the coordinate on axis 0, the four points last
             t, h = geometry.mirror_frame(
-                app, pl.center[:, None], np.array([pl.end_low, pl.end_high, *app.slits()]).T
+                app, pl.center[:, None], np.array([pl.end_low, pl.end_high, *slits(app)]).T
             )
             half = app.mirror_width / 2
             np.testing.assert_allclose(t[:2], [-half, half], rtol=1e-12)
@@ -166,8 +169,8 @@ class TestMirrorFrame:
         # the image of a slit, rebuilt from the frame, sends the reflected
         # ray through any mirror point along the specular direction
         pl = mirror_placement(app, 1e-3)
-        along, normal = geometry.mirror_axes(app)
-        for slit in app.slits():
+        along, normal = mirror_axes(app)
+        for slit in slits(app):
             t, h = geometry.mirror_frame(app, pl.center, slit)
             image = pl.center + t * along - h * normal
             for p in (pl.end_low, pl.center, pl.end_high):
@@ -203,7 +206,7 @@ class TestIncidenceAngles:
             g1, g2 = geometry.incidence_angles(a, xs)
             for x, a1, a2 in zip(xs, g1, g2):
                 pl = mirror_placement(a, x)
-                s1, s2 = a.slits()
+                s1, s2 = slits(a)
                 n, c = pl.normal, pl.center
                 assert a1 == pytest.approx(signed_angle(n, s1 - c), abs=1e-15)
                 assert a2 == pytest.approx(signed_angle(n, s2 - c), abs=1e-15)
@@ -215,17 +218,17 @@ class TestIncidenceAngles:
 
 class TestDetectorLayout:
     def test_arm_lengths_exact(self, app):
-        d1, d2 = geometry.detector_layouts(app, 0.0).detectors[0]
+        d1, d2 = coordinate_last(geometry.detector_layouts(app, 0.0)).detectors[0]
         m0 = point(0.0, app.screen_distance)
         assert np.linalg.norm(d1 - m0) == pytest.approx(app.arm1, rel=1e-12)
         assert np.linalg.norm(d2 - m0) == pytest.approx(app.arm2, rel=1e-12)
 
     def test_five_millimeter_separation(self, app):
-        d1, d2 = geometry.detector_layouts(app, 0.0).detectors[0]
+        d1, d2 = coordinate_last(geometry.detector_layouts(app, 0.0)).detectors[0]
         assert np.linalg.norm(d1 - d2) == pytest.approx(5e-3, rel=0.05)
 
     def test_aperture_widths(self, app):
-        lay = geometry.detector_layouts(app, 0.0)
+        lay = coordinate_last(geometry.detector_layouts(app, 0.0))
         (d1_left, d2_left), (d1_right, d2_right) = lay.left[0], lay.right[0]
         assert np.linalg.norm(d1_left - d1_right) == pytest.approx(1e-3, rel=1e-12)
         assert np.linalg.norm(d2_left - d2_right) == pytest.approx(1e-3, rel=1e-12)
@@ -298,7 +301,7 @@ def central_ray(app, x, slit):
     """Mirror centre and reflected central-ray direction of one slit, built
     one vector at a time."""
     pl = mirror_placement(app, x)
-    source = app.slits()[slit - 1]
+    source = slits(app)[slit - 1]
     return pl.center, reflect_direction(unit(pl.center - source), pl.normal)
 
 
@@ -307,7 +310,7 @@ class TestDetectorLayouts:
         unequal = Apparatus(arm1=0.3, arm2=7.0, aperture=2e-3, mirror_angle=0.9)
         xs = np.linspace(-3 * f_s, 3 * f_s, 13)
         for a in (app, unequal):
-            lay = geometry.detector_layouts(a, xs)
+            lay = coordinate_last(geometry.detector_layouts(a, xs))
             for i, x in enumerate(xs):
                 for k, arm in ((0, a.arm1), (1, a.arm2)):
                     center, d = central_ray(a, x, k + 1)
@@ -369,7 +372,7 @@ def test_negative_half_never_worse():
 
     def failures(grid):
         layouts = geometry.aim_detectors(app, grid)
-        fractions = geometry.routing_fractions(app, grid, layouts)
+        fractions = coordinate_last(geometry.routing_fractions(app, grid, layouts))
         return layouts.failed().any(axis=-1), fractions[..., [0, 1], [1, 0]].any(axis=(-2, -1))
 
     positive, negative = failures(xs), failures(-xs)
@@ -403,8 +406,9 @@ def candidate(batch: Apparatus, i: int) -> Apparatus:
 
 
 class TestPositionsLastKernels:
-    """The positions-last kernels against the coordinate-last formulas kept
-    in tests/oracle.py: equal arrays, signs of zeros included."""
+    """The positions-last kernels, viewed coordinate-last, against the
+    coordinate-last formulas kept in tests/oracle.py: equal arrays, signs of
+    zeros included."""
 
     FIELDS = ("centers", "directions", "detectors", "left", "right", "grazing", "blocked", "x_hit")
 
@@ -417,9 +421,9 @@ class TestPositionsLastKernels:
         aim_at = xs if aim_at is None else aim_at
         layouts, expected = geometry.aim_detectors(app, aim_at), coordinate_last_layouts(app, aim_at)
         for name in self.FIELDS:
-            self.assert_same(getattr(layouts, name), getattr(expected, name))
+            self.assert_same(getattr(coordinate_last(layouts), name), getattr(expected, name))
         self.assert_same(
-            geometry.routing_fractions(app, xs, layouts),
+            coordinate_last(geometry.routing_fractions(app, xs, layouts)),
             coordinate_last_fractions(app, xs, expected),
         )
         return layouts
@@ -447,3 +451,40 @@ class TestPositionsLastKernels:
         for a in (app, Apparatus(mirror_width=0.6e-3, mirror_angle=0.9)):
             self.check(a, grid, aim_at=0.0)
         self.check(random_batch(np.random.default_rng(3), 8), grid, aim_at=0.0)
+
+
+class TestLayoutContract:
+    """Every ``DetectorLayouts`` field and the routing fractions come in the
+    documented positions-last shape, vector axes first and the positions
+    last, each a C-contiguous array of its own rather than a view."""
+
+    @staticmethod
+    def assert_stored(a, shape):
+        assert a.shape == shape and a.flags.c_contiguous and a.base is None
+
+    def check(self, app, aim_at, xs, batch: tuple):
+        layouts = geometry.aim_detectors(app, aim_at)
+        n = np.size(aim_at)
+        self.assert_stored(layouts.centers, (2, *batch, n))
+        for name in ("directions", "detectors", "left", "right"):
+            self.assert_stored(getattr(layouts, name), (2, 2, *batch, n))
+        for name in ("grazing", "blocked", "x_hit"):
+            self.assert_stored(getattr(layouts, name), (2, *batch, n))
+        fractions = geometry.routing_fractions(app, xs, layouts)
+        self.assert_stored(fractions, (2, 2, *batch, len(xs)))
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["reaimed", "frozen"])
+    def test_one_apparatus_and_a_batch(self, app, f_s, frozen):
+        xs = np.linspace(0.0, 3 * f_s, 5)
+        aim_at = 0.0 if frozen else xs
+        self.check(app, aim_at, xs, ())
+        batch = Apparatus(arm1=np.array([1.0, 2.0, 5.0]), aperture=np.array([1e-3, 2e-3, 3e-3]))
+        self.check(batch, aim_at, xs, (3,))
+
+    def test_frozen_layout_through_detector_layouts(self, app, f_s):
+        layouts = geometry.detector_layouts(app, 0.0)
+        self.assert_stored(layouts.centers, (2, 1))
+        self.assert_stored(layouts.right, (2, 2, 1))
+        self.assert_stored(layouts.x_hit, (2, 1))
+        xs = np.linspace(-3 * f_s, 3 * f_s, 5)
+        self.assert_stored(geometry.routing_fractions(app, xs, layouts), (2, 2, 5))

@@ -26,7 +26,7 @@ from mirrorslit.wavemodel import (
     hypothesis_visibility,
     screen_intensity,
 )
-from oracle import photon_event, row_edges, traced_fractions, traced_position
+from oracle import coordinate_last, photon_event, row_edges, traced_fractions, traced_position
 
 FULL = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
 EXCLUSIVE = OutcomeHypothesis(HypothesisKind.EXCLUSIVE)
@@ -36,8 +36,8 @@ def closed_position(app, x, n_photons, v, rng, layout):
     """Counts at one position, (n1, n2, misdetected), from one multinomial
     draw over the closed-form outcome probabilities, as ``simulate_scan``
     makes it: outcome (slit s, detector d) has probability r/2 f_sd."""
-    p = 0.5 * montecarlo._acceptance_rate(app, x, v) * geometry.routing_fractions(
-        app, x, layout
+    p = 0.5 * montecarlo._acceptance_rate(app, x, v) * coordinate_last(
+        geometry.routing_fractions(app, x, layout)
     )[0].ravel()
     c11, c12, c21, c22, _ = rng.multinomial(n_photons, [*p, max(1.0 - p.sum(), 0.0)])
     return c11 + c21, c12 + c22, c12 + c21
@@ -111,7 +111,7 @@ def assert_matches_ray_trace(app, x, layout):
     # 2e5 rays per slit, seed 12, tolerance 5 sigma of the binomial
     # estimate around the closed form (exact agreement where it is 0)
     n_rays = 200_000
-    exact = geometry.routing_fractions(app, x, layout)[0]
+    exact = coordinate_last(geometry.routing_fractions(app, x, layout))[0]
     traced = traced_fractions(app, x, row_edges(layout), n_rays, np.random.default_rng(12))
     sigma = np.sqrt(exact * (1.0 - exact) / n_rays)
     assert np.all(np.abs(traced - exact) <= 5.0 * sigma), (exact, traced)
@@ -183,7 +183,7 @@ class TestClosedFormRouting:
             replace(app, arm1=1e-3, arm2=1e-3, aperture=2.5e-3), np.zeros(3)
         )
         # the same apertures with their edges listed in the other order
-        swapped = replace(straddling, left=straddling.right[1:], right=straddling.left[1:])
+        swapped = replace(straddling, left=straddling.right[..., 1:], right=straddling.left[..., 1:])
         rows = [
             ([0.0, 3 * f_s], geometry.detector_layouts(app, [0.0, 3 * f_s])),
             ([0.05 * f_s, 0.2 * f_s, 3 * f_s], geometry.detector_layouts(app, np.zeros(3))),
@@ -194,12 +194,12 @@ class TestClosedFormRouting:
         xs = np.concatenate([x for x, _ in rows])
         layouts = replace(
             straddling,
-            left=np.concatenate([layout.left for _, layout in rows]),
-            right=np.concatenate([layout.right for _, layout in rows]),
+            left=np.concatenate([layout.left for _, layout in rows], axis=-1),
+            right=np.concatenate([layout.right for _, layout in rows], axis=-1),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = geometry.routing_fractions(app, xs, layouts)
+            grid = coordinate_last(geometry.routing_fractions(app, xs, layouts))
         assert grid.shape == (len(xs), 2, 2)
         n_rays = 200_000
         rng = np.random.default_rng(12)
@@ -217,12 +217,12 @@ class TestClosedFormRouting:
         # criterion 05 without sampling noise: on the re-aimed 41-point
         # +-3 F_s grid no mirror point sends a slit into the other detector
         for x in scan_grid:
-            f = geometry.routing_fractions(app, x, geometry.detector_layouts(app, x))[0]
+            f = coordinate_last(geometry.routing_fractions(app, x, geometry.detector_layouts(app, x)))[0]
             assert f[0, 1] == 0.0 and f[1, 0] == 0.0
             assert f[0, 0] > 0.0 and f[1, 1] > 0.0
         wide = replace(app, mirror_width=0.6e-3)
         for x in scan_grid:
-            f = geometry.routing_fractions(wide, x, geometry.detector_layouts(wide, x))[0]
+            f = coordinate_last(geometry.routing_fractions(wide, x, geometry.detector_layouts(wide, x)))[0]
             assert f[0, 1] > 0.0 and f[1, 0] > 0.0
 
 
@@ -359,7 +359,7 @@ class TestComputedOnce:
         assert np.array_equal(records.i2_theory, intensity)
         rate = montecarlo._acceptance_rate(app, xs, hypothesis_visibility(hyp))
         layouts = geometry.detector_layouts(app, 0.0 if frozen else xs)
-        fractions = geometry.routing_fractions(app, xs, layouts)
+        fractions = coordinate_last(geometry.routing_fractions(app, xs, layouts))
         (table,) = tables
         assert np.array_equal(table[:, :4], (0.5 * rate)[:, None] * fractions.reshape(-1, 4))
         assert records.dtype.names == ("x", "n", "n1", "n2", "misdetected", "i1_theory", "i2_theory")
