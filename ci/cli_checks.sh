@@ -66,6 +66,10 @@ check 1 1 simulate '{"scan": {"positions": -127}}'
 check 1 1 scan '{"apparatus": {"screen_distance": 1e155}}'
 check 1 1 scan '{"apparatus": {"arm1": 1e200}}'
 check 1 1 scan '{"apparatus": {"slit_separation": 1e200}}'
+# simulate judges the layouts it simulates: the frozen bench mis-detects
+# off-centre, while a re-aimed grid without x = 0 passes
+check 0 1 simulate '{"scan": {"freeze_detectors": true}}'
+check 0 0 simulate '{"scan": {"x_min": 1e-4, "x_max": 2.1e-3}}'
 # slit 1 on the mirror line at its grazing probe x = 3 F_s, beyond x_max
 check 2 1 validate '{"x_max": 1.75e-5, "apparatus": {"slit_separation": 0.01, "mirror_angle": 1.5210474095731559}}'
 touch exit-file

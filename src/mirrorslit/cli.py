@@ -41,8 +41,8 @@ from .wavemodel import (
     OutcomeHypothesis,
     duality_check,
     fringe_spacing,
-    screen_intensity,
-    detector_intensity,
+    phases,
+    two_beam_intensity,
 )
 
 EXIT_OK = 0
@@ -359,8 +359,8 @@ def cmd_scan(run: Run, files: dict) -> None:
     run.scan.check_sampling(run.app)
     xs = run.scan.x_positions
     # the two detector intensities are identical by construction
-    detector = detector_intensity(run.app, xs, 1)
-    columns = [xs, screen_intensity(run.app, xs), detector, detector]
+    screen, detector = (two_beam_intensity(phi) for phi in phases(run.app, xs))
+    columns = [xs, screen, detector, detector]
     files["curves.csv"] = (CURVES_HEADER, "%.9e,%.9e,%.9e,%.9e", columns)
 
 
@@ -380,7 +380,7 @@ def cmd_simulate(run: Run, files: dict) -> None:
         "misdetection_rate": summary.misdetection_rate,
         "duality_satisfied": ok,
         "F_s_m": fringe_spacing(run.app),
-        "L12_m": float(summary.verdicts.separation),
+        "L12_m": float(summary.outcomes.verdicts.separation),
         "seed": run.scan.seed,
     }
 

@@ -8,6 +8,8 @@ photon from one slit into the other slit's detector over the scan range.
 ``solve`` (grazing limits, required width, L12) and ``judge`` (verdicts)
 serve one apparatus and a batch alike; ``validate`` reports on their results,
 and ``design_search`` solves blocks of draws, judges a few and reports on one.
+``judge`` aims no detectors but judges its caller's layouts, so each command
+aims once: ``validate`` at its probes and judged positions together.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class DesignReport:
 
 @dataclass(frozen=True)
 class Verdicts:
-    """What ``judge`` found for a scan over [0, x_max]: numpy bools and
+    """What ``judge`` found on the layouts it was given: numpy bools and
     floats for one apparatus, arrays over the candidates of a batch."""
 
     long_scan: np.ndarray  # x_max exceeds two fringe periods
@@ -155,11 +157,10 @@ def _row(batch, i):
     return type(batch)(*(a[i] for a in vars(batch).values()))
 
 
-def _grazing(app: Apparatus, xs) -> Solution:
-    """Both grazing limits (``geometry.grazing_half_widths``), the detectors
-    aimed at xs[..., 0] for slit 1 and xs[..., 1] for slit 2 in one call.
-    Out of [1 um, 2 mm] a limit fails, and the sampling width governs."""
-    layouts = geometry.aim_detectors(app, xs)
+def _solution(app: Apparatus, layouts: DetectorLayouts) -> Solution:
+    """Both grazing limits (``geometry.grazing_half_widths``) from layouts
+    aimed at two probes per apparatus, slit 1's first.  Out of [1 um, 2 mm]
+    a limit fails, and the sampling width governs."""
     half_widths = geometry.grazing_half_widths(app, layouts)
     bracketed = (_HALF_WIDTH_LO <= half_widths) & (half_widths <= _HALF_WIDTH_HI)
     failure = np.where(
@@ -169,26 +170,40 @@ def _grazing(app: Apparatus, xs) -> Solution:
     )
     limits = np.where(failure == SOLVED, half_widths, np.inf)
     required_width = 2.0 * np.minimum(default_mirror_params(app)[0] / 2.0, limits.min(axis=-1))
-    return Solution(xs, half_widths, failure, required_width, geometry.separations(layouts, 1))
+    return Solution(
+        layouts.centers[0], half_widths, failure, required_width, geometry.separations(layouts, 1)
+    )
+
+
+def _probes(app: Apparatus) -> np.ndarray:
+    """``solve``'s probes, per candidate of a batch: slit 1 at x = 3 F_s,
+    slit 2 at x = 0."""
+    f_s = fringe_spacing(app)
+    xs = np.zeros(np.shape(f_s) + (2,))
+    xs[..., 0] = 3.0 * f_s
+    return xs
+
+
+def _judged(x_max: float) -> np.ndarray:
+    """The 61 positions, x = 0 first, at which ``validate`` and
+    ``design_search`` aim the detectors to judge a scan over [0, x_max]."""
+    return np.linspace(0.0, x_max, 61)
 
 
 def solve(app: Apparatus) -> Solution:
     """The grazing limits of one apparatus, or of every candidate of a
-    batch: slit 1 probed at x = 3 F_s, slit 2 at x = 0.  L12, at x = 0,
+    batch, the detectors aimed at ``_probes`` in one call.  L12, at x = 0,
     equals ``judge``'s separation bit for bit where that layout is clear."""
-    f_s = fringe_spacing(app)
-    xs = np.zeros(np.shape(f_s) + (2,))
-    xs[..., 0] = 3.0 * f_s
-    return _grazing(app, xs)
+    return _solution(app, geometry.aim_detectors(app, _probes(app)))
 
 
 def limiting_half_width(app: Apparatus, x: float, slit: int) -> float:
-    """The slit's grazing limit, the detectors aimed at x (``_grazing``); when it
+    """The slit's grazing limit, the detectors aimed at x (``_solution``); when it
     fails, raises BracketError or the error ``geometry.detector_layouts`` raises at x."""
     if slit not in (1, 2):
         raise DesignError("slit must be 1 or 2")
     i = slit - 1
-    solution = _grazing(app, np.array([x, x]))
+    solution = _solution(app, geometry.aim_detectors(app, np.array([x, x])))
     if solution.failure[i] == UNBRACKETED:
         raise BracketError(
             f"grazing limit {solution.half_widths[i]:.3g} m not within [{_HALF_WIDTH_LO}, "
@@ -211,35 +226,29 @@ def required_mirror_width(app: Apparatus) -> float:
 
 
 def judge(
-    app: Apparatus, x_max: float, fractions: np.ndarray | None = None
-) -> tuple[Verdicts, DetectorLayouts]:
+    app: Apparatus, x_max: float, layouts: DetectorLayouts, fractions: np.ndarray,
+    centre: DetectorLayouts,
+) -> Verdicts:
     """Sampling, clearance, mis-detection and separation verdicts for a
     scan over [0, x_max], of one apparatus or of every candidate of a
-    batch, and the layouts judged.
+    batch, on the layouts its caller aimed.
 
-    Sampling follows ``_sampling``'s rule.  The detectors are
-    re-aimed at 61 positions; the beams clear the diaphragm when no layout
-    fails.  Mis-detection is judged from exact routing fractions: no
-    position may send either slit into the other slit's detector,
-    f12 = f21 = 0.  The fractions are ``fractions`` when given (the
-    ``geometry.routing_fractions`` of the layouts a scan simulates), else
-    those of the 61 re-aimed layouts.
+    Sampling follows ``_sampling``'s rule.  The beams clear the diaphragm
+    when no layout of ``layouts`` fails.  Mis-detection is judged from the
+    exact routing ``fractions`` (``geometry.routing_fractions``) of those
+    layouts: no position may send either slit into the other slit's
+    detector, f12 = f21 = 0.  L12 is |D1 - D2| at the first position of
+    ``centre``, which the caller aimed at x = 0; NaN where that layout fails.
     """
     long_scan, sampling_ok, _ = _sampling(app, x_max)
-    xs = np.linspace(0.0, x_max, 61)
-    layouts = geometry.aim_detectors(app, xs)
-    failed = layouts.failed()
-    clear = ~failed.any(axis=-1)
-    if fractions is None:
-        fractions = geometry.routing_fractions(app, xs, layouts)
-    verdicts = Verdicts(
+    clear = ~layouts.failed().any(axis=-1)
+    return Verdicts(
         long_scan=long_scan,
         sampling_ok=sampling_ok,
         diaphragm_clear=clear,
         misdetection_free=clear & ~fractions[[0, 1], [1, 0]].any(axis=(0, -1)),
-        separation=np.where(failed[..., 0], np.nan, geometry.separations(layouts)),
+        separation=np.where(centre.failed()[..., 0], np.nan, geometry.separations(centre)),
     )
-    return verdicts, layouts
 
 
 def _report(app: Apparatus, x_max: float, solution, verdicts, layouts) -> DesignReport:
@@ -281,9 +290,16 @@ def _report(app: Apparatus, x_max: float, solution, verdicts, layouts) -> Design
 
 
 def validate(app: Apparatus, x_max: float) -> DesignReport:
-    """The feasibility report for a scan over [0, x_max].  Failures are recorded
-    in it rather than raised; only malformed inputs, and a slit on the mirror line, raise."""
-    return _report(app, x_max, solve(app), *judge(app, x_max))
+    """The feasibility report for a scan over [0, x_max], from ``solve``'s
+    limits and ``judge``'s verdicts on the ``_judged`` positions, the
+    detectors aimed at ``solve``'s probes and those positions in one call.
+    Failures are recorded in it rather than raised; only malformed inputs,
+    and a slit on the mirror line, raise."""
+    xs = np.concatenate([_probes(app), _judged(x_max)])
+    layouts = geometry.aim_detectors(app, xs)
+    judged = layouts.at(slice(2, None))
+    verdicts = judge(app, x_max, judged, geometry.routing_fractions(app, xs[2:], judged), judged)
+    return _report(app, x_max, _solution(app, layouts.at(slice(2))), verdicts, judged)
 
 
 def _candidates(draws, **fields) -> Apparatus:
@@ -314,6 +330,7 @@ def design_search(
         raise DesignError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = np.array([getattr(space, name) for name in _SEARCHED]).T
+    xs = _judged(space.x_max)
     best, best_sep = None, -math.inf
     for start in range(0, samples, _BLOCK):
         # one stream: the same values as one draw per sample and parameter
@@ -327,7 +344,9 @@ def design_search(
         while done < len(order):
             rows = order[done : done + chunk]
             batch = _candidates(draws[rows].T, mirror_width=width[rows])
-            verdicts, _ = judge(batch, space.x_max)
+            layouts = geometry.aim_detectors(batch, xs)
+            fractions = geometry.routing_fractions(batch, xs, layouts)
+            verdicts = judge(batch, space.x_max, layouts, fractions, layouts)
             if verdicts.feasible.any():
                 j = np.argmax(verdicts.feasible)
                 i = rows[j]

@@ -160,6 +160,10 @@ class DetectorLayouts:
     blocked: np.ndarray  # (slit, ..., n)
     x_hit: np.ndarray  # (slit, ..., n), meaningful where blocked
 
+    def at(self, positions: slice) -> DetectorLayouts:
+        """The layouts at a slice of the positions, as views of these arrays."""
+        return DetectorLayouts(*(a[..., positions] for a in vars(self).values()))
+
     def failed(self) -> np.ndarray:
         """Per position: does either slit graze the mirror or either ray
         re-enter the diaphragm?"""

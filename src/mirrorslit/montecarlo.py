@@ -10,9 +10,9 @@ Routing is computed in closed form rather than ray by ray.  A flat mirror
 reflects each slit as a mirror-image source, so the mirror points that send
 slit s into detector d form one interval of the mirror; its length fraction
 f_sd (``geometry.routing_fractions``), the slit probability 1/2 and the
-fringe rate give the probability of each outcome, and one multinomial draw
-per scan position yields all the counts.  The cost per position does not
-depend on the photon count.
+fringe rate give the probability of each outcome.  ``outcomes`` tabulates
+them, a row per scan position, and one multinomial draw per row yields all
+the counts.  The cost per position does not depend on the photon count.
 
 A scan draws from one generator, ``np.random.default_rng(seed)``: all
 positions' counts come from one call on it, rows in grid order, so the same
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import design, geometry
-from .geometry import Apparatus
+from .geometry import Apparatus, DetectorLayouts
 from .wavemodel import (
     FringePattern,
     OutcomeHypothesis,
@@ -36,6 +36,7 @@ from .wavemodel import (
     hypothesis_visibility,
     phase,
     screen_intensity,
+    two_beam_intensity,
 )
 
 
@@ -84,18 +85,39 @@ class ScanConfig:
 
 
 @dataclass(frozen=True)
+class Outcomes:
+    """What a scan can show before a photon is drawn.
+
+    At each scan position ``x``: the detector-1 fringe ``phase``, the fringe
+    ``rate`` r = (1 + V cos phase) / 2 at which a photon survives, and the
+    ``fractions`` f_sd (slit, detector, position) of the mirror that route
+    slit s into detector d with the detectors of ``layouts``, re-aimed at
+    every position or frozen at x = 0 (one position).  ``table`` is (n, 5):
+    the probabilities of (slit 1, D1), (1, D2), (2, D1), (2, D2), each
+    r/2 f_sd, then of no detection, so each row sums to 1 within rounding.
+    ``verdicts`` is what ``design.judge`` found on ``layouts``."""
+
+    x: np.ndarray
+    layouts: DetectorLayouts
+    fractions: np.ndarray
+    phase: np.ndarray
+    rate: np.ndarray
+    table: np.ndarray
+    verdicts: design.Verdicts
+
+
+@dataclass(frozen=True)
 class ScanSummary:
     """A simulated scan.  ``records`` holds one row per position, with the
     fields x, n (= n1 + n2), n1, n2, misdetected, i1_theory and i2_theory;
-    ``verdicts`` is the feasibility ``design.judge`` found for the layouts
-    simulated."""
+    ``outcomes`` is the table its counts were drawn from."""
 
     records: np.recarray
     v_total: float
     v_1: float
     v_2: float
     misdetection_rate: float
-    verdicts: design.Verdicts
+    outcomes: Outcomes
 
     def positions(self) -> np.ndarray:
         return self.records.x
@@ -104,10 +126,31 @@ class ScanSummary:
         return self.records.n.astype(float)
 
 
-def _acceptance_rate(app: Apparatus, x, v: float):
-    """Fringe-modulated detection probability at the mirror, in [0, 1], at
-    scan position(s) x."""
-    return 0.5 * (1.0 + v * np.cos(phase(app, x)))
+def outcomes(app: Apparatus, config: ScanConfig, hyp: OutcomeHypothesis) -> Outcomes:
+    """The outcome table of a scan under an outcome hypothesis.
+
+    The detectors are aimed in one call: at every scanned position, or at
+    x = 0 when frozen, then at x = 0 for L12.  A simulated layout that fails
+    raises its error, as ``geometry.detector_layouts`` does, so the verdicts
+    judge mis-detection on the layouts simulated (every scanned position when
+    re-aimed, x = 0 when frozen), sampling over the scan's largest |x|, and
+    L12 at x = 0, NaN where that layout fails off the grid.
+    """
+    config.check_sampling(app)
+    xs = config.x_positions
+    aimed = geometry.aim_detectors(app, np.append(0.0 if config.freeze_detectors else xs, 0.0))
+    layouts, centre = aimed.at(slice(-1)), aimed.at(slice(-1, None))
+    layouts.raise_first_failure()
+    fractions = geometry.routing_fractions(app, xs, layouts)
+    x_max = float(max(abs(xs[0]), abs(xs[-1])))
+    verdicts = design.judge(app, x_max, layouts, fractions, centre)
+    phi = phase(app, xs)
+    rate = 0.5 * (1.0 + hypothesis_visibility(hyp) * np.cos(phi))
+    p = 0.5 * rate * fractions.reshape(4, -1)
+    # rounding can carry the sum of p a hair past 1 when the routed shares
+    # cover the whole mirror; numpy rejects a negative last probability
+    table = np.column_stack([*p, np.maximum(1.0 - p.sum(axis=0), 0.0)])
+    return Outcomes(xs, layouts, fractions, phi, rate, table, verdicts)
 
 
 def simulate_scan(
@@ -116,48 +159,32 @@ def simulate_scan(
     """Full photon-counting scan under an outcome hypothesis.
 
     Each photon takes either slit with probability 1/2 and survives the
-    fringe rate with probability r, so at each position the outcome (slit
-    s, detector d) has probability r/2 f_sd; one multinomial draw per
-    position, every row in one call on ``default_rng(config.seed)``, gives
-    every count.  The design is judged once, its mis-detection verdict
-    taken from the routing of the layouts simulated (re-aimed, or frozen
-    at x = 0), and a failure is warned about.
+    fringe rate, so the counts are one multinomial draw per row of the
+    ``outcomes`` table, every row in one call on
+    ``default_rng(config.seed)``.  A design that fails its verdicts is
+    warned about and simulated anyway.
     """
-    config.check_sampling(app)
-    xs = config.x_positions
-    layouts = geometry.detector_layouts(app, 0.0 if config.freeze_detectors else xs)
-    fractions = geometry.routing_fractions(app, xs, layouts)
-    x_max = float(max(abs(xs[0]), abs(xs[-1])))
-    verdicts, _ = design.judge(app, x_max, fractions)
-    if not verdicts.feasible:
+    scan = outcomes(app, config, hyp)
+    if not scan.verdicts.feasible:
         warnings.warn("apparatus fails design validation; simulating anyway", stacklevel=2)
-
-    # one phase evaluation: its cosine gives the fringe rate (_acceptance_rate)
-    # and detector 1's intensity (detector_intensity), which serves detector
-    # 2 too: its phase is the mirror image of detector 1's, and cos is even
-    cos = np.cos(phase(app, xs))
-    rate = 0.5 * (1.0 + hypothesis_visibility(hyp) * cos)
-    p = 0.5 * rate * fractions.reshape(4, -1)
-    # rounding can carry the sum of p a hair past 1 when the routed shares
-    # cover the whole mirror; numpy rejects a negative last probability
-    table = np.column_stack([*p, np.maximum(1.0 - p.sum(axis=0), 0.0)])
-    counts = np.random.default_rng(config.seed).multinomial(config.photons_per_position, table)
+    counts = np.random.default_rng(config.seed).multinomial(config.photons_per_position, scan.table)
     c11, c12, c21, c22 = counts[:, :4].T
     n1, n2, mis = c11 + c21, c12 + c22, c12 + c21
     n = n1 + n2
-    intensity = 2.0 * (1.0 + cos)
-    records = np.recarray(len(xs), _RECORD)
-    for name, column in zip(_RECORD.names, (xs, n, n1, n2, mis, intensity, intensity)):
+    # detector 2's phase is the mirror image of detector 1's, and cos is even
+    intensity = two_beam_intensity(scan.phase)
+    records = np.recarray(len(scan.x), _RECORD)
+    for name, column in zip(_RECORD.names, (scan.x, n, n1, n2, mis, intensity, intensity)):
         records[name] = column
     total_n = int(n.sum())
-    fits = fit_visibilities(xs, [n, n1, n2], fringe_spacing(app))
+    fits = fit_visibilities(scan.x, [n, n1, n2], fringe_spacing(app))
     return ScanSummary(
         records=records,
         v_total=fits[0].visibility,
         v_1=fits[1].visibility,
         v_2=fits[2].visibility,
         misdetection_rate=(int(mis.sum()) / total_n) if total_n else 0.0,
-        verdicts=verdicts,
+        outcomes=scan,
     )
 
 

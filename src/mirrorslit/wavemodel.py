@@ -95,19 +95,36 @@ def fringe_spacing(app: Apparatus) -> float:
     return app.wavelength * app.screen_distance / app.slit_separation
 
 
-def phase(app: Apparatus, x) -> np.ndarray | float:
-    """Detector-1 fringe phase k (d1 - d2) + 2 (gamma1 - gamma2) at scan
-    position(s) x: the screen phase plus twice the incidence-angle
-    difference the mirror adds."""
+def _screen_phase(app: Apparatus, x):
+    """The screen phase k (d1 - d2) at screen position(s) x."""
     d1, d2 = path_lengths(app, x)
+    return wave_number(app) * (d1 - d2)
+
+
+def phases(app: Apparatus, x) -> tuple:
+    """The screen phase and the detector-1 fringe phase at scan position(s)
+    x, from one evaluation of the path lengths: the detector-1 phase is the
+    screen phase k (d1 - d2) plus twice the incidence-angle difference
+    2 (gamma1 - gamma2) the mirror adds."""
+    screen = _screen_phase(app, x)
     g1, g2 = incidence_angles(app, x)
-    return wave_number(app) * (d1 - d2) + 2.0 * (g1 - g2)
+    return screen, screen + 2.0 * (g1 - g2)
+
+
+def phase(app: Apparatus, x) -> np.ndarray | float:
+    """Detector-1 fringe phase at scan position(s) x (``phases``)."""
+    return phases(app, x)[1]
+
+
+def two_beam_intensity(phi) -> np.ndarray | float:
+    """Two-beam intensity 2 (1 + cos(phi)) at a phase difference phi of the
+    two beams."""
+    return 2.0 * (1.0 + np.cos(phi))
 
 
 def screen_intensity(app: Apparatus, x) -> np.ndarray | float:
-    """Two-beam intensity 2(1 + cos(k (d1 - d2))) at screen position(s) x."""
-    d1, d2 = path_lengths(app, x)
-    return 2.0 * (1.0 + np.cos(wave_number(app) * (d1 - d2)))
+    """Two-beam intensity at screen position(s) x, at the screen phase."""
+    return two_beam_intensity(_screen_phase(app, x))
 
 
 def detector_intensity(app: Apparatus, x, which: int) -> np.ndarray | float:
@@ -117,7 +134,7 @@ def detector_intensity(app: Apparatus, x, which: int) -> np.ndarray | float:
     if which not in (1, 2):
         raise ValueError("detector index must be 1 or 2")
     p = phase(app, x)
-    return 2.0 * (1.0 + np.cos(p if which == 1 else -p))
+    return two_beam_intensity(p if which == 1 else -p)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ reflection, signed angles, the clearance margin at one mirror point) builds
 the apparatus one point at a time.  ``geometry.routing_fractions`` routes
 photons through mirror intervals found from the slits' mirror images over a
 whole scan grid; the per-photon ray tracer here does the same job one
-reflected ray at a time.  ``design`` finds grazing limits as one line
+reflected ray at a time, and ``traced_outcomes`` tallies, photon by photon,
+the columns of the table ``montecarlo.outcomes`` builds, with the fringe
+rate ``acceptance_rate``.  ``design`` finds grazing limits as one line
 intersection and checks feasibility over whole arrays of positions; the
 bisection, ``loop_validate`` (which judges mis-detection by tracing rays
 from evenly spaced mirror points) and ``loop_design_search`` here do it by
@@ -48,13 +50,13 @@ from mirrorslit.geometry import (
     GeometryError,
     GrazingIncidenceError,
 )
-from mirrorslit.montecarlo import _acceptance_rate
 from mirrorslit.wavemodel import (
     FitError,
     FringePattern,
     OutcomeHypothesis,
     fringe_spacing,
     hypothesis_visibility,
+    phase,
 )
 
 _BISECT_TOL = 1e-7
@@ -259,7 +261,7 @@ def photon_event(
         edges = row_edges(geometry.detector_layouts(app, x))
     slit = 1 if rng.random() < 0.5 else 2
     v = hypothesis_visibility(hyp)
-    if rng.random() >= _acceptance_rate(app, x, v):
+    if rng.random() >= acceptance_rate(app, x, v):
         return 0, slit, False
     pl = mirror_placement(app, x)
     p = pl.end_low + rng.random() * (pl.end_high - pl.end_low)
@@ -318,6 +320,37 @@ def traced_fractions(
     return f
 
 
+def acceptance_rate(app: Apparatus, x, v: float):
+    """The fringe rate (1 + v cos phase) / 2 in [0, 1] at scan position(s)
+    x: the chance that a photon survives the acceptance test."""
+    return 0.5 * (1.0 + v * np.cos(phase(app, x)))
+
+
+def traced_outcomes(
+    app: Apparatus,
+    x: float,
+    n_photons: int,
+    v: float,
+    rng: np.random.Generator,
+    edges: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Per-photon counts at one position, in the column order of
+    ``montecarlo.Outcomes.table``: (slit 1, D1), (1, D2), (2, D1), (2, D2),
+    not detected.  A slit, an acceptance test and a uniform mirror point
+    are drawn for every photon, and every accepted photon's reflected ray
+    is traced."""
+    picked = rng.integers(1, 3, size=n_photons)
+    accept = rng.random(n_photons) < acceptance_rate(app, x, v)
+    mirror_frac = rng.random(n_photons)
+
+    picked = picked[accept]
+    s1, s2 = slits(app)
+    sources = np.where((picked == 1)[:, None], s1[None, :], s2[None, :])
+    hits = _trace(mirror_placement(app, x), sources, mirror_frac[accept], edges)
+    pairs = [int(np.sum((picked == s) & (hits == d))) for s in (1, 2) for d in (1, 2)]
+    return np.array([*pairs, n_photons - sum(pairs)])
+
+
 def traced_position(
     app: Apparatus,
     x: float,
@@ -326,21 +359,9 @@ def traced_position(
     rng: np.random.Generator,
     edges: tuple[np.ndarray, np.ndarray],
 ) -> tuple[int, int, int]:
-    """Per-photon counts at one position, (n1, n2, misdetected): a slit,
-    an acceptance test and a uniform mirror point drawn for every photon,
-    and every accepted photon's reflected ray traced."""
-    picked = rng.integers(1, 3, size=n_photons)
-    accept = rng.random(n_photons) < _acceptance_rate(app, x, v)
-    mirror_frac = rng.random(n_photons)
-
-    picked = picked[accept]
-    s1, s2 = slits(app)
-    sources = np.where((picked == 1)[:, None], s1[None, :], s2[None, :])
-    hits = _trace(mirror_placement(app, x), sources, mirror_frac[accept], edges)
-    n1 = int(np.sum(hits == 1))
-    n2 = int(np.sum(hits == 2))
-    mis = int(np.sum((hits != 0) & (hits != picked)))
-    return n1, n2, mis
+    """``traced_outcomes`` as (n1, n2, misdetected)."""
+    c11, c12, c21, c22, _ = traced_outcomes(app, x, n_photons, v, rng, edges).tolist()
+    return c11 + c21, c12 + c22, c12 + c21
 
 
 def clearance_at_half_width(

@@ -177,11 +177,11 @@ def outcome_error(app, x, slit):
 
 class TestValidate:
     def test_solves_once_and_judges_once(self, app, f_s, count_calls):
-        # one aim for both grazing probes, one for the 61 judged positions
+        # one aim for both grazing probes and the 61 judged positions
         aims = count_calls(geometry, "aim_detectors")
         probes = count_calls(design, "limiting_half_width")
         design.validate(app, 3 * f_s)
-        assert len(aims) == 2 and not probes
+        assert len(aims) == 1 and not probes
 
     def test_bench_design_feasible(self, app, f_s):
         report = design.validate(app, 3 * f_s)
@@ -216,7 +216,8 @@ class TestValidate:
         # beyond the judged grid [0, 2.5 F_s], so only its grazing limit raises
         grazing = geometry.GrazingIncidenceError
         app = Apparatus(slit_separation=0.01, mirror_angle=1.5210474095731559)
-        assert not design.judge(app, 2.5 * fringe_spacing(app))[1].failed().any()
+        judged = design._judged(2.5 * fringe_spacing(app))
+        assert not geometry.aim_detectors(app, judged).failed().any()
         with pytest.raises(grazing, match="parallel to the mirror surface"):
             design.validate(app, 2.5 * fringe_spacing(app))
         # here slit 1 lies on the mirror line at x = 0, slit 2's probe; slit 1's
@@ -566,7 +567,10 @@ class TestBatchAgainstScalarLoop:
             solved, separations = (solution.failure == design.SOLVED).all(axis=-1), solution.separation
             (w1, w2), width = solution.half_widths[solved].T, solution.required_width[solved]
             batch = design._candidates(draws[solved].T, mirror_width=width)
-            verdicts, _ = design.judge(batch, self.SPACE.x_max)
+            xs = design._judged(self.SPACE.x_max)
+            layouts = geometry.aim_detectors(batch, xs)
+            fractions = geometry.routing_fractions(batch, xs, layouts)
+            verdicts = design.judge(batch, self.SPACE.x_max, layouts, fractions, layouts)
             k = 0
             for i, (candidate, limits, report) in enumerate(steps):
                 if not solved[i]:
@@ -660,7 +664,7 @@ class TestLazySearch:
             judges.clear()
             best, _ = design.design_search(self.SPACE, 64, seed)
             assert len(solves) == 1 and not validates, seed
-            last, _ = judges[-1]
+            last, *_ = judges[-1]
             assert best.wavelength in last.wavelength.tolist(), seed
         solves.clear()
         assert design.design_search(self.SPACE, design._BLOCK + 1, 0) is not None
@@ -708,7 +712,7 @@ class TestSearchReport:
         space = TestBatchAgainstScalarLoop.SPACE
         judges = count_calls(design, "judge")
         best, _ = design.design_search(space, 64, seed)
-        chunk, _ = judges[-1]
+        chunk, *_ = judges[-1]
         assert chunk.wavelength.tolist().index(best.wavelength) == 1
         self.same_report(space, 64, seed)
 

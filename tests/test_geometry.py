@@ -349,9 +349,10 @@ class TestDetectorLayouts:
 
 
 def test_negative_half_never_worse():
-    # design.judge checks [0, x_max], while simulate scans [-x_max, x_max]:
-    # over random apparatus (seed 11), the mirrored grid -xs fails clearance,
-    # or routes a slit into the other slit's detector, only where xs does too
+    # validate and search judge [0, x_max] only, while simulate judges the
+    # [-x_max, x_max] grid it scans: over random apparatus (seed 11), the
+    # mirrored grid -xs fails clearance, or routes a slit into the other
+    # slit's detector, only where xs does too
     rng = np.random.default_rng(11)
     n = 2_000
 

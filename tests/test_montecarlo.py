@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mirrorslit import design, geometry, montecarlo
+from mirrorslit import Apparatus, design, geometry, montecarlo
 from mirrorslit.montecarlo import (
     ScanConfig,
     ScanError,
@@ -26,7 +26,15 @@ from mirrorslit.wavemodel import (
     hypothesis_visibility,
     screen_intensity,
 )
-from oracle import coordinate_last, photon_event, row_edges, traced_fractions, traced_position
+from oracle import (
+    acceptance_rate,
+    coordinate_last,
+    photon_event,
+    row_edges,
+    traced_fractions,
+    traced_outcomes,
+    traced_position,
+)
 
 FULL = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
 EXCLUSIVE = OutcomeHypothesis(HypothesisKind.EXCLUSIVE)
@@ -36,7 +44,7 @@ def closed_position(app, x, n_photons, v, rng, layout):
     """Counts at one position, (n1, n2, misdetected), from one multinomial
     draw over the closed-form outcome probabilities, as ``simulate_scan``
     makes it: outcome (slit s, detector d) has probability r/2 f_sd."""
-    p = 0.5 * montecarlo._acceptance_rate(app, x, v) * coordinate_last(
+    p = 0.5 * acceptance_rate(app, x, v) * coordinate_last(
         geometry.routing_fractions(app, x, layout)
     )[0].ravel()
     c11, c12, c21, c22, _ = rng.multinomial(n_photons, [*p, max(1.0 - p.sum(), 0.0)])
@@ -101,10 +109,8 @@ class TestPhotonEvent:
         assert detected / 4000 > 0.5
 
     def test_full_duality_accepts_nearly_all_at_center(self, app):
-        from mirrorslit.montecarlo import _acceptance_rate
-
-        assert _acceptance_rate(app, 0.0, 1.0) == pytest.approx(1.0, abs=1e-5)
-        assert _acceptance_rate(app, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert acceptance_rate(app, 0.0, 1.0) == pytest.approx(1.0, abs=1e-5)
+        assert acceptance_rate(app, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def assert_matches_ray_trace(app, x, layout):
@@ -270,9 +276,27 @@ class TestSimulateScan:
         summary = simulate_scan(app, config, FULL)
         assert len(routed) == 1
         assert unused == [[], [], []]
-        assert summary.verdicts.feasible
+        assert summary.outcomes.verdicts.feasible
         exact, _ = geometry.detector_separation(app, 0.0)
-        assert summary.verdicts.separation == exact
+        assert summary.outcomes.verdicts.separation == exact
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["reaimed", "frozen"])
+    def test_aimed_once(self, app, config, count_calls, frozen):
+        aims = count_calls(geometry, "aim_detectors")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the frozen layout fails validation
+            simulate_scan(app, replace(config, freeze_detectors=frozen), FULL)
+        assert len(aims) == 1
+
+    def test_separation_at_x0_off_the_grid(self, app):
+        # a re-aimed grid without x = 0: L12 still comes from the x = 0
+        # layout, bit for bit, and nothing fails
+        grid = np.linspace(1e-4, 2.1e-3, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = simulate_scan(app, ScanConfig(grid, 100, 0), FULL)
+        exact, _ = geometry.detector_separation(app, 0.0)
+        assert summary.outcomes.verdicts.separation == exact
 
     def test_detectors_balanced(self, app, config):
         # equal expected rates at both detectors: |N1 - N2| within 4 sigma
@@ -333,37 +357,76 @@ class TestComputedOnce:
     @pytest.mark.parametrize(
         "positions, frozen", [(41, False), (1001, False), (41, True)], ids=["41", "1001", "frozen"]
     )
-    def test_equals_the_public_functions(self, app, f_s, monkeypatch, seed, hyp, positions, frozen):
+    def test_equals_the_public_functions(self, app, f_s, seed, hyp, positions, frozen):
         xs = np.linspace(-3 * f_s, 3 * f_s, positions)
-        tables = []
-        default_rng = np.random.default_rng
-
-        class Recording:  # the scan's generator, keeping the table it draws from
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-
-            def multinomial(self, n, pvals):
-                tables.append(pvals)
-                return self.rng.multinomial(n, pvals)
-
-        monkeypatch.setattr(np.random, "default_rng", Recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the frozen layout fails validation
             summary = simulate_scan(app, ScanConfig(xs, 1000, seed, frozen), hyp)
-        monkeypatch.undo()
         records = summary.records
         for fitted, name in ((summary.v_total, "n"), (summary.v_1, "n1"), (summary.v_2, "n2")):
             assert fitted == fit_visibility(FringePattern(xs, records[name]), f_s).visibility
         intensity = detector_intensity(app, xs, 1)
         assert np.array_equal(records.i1_theory, intensity)
         assert np.array_equal(records.i2_theory, intensity)
-        rate = montecarlo._acceptance_rate(app, xs, hypothesis_visibility(hyp))
+        rate = acceptance_rate(app, xs, hypothesis_visibility(hyp))
         layouts = geometry.detector_layouts(app, 0.0 if frozen else xs)
         fractions = coordinate_last(geometry.routing_fractions(app, xs, layouts))
-        (table,) = tables
+        table = summary.outcomes.table
+        assert np.array_equal(summary.outcomes.rate, rate)
         assert np.array_equal(table[:, :4], (0.5 * rate)[:, None] * fractions.reshape(-1, 4))
+        # the counts are the one draw from the returned table
+        c11, c12, c21, c22, _ = np.random.default_rng(seed).multinomial(1000, table).T
+        assert np.array_equal(records.n1, c11 + c21) and np.array_equal(records.n2, c12 + c22)
+        assert np.array_equal(records.misdetected, c12 + c21)
         assert records.dtype.names == ("x", "n", "n1", "n2", "misdetected", "i1_theory", "i2_theory")
         assert np.array_equal(records.x, xs)
+
+
+class TestOutcomeTable:
+    """``outcomes``' table of outcome probabilities, a row per position."""
+
+    PARTIAL = OutcomeHypothesis(HypothesisKind.PARTIAL, 0.6)
+
+    @pytest.mark.parametrize(
+        "hyp", [FULL, EXCLUSIVE, PARTIAL], ids=["full", "exclusive", "partial-0.6"]
+    )
+    @pytest.mark.parametrize("frozen", [False, True], ids=["reaimed", "frozen"])
+    def test_rows_sum_to_one(self, f_s, hyp, frozen):
+        # the bench, the 0.6 mm mirror, and apertures that straddle the
+        # mirror line, so that near x = 0 detector 1 takes the whole mirror
+        # from both slits; five terms summed exactly (math.fsum): within 2
+        # ulps of 1
+        xs = np.linspace(-3 * f_s, 3 * f_s, 1001)
+        benches = [
+            Apparatus(),
+            Apparatus(mirror_width=0.6e-3),
+            Apparatus(arm1=1e-3, arm2=1e-3, aperture=2.5e-3, mirror_width=0.26e-3),
+        ]
+        for app in benches:
+            table = montecarlo.outcomes(app, ScanConfig(xs, 1000, 0, frozen), hyp).table
+            assert table.shape == (len(xs), 5)
+            assert np.all((table >= 0.0) & (table <= 1.0))
+            sums = np.array([math.fsum(row) for row in table])
+            assert np.all(np.abs(sums - 1.0) <= 2 * np.spacing(1.0)), np.abs(sums - 1.0).max()
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["reaimed", "frozen"])
+    def test_photons_times_table_match_the_tracer(self, app, f_s, frozen):
+        # the 0.6 mm mirror routes each slit into both detectors; at 11
+        # positions over [-F_s, F_s], partial:0.6, 2e5 traced photons per
+        # position, seed 15: each outcome's count within 5 sigma of the
+        # binomial mean n p, and exactly n p where p is 0
+        app = replace(app, mirror_width=0.6e-3)
+        xs = np.linspace(-f_s, f_s, 11)
+        n = 200_000
+        scan = montecarlo.outcomes(app, ScanConfig(xs, n, 0, frozen), self.PARTIAL)
+        layouts = geometry.detector_layouts(app, 0.0 if frozen else xs)
+        v = hypothesis_visibility(self.PARTIAL)
+        rng = np.random.default_rng(15)
+        for i, (x, p) in enumerate(zip(xs, scan.table)):
+            traced = traced_outcomes(app, x, n, v, rng, row_edges(layouts, 0 if frozen else i))
+            sigma = np.sqrt(n * p * (1.0 - p))
+            assert np.all(np.abs(traced - n * p) <= 5.0 * sigma), (x, traced, n * p)
+        assert scan.fractions[[0, 1], [1, 0]].any(axis=-1).all()  # f12 and f21 somewhere
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 1, 10**41]
