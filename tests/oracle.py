@@ -2,28 +2,31 @@
 
 The vector geometry here (mirror placement, unit vectors, specular
 reflection, signed angles, the clearance margin at one mirror point) builds
-the apparatus one point at a time.  ``geometry.routing_fractions`` routes
-photons through mirror intervals found from the slits' mirror images over a
-whole scan grid; the per-photon ray tracer here does the same job one
-reflected ray at a time, and ``traced_outcomes`` tallies, photon by photon,
-the columns of the table ``montecarlo.outcomes`` builds, with the fringe
-rate ``acceptance_rate``.  ``design`` finds grazing limits as one line
-intersection and checks feasibility over whole arrays of positions; the
-bisection, ``loop_validate`` (which judges mis-detection by tracing rays
-from evenly spaced mirror points) and ``loop_design_search`` here do it by
-root finding and one scalar geometry call per point.  ``design_search``
-judges its candidates in blocks, as batches; ``scalar_design_search`` here
-draws and judges one candidate at a time with the scalar ``validate``.
-``cli`` writes its CSV files with one %-format over whole columns;
-``curves_csv`` and ``counts_csv`` here write them one row at a time.
-``visibility`` is the raw-extrema contrast that ``wavemodel.fit_visibility``
-replaces on noisy counts.  ``geometry`` computes its layout and routing
-arrays positions-last; ``coordinate_last_layouts`` and
-``coordinate_last_fractions`` here are the same formulas with the
-coordinate on the last axis, as the kernels were first written, and
-``coordinate_last`` views ``geometry``'s arrays that way.  ``slits`` and
-``mirror_axes`` give the slit positions and the mirror's unit vectors one
-(x, y) vector each.
+the apparatus one point at a time, each vector an (x, y) pair; ``slits`` and
+``mirror_axes`` give the slit positions and the mirror's unit vectors that
+way.  ``geometry.routing_fractions`` routes photons through mirror intervals
+found from the slits' mirror images over a whole scan grid; the per-photon
+ray tracer here does the same job one reflected ray at a time, and
+``traced_outcomes`` tallies, photon by photon, the columns of the table
+``montecarlo.outcomes`` builds, with the fringe rate ``acceptance_rate``.
+``design`` finds grazing limits as one line intersection and checks
+feasibility over whole arrays of positions; the bisection,
+``loop_validate`` (which judges mis-detection by tracing rays from evenly
+spaced mirror points) and ``loop_design_search`` here do it by root finding
+and one scalar geometry call per point, and ``scalar_search_steps`` draws
+and judges one search candidate at a time with the scalar ``validate``.
+``curves_csv`` and ``counts_csv`` write the CLI's CSV files one row at a
+time.  ``visibility`` is the raw-extrema contrast that
+``wavemodel.fit_visibility`` replaces on noisy counts.
+
+The helpers here read ``geometry``'s arrays as stored, positions-last.
+``coordinate_last_layouts`` and ``coordinate_last_fractions`` are the layout
+and routing formulas as first written, with the coordinate on the last
+axis, returning their arrays in ``geometry``'s order.  They pin the kernels
+to the last bit, which the ray-trace oracles cannot: normalising the
+central rays with ``np.hypot`` in place of ``np.sqrt`` of the dot product
+changes the last digits of grazing limits and detector separations but no
+verdict, and of all the tests only this comparison fails.
 """
 
 from __future__ import annotations
@@ -93,33 +96,16 @@ class MirrorPlacement:
 
 
 def slits(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of slit 1 (+d/2) and slit 2 (-d/2) on the diaphragm,
-    each of shape (2,), or (c, 2) for a batch of c."""
-    both = np.asarray(app.slit_separation / 2)[..., None, None] * _SLITS_LAST
-    return both[..., 0, :], both[..., 1, :]
+    """Positions of slit 1 (+d/2) and slit 2 (-d/2) on the diaphragm."""
+    half = app.slit_separation / 2
+    return np.array([half, 0.0]), np.array([-half, 0.0])
 
 
 def mirror_axes(app: Apparatus) -> tuple[np.ndarray, np.ndarray]:
     """Unit vector along the mirror toward its +x end, cos X - sin Y, and
-    the unit normal facing the diaphragm, -sin X - cos Y; shape (2,), or
-    (c, 2) for a batch."""
+    the unit normal facing the diaphragm, -sin X - cos Y."""
     cos, sin = np.cos(app.mirror_angle), np.sin(app.mirror_angle)
-    return np.stack([cos, -sin], axis=-1), np.stack([-sin, -cos], axis=-1)
-
-
-def coordinate_last(stored):
-    """``geometry``'s positions-last arrays viewed with the positions first
-    and the vector axes last: a ``DetectorLayouts`` as (..., n, 2, 2) and
-    (..., n, 2) fields, reversed so that the coordinate comes last
-    (``right[i, 1]`` is detector 2's right edge at position i), or
-    ``routing_fractions`` as (..., n, slit, detector)."""
-    if isinstance(stored, DetectorLayouts):
-        vector_axes = (1, 2, 2, 2, 2, 1, 1, 1)  # per field, in order
-        return DetectorLayouts(*(
-            np.moveaxis(a, range(k), range(-1, -k - 1, -1))
-            for a, k in zip(vars(stored).values(), vector_axes)
-        ))
-    return np.moveaxis(stored, (0, 1), (-2, -1))
+    return np.array([cos, -sin]), np.array([-sin, -cos])
 
 
 def point(x: float, y: float) -> np.ndarray:
@@ -197,16 +183,14 @@ def clearance_angles(
         raise OffMirrorError(f"point {p} is not on the mirror segment at x={x}")
     if layout is None:
         layout = geometry.detector_layouts(app, x)
-    layout = coordinate_last(layout)
-    delta1, delta2 = clearance_margins(app, p, layout.right[0, 1], layout.left[0, 0])
+    delta1, delta2 = clearance_margins(app, p, layout.right[:, 1, 0], layout.left[:, 0, 0])
     return float(delta1), float(delta2)
 
 
 def row_edges(layouts: DetectorLayouts, i: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right aperture edges, shape (2, 2) with the detector first,
-    at position i of ``layouts``."""
-    layouts = coordinate_last(layouts)
-    return layouts.left[i], layouts.right[i]
+    """Left and right aperture edges at position i of ``layouts``, each of
+    shape (2, 2): the coordinate, then the detector."""
+    return layouts.left[..., i], layouts.right[..., i]
 
 
 def route_rays(
@@ -217,8 +201,8 @@ def route_rays(
     """Vectorized ray vs aperture-segment intersection.
 
     ``edges`` holds the left and right aperture edges, each of shape
-    (..., 2, 2) with the detector on axis -2, broadcast against the rays'
-    leading axes.  Returns the detector index (1 or 2) crossed by each ray,
+    (2, 2) as ``row_edges`` gives them: the coordinate, then the detector.
+    Returns the detector index (1 or 2) crossed by each ray,
     0 for neither.  A ray crossing both apertures counts at detector 1.
     """
     return _first_crossing(
@@ -231,9 +215,9 @@ def _first_crossing(ox, oy, dx, dy, edges: tuple[np.ndarray, np.ndarray]) -> np.
     as one array per coordinate."""
     hit = np.zeros(np.broadcast_shapes(np.shape(ox), np.shape(dx)), dtype=np.int64)
     for idx in (1, 2):
-        left, right = (e[..., idx - 1, :] for e in edges)
-        lx, ly = left[..., 0], left[..., 1]
-        gx, gy = right[..., 0] - lx, right[..., 1] - ly
+        left, right = (e[:, idx - 1] for e in edges)
+        lx, ly = left
+        gx, gy = right[0] - lx, right[1] - ly
         rx, ry = lx - ox, ly - oy
         # a ray parallel to the aperture gives s = +-inf or nan: no crossing
         denom = dy * gx - dx * gy
@@ -351,19 +335,6 @@ def traced_outcomes(
     return np.array([*pairs, n_photons - sum(pairs)])
 
 
-def traced_position(
-    app: Apparatus,
-    x: float,
-    n_photons: int,
-    v: float,
-    rng: np.random.Generator,
-    edges: tuple[np.ndarray, np.ndarray],
-) -> tuple[int, int, int]:
-    """``traced_outcomes`` as (n1, n2, misdetected)."""
-    c11, c12, c21, c22, _ = traced_outcomes(app, x, n_photons, v, rng, edges).tolist()
-    return c11 + c21, c12 + c22, c12 + c21
-
-
 def clearance_at_half_width(
     app: Apparatus, x: float, slit: int, h: float, layout: DetectorLayouts | None = None
 ) -> float:
@@ -449,8 +420,8 @@ def loop_sampling_constraint(app: Apparatus, x0: float) -> tuple[bool, float]:
 
 
 def _cross(a, b):
-    """The 2D cross product a x b over the last axis."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    """The 2D cross product a x b over axis 0."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def traced_misdetection_free(app: Apparatus, xs, n_points: int = 2001) -> bool:
@@ -468,21 +439,21 @@ def traced_misdetection_free(app: Apparatus, xs, n_points: int = 2001) -> bool:
     w = left - p.  Since m x m = 0, all three cross products are affine in
     f: one multiply-add per ray each."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    layouts = coordinate_last(geometry.detector_layouts(app, xs))
+    layouts = geometry.detector_layouts(app, xs)
     along, normal = mirror_axes(app)
     half = app.mirror_width / 2
     m = 2.0 * half * along
-    # ``end_low`` of ``mirror_placement`` at each position
-    low = np.stack([xs - half * along[0], np.full(len(xs), app.screen_distance - half * along[1])], -1)
+    # ``end_low`` of ``mirror_placement`` at each position, coordinate first
+    low = np.stack([xs - half * along[0], np.full(len(xs), app.screen_distance - half * along[1])])
     frac = np.linspace(0.0, 1.0, n_points)
 
     def crossings(source, detectors):
         """Whether each ray from ``source`` crosses the aperture of each of
-        ``detectors``: axes (position, detector, mirror point)."""
+        ``detectors``: axes (detector, position, mirror point)."""
         g = layouts.right[:, detectors] - layouts.left[:, detectors]
         w = layouts.left[:, detectors] - low[:, None]  # at f = 0
-        incident = low - source
-        r = (incident - 2.0 * (incident @ normal)[:, None] * normal)[:, None]  # at f = 0
+        incident = low - source[:, None]
+        r = (incident - 2.0 * (normal @ incident) * normal[:, None])[:, None]  # at f = 0
 
         def along_mirror(at_low, slope):
             return at_low[..., None] + slope[..., None] * frac
@@ -497,7 +468,7 @@ def traced_misdetection_free(app: Apparatus, xs, n_points: int = 2001) -> bool:
     if crossings(s2, [0]).any():
         return False
     both = crossings(s1, [0, 1])
-    return not (both[:, 1] & ~both[:, 0]).any()
+    return not (both[1] & ~both[0]).any()
 
 
 def loop_validate(app: Apparatus, x_max: float) -> DesignReport:
@@ -626,13 +597,6 @@ def best_step(steps) -> tuple[Apparatus, DesignReport] | None:
     return best
 
 
-def scalar_design_search(
-    space: SearchSpace, samples: int, seed: int
-) -> tuple[Apparatus, DesignReport] | None:
-    """``design.design_search`` one candidate at a time."""
-    return best_step(scalar_search_steps(space, samples, seed))
-
-
 def visibility(pattern: FringePattern) -> float:
     """Raw (I_max - I_min) / (I_max + I_min) from the sample extrema."""
     if len(pattern) == 0:
@@ -693,9 +657,16 @@ def _centers_last(app: Apparatus, xs) -> np.ndarray:
     return centers
 
 
+def _stored(a, k: int):
+    """A coordinate-last array in ``geometry``'s order: its last k axes
+    moved to the front, reversed, so that the coordinate comes first."""
+    return np.moveaxis(a, range(-1, -k - 1, -1), range(k))
+
+
 def coordinate_last_layouts(app: Apparatus, xs) -> DetectorLayouts:
     """``geometry.aim_detectors`` computed on (..., n, 2, 2) arrays, the
-    candidate axis leading and the coordinate last."""
+    candidate axis leading and the coordinate last, and returned in
+    ``geometry``'s order."""
     centers = _centers_last(app, xs)
     directions = centers[..., None, :] - _column(app.slit_separation / 2, 3) * _SLITS_LAST
     directions /= np.sqrt(_dot_last(directions, directions))[..., None]
@@ -712,26 +683,29 @@ def coordinate_last_layouts(app: Apparatus, xs) -> DetectorLayouts:
     detectors = centers[..., None, :] + arms * directions
     offset = _column(app.aperture / 2, 3) * directions[..., ::-1] * np.array([-1.0, 1.0])
     return DetectorLayouts(
-        centers=centers,
-        directions=directions,
-        detectors=detectors,
-        left=detectors + offset,
-        right=detectors - offset,
-        grazing=np.abs(vn) < 1e-9,
-        blocked=down & (np.abs(x_hit) < 10 * _column(app.slit_separation, 2)),
-        x_hit=x_hit,
+        centers=_stored(centers, 1),
+        directions=_stored(directions, 2),
+        detectors=_stored(detectors, 2),
+        left=_stored(detectors + offset, 2),
+        right=_stored(detectors - offset, 2),
+        grazing=_stored(np.abs(vn) < 1e-9, 1),
+        blocked=_stored(down & (np.abs(x_hit) < 10 * _column(app.slit_separation, 2)), 1),
+        x_hit=_stored(x_hit, 1),
     )
 
 
 def coordinate_last_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> np.ndarray:
     """``geometry.routing_fractions`` computed on (..., n, 2, 2) arrays, the
-    slit on axis -2 and the detector on axis -1."""
+    slit on axis -2 and the detector on axis -1, from layouts in
+    ``geometry``'s order, and returned in that order."""
     centers = _centers_last(app, xs)[..., None, :]
     sources = _column(app.slit_separation / 2, 3) * _SLITS_LAST
     t_img, h_img = _frame_last(app, centers, sources, 2)
     t_img, h_img = t_img[..., None], -h_img[..., None]
-    ta, ha = _frame_last(app, centers, layouts.left, 2)
-    tb, hb = _frame_last(app, centers, layouts.right, 2)
+    # the edges with the coordinate last and the detector before it
+    left, right = (np.moveaxis(e, (0, 1), (-1, -2)) for e in (layouts.left, layouts.right))
+    ta, ha = _frame_last(app, centers, left, 2)
+    tb, hb = _frame_last(app, centers, right, 2)
     ua, ub, empty = geometry._projected_segment(
         t_img, h_img, ta[..., None, :], ha[..., None, :], tb[..., None, :], hb[..., None, :]
     )
@@ -741,4 +715,4 @@ def coordinate_last_fractions(app: Apparatus, xs, layouts: DetectorLayouts) -> n
     hi = np.minimum(np.maximum(ua, ub), half)
     f = np.maximum(hi - lo, 0.0)
     f[..., 1] -= np.maximum(hi.min(axis=-1) - lo.max(axis=-1), 0.0)
-    return f / width
+    return np.moveaxis(f / width, (-2, -1), (0, 1))

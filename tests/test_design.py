@@ -17,7 +17,6 @@ from oracle import (
     bisect_half_width,
     clearance_angles,
     clearance_at_half_width,
-    coordinate_last,
     loop_design_search,
     loop_sampling_constraint,
     loop_validate,
@@ -386,11 +385,11 @@ def probe_angles(app, x, slit, h):
     """Signed angles from the mirror normal, at the probe end of a mirror of
     half-width h, to the slit and to the other detector's near edge."""
     pl = mirror_placement(replace(app, mirror_width=2 * h), x)
-    layout = coordinate_last(geometry.detector_layouts(app, x))
+    layout = geometry.detector_layouts(app, x)
     if slit == 1:
-        p, edge = pl.end_high, layout.right[0, 1]
+        p, edge = pl.end_high, layout.right[:, 1, 0]
     else:
-        p, edge = pl.end_low, layout.left[0, 0]
+        p, edge = pl.end_low, layout.left[:, 0, 0]
     source = slits(app)[slit - 1]
     return signed_angle(pl.normal, source - p), signed_angle(pl.normal, edge - p)
 
@@ -500,10 +499,8 @@ class TestShallowTiltMisdetection:
         assert report.diaphragm_clear and not report.misdetection_free
         assert not report.feasible
         xs = np.linspace(0.0, self.X_MAX, 61)
-        f = coordinate_last(
-            geometry.routing_fractions(self.APP, xs, geometry.detector_layouts(self.APP, xs))
-        )
-        assert f[:, 1, 0].max() == pytest.approx(1.0)
+        f = geometry.routing_fractions(self.APP, xs, geometry.detector_layouts(self.APP, xs))
+        assert f[1, 0].max() == pytest.approx(1.0)
         assert not any(traced_misdetection_free(self.APP, x) for x in xs)
 
 
@@ -565,7 +562,8 @@ class TestBatchAgainstScalarLoop:
             assert draws.tolist() == drawn
             solution = design.solve(design._candidates(draws.T))
             solved, separations = (solution.failure == design.SOLVED).all(axis=-1), solution.separation
-            (w1, w2), width = solution.half_widths[solved].T, solution.required_width[solved]
+            w1, w2 = solution.half_widths[solved, 0], solution.half_widths[solved, 1]
+            width = solution.required_width[solved]
             batch = design._candidates(draws[solved].T, mirror_width=width)
             xs = design._judged(self.SPACE.x_max)
             layouts = geometry.aim_detectors(batch, xs)

@@ -14,7 +14,6 @@ from mirrorslit.wavemodel import fringe_spacing
 from oracle import (
     OffMirrorError,
     clearance_angles,
-    coordinate_last,
     coordinate_last_fractions,
     coordinate_last_layouts,
     mirror_axes,
@@ -218,27 +217,47 @@ class TestIncidenceAngles:
 
 class TestDetectorLayout:
     def test_arm_lengths_exact(self, app):
-        d1, d2 = coordinate_last(geometry.detector_layouts(app, 0.0)).detectors[0]
+        detectors = geometry.detector_layouts(app, 0.0).detectors
+        d1, d2 = detectors[:, 0, 0], detectors[:, 1, 0]
         m0 = point(0.0, app.screen_distance)
         assert np.linalg.norm(d1 - m0) == pytest.approx(app.arm1, rel=1e-12)
         assert np.linalg.norm(d2 - m0) == pytest.approx(app.arm2, rel=1e-12)
 
     def test_five_millimeter_separation(self, app):
-        d1, d2 = coordinate_last(geometry.detector_layouts(app, 0.0)).detectors[0]
+        detectors = geometry.detector_layouts(app, 0.0).detectors
+        d1, d2 = detectors[:, 0, 0], detectors[:, 1, 0]
         assert np.linalg.norm(d1 - d2) == pytest.approx(5e-3, rel=0.05)
 
     def test_aperture_widths(self, app):
-        lay = coordinate_last(geometry.detector_layouts(app, 0.0))
-        (d1_left, d2_left), (d1_right, d2_right) = lay.left[0], lay.right[0]
+        lay = geometry.detector_layouts(app, 0.0)
+        d1_left, d2_left = lay.left[:, 0, 0], lay.left[:, 1, 0]
+        d1_right, d2_right = lay.right[:, 0, 0], lay.right[:, 1, 0]
         assert np.linalg.norm(d1_left - d1_right) == pytest.approx(1e-3, rel=1e-12)
         assert np.linalg.norm(d2_left - d2_right) == pytest.approx(1e-3, rel=1e-12)
         # aperture is perpendicular to the arriving central ray
-        assert abs(np.dot(d1_left - d1_right, lay.directions[0, 0])) < 1e-15
+        assert abs(np.dot(d1_left - d1_right, lay.directions[:, 0, 0])) < 1e-15
 
     def test_shallow_mirror_fails_clearance(self):
         app = Apparatus(mirror_angle=0.004)
         with pytest.raises(DiaphragmClearanceError):
             geometry.detector_layouts(app, 0.0)
+
+    def test_grazing_tolerance(self, app):
+        # tilts just past atan(2L/d), where slit 1 lies on the mirror line:
+        # |v.n| for slit 1's central ray is 1e-8, 3e-10, 1e-11 and 4e-18, so
+        # only the first tilt clears the 1e-9 tolerance, and the layout marks
+        # slit 1 grazing exactly where the per-point reflection refuses it
+        on_mirror_line = math.atan(2 * app.screen_distance / app.slit_separation)
+        marked, refused = [], []
+        for delta in (1e-8, 3e-10, 1e-11, 0.0):
+            tilted = Apparatus(mirror_angle=on_mirror_line + delta)
+            marked.append(bool(geometry.aim_detectors(tilted, 0.0).grazing[0, 0]))
+            try:
+                central_ray(tilted, 0.0, 1)
+                refused.append(False)
+            except GrazingIncidenceError:
+                refused.append(True)
+        assert marked == refused == [False, True, True, True]
 
 
 class TestDetectorSeparation:
@@ -310,16 +329,16 @@ class TestDetectorLayouts:
         unequal = Apparatus(arm1=0.3, arm2=7.0, aperture=2e-3, mirror_angle=0.9)
         xs = np.linspace(-3 * f_s, 3 * f_s, 13)
         for a in (app, unequal):
-            lay = coordinate_last(geometry.detector_layouts(a, xs))
+            lay = geometry.detector_layouts(a, xs)
             for i, x in enumerate(xs):
                 for k, arm in ((0, a.arm1), (1, a.arm2)):
                     center, d = central_ray(a, x, k + 1)
                     det = center + arm * d
                     edge = a.aperture / 2 * np.array([-d[1], d[0]])
-                    np.testing.assert_allclose(lay.directions[i, k], d, rtol=0, atol=1e-15)
-                    np.testing.assert_allclose(lay.detectors[i, k], det, rtol=0, atol=1e-14)
-                    np.testing.assert_allclose(lay.left[i, k], det + edge, rtol=0, atol=1e-14)
-                    np.testing.assert_allclose(lay.right[i, k], det - edge, rtol=0, atol=1e-14)
+                    np.testing.assert_allclose(lay.directions[:, k, i], d, rtol=0, atol=1e-15)
+                    np.testing.assert_allclose(lay.detectors[:, k, i], det, rtol=0, atol=1e-14)
+                    np.testing.assert_allclose(lay.left[:, k, i], det + edge, rtol=0, atol=1e-14)
+                    np.testing.assert_allclose(lay.right[:, k, i], det - edge, rtol=0, atol=1e-14)
 
     def test_reports_first_blocked_ray(self):
         # shallow tilts: the layouts raise exactly when a central ray crosses
@@ -373,8 +392,8 @@ def test_negative_half_never_worse():
 
     def failures(grid):
         layouts = geometry.aim_detectors(app, grid)
-        fractions = coordinate_last(geometry.routing_fractions(app, grid, layouts))
-        return layouts.failed().any(axis=-1), fractions[..., [0, 1], [1, 0]].any(axis=(-2, -1))
+        fractions = geometry.routing_fractions(app, grid, layouts)
+        return layouts.failed().any(axis=-1), fractions[[0, 1], [1, 0]].any(axis=(0, -1))
 
     positive, negative = failures(xs), failures(-xs)
     for pos, neg in zip(positive, negative):
@@ -407,9 +426,9 @@ def candidate(batch: Apparatus, i: int) -> Apparatus:
 
 
 class TestPositionsLastKernels:
-    """The positions-last kernels, viewed coordinate-last, against the
-    coordinate-last formulas kept in tests/oracle.py: equal arrays, signs of
-    zeros included."""
+    """The positions-last kernels against the coordinate-last formulas kept
+    in tests/oracle.py, which return their arrays in the same order: equal
+    arrays, signs of zeros included."""
 
     FIELDS = ("centers", "directions", "detectors", "left", "right", "grazing", "blocked", "x_hit")
 
@@ -422,10 +441,9 @@ class TestPositionsLastKernels:
         aim_at = xs if aim_at is None else aim_at
         layouts, expected = geometry.aim_detectors(app, aim_at), coordinate_last_layouts(app, aim_at)
         for name in self.FIELDS:
-            self.assert_same(getattr(coordinate_last(layouts), name), getattr(expected, name))
+            self.assert_same(getattr(layouts, name), getattr(expected, name))
         self.assert_same(
-            coordinate_last(geometry.routing_fractions(app, xs, layouts)),
-            coordinate_last_fractions(app, xs, expected),
+            geometry.routing_fractions(app, xs, layouts), coordinate_last_fractions(app, xs, expected)
         )
         return layouts
 

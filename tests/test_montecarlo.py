@@ -28,12 +28,10 @@ from mirrorslit.wavemodel import (
 )
 from oracle import (
     acceptance_rate,
-    coordinate_last,
     photon_event,
     row_edges,
     traced_fractions,
     traced_outcomes,
-    traced_position,
 )
 
 FULL = OutcomeHypothesis(HypothesisKind.FULL_DUALITY)
@@ -44,9 +42,7 @@ def closed_position(app, x, n_photons, v, rng, layout):
     """Counts at one position, (n1, n2, misdetected), from one multinomial
     draw over the closed-form outcome probabilities, as ``simulate_scan``
     makes it: outcome (slit s, detector d) has probability r/2 f_sd."""
-    p = 0.5 * acceptance_rate(app, x, v) * coordinate_last(
-        geometry.routing_fractions(app, x, layout)
-    )[0].ravel()
+    p = 0.5 * acceptance_rate(app, x, v) * geometry.routing_fractions(app, x, layout)[..., 0].ravel()
     c11, c12, c21, c22, _ = rng.multinomial(n_photons, [*p, max(1.0 - p.sum(), 0.0)])
     return c11 + c21, c12 + c22, c12 + c21
 
@@ -117,7 +113,7 @@ def assert_matches_ray_trace(app, x, layout):
     # 2e5 rays per slit, seed 12, tolerance 5 sigma of the binomial
     # estimate around the closed form (exact agreement where it is 0)
     n_rays = 200_000
-    exact = coordinate_last(geometry.routing_fractions(app, x, layout))[0]
+    exact = geometry.routing_fractions(app, x, layout)[..., 0]
     traced = traced_fractions(app, x, row_edges(layout), n_rays, np.random.default_rng(12))
     sigma = np.sqrt(exact * (1.0 - exact) / n_rays)
     assert np.all(np.abs(traced - exact) <= 5.0 * sigma), (exact, traced)
@@ -165,7 +161,8 @@ class TestClosedFormRouting:
         v = hypothesis_visibility(OutcomeHypothesis(HypothesisKind.PARTIAL, 0.6))
         n = 1_000_000
         rng = np.random.default_rng(13)
-        traced = np.array(traced_position(app, x, n, v, rng, row_edges(layout)))
+        c11, c12, c21, c22, _ = traced_outcomes(app, x, n, v, rng, row_edges(layout))
+        traced = np.array([c11 + c21, c12 + c22, c12 + c21])
         closed = np.array(closed_position(app, x, n, v, rng, layout))
         assert traced[1] > 0 and traced[2] > 0
         p = (traced + closed) / (2 * n)
@@ -205,30 +202,30 @@ class TestClosedFormRouting:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = coordinate_last(geometry.routing_fractions(app, xs, layouts))
-        assert grid.shape == (len(xs), 2, 2)
+            grid = geometry.routing_fractions(app, xs, layouts)
+        assert grid.shape == (2, 2, len(xs))
         n_rays = 200_000
         rng = np.random.default_rng(12)
         for i, x in enumerate(xs):
             traced = traced_fractions(app, x, row_edges(layouts, i), n_rays, rng)
-            sigma = np.sqrt(grid[i] * (1.0 - grid[i]) / n_rays)
-            assert np.all(np.abs(traced - grid[i]) <= 5.0 * sigma), (x, grid[i], traced)
+            sigma = np.sqrt(grid[..., i] * (1.0 - grid[..., i]) / n_rays)
+            assert np.all(np.abs(traced - grid[..., i]) <= 5.0 * sigma), (x, grid[..., i], traced)
         # the shadowed rows route slit 1 into both detectors, the empty row
         # nowhere, the straddling rows at x = 0 everything into detector 1
-        assert np.all(grid[5:7, 0] > 0.0)
-        assert np.all(grid[7] == 0.0)
-        assert np.all(grid[[9, 11], :, 0] == 1.0)
+        assert np.all(grid[0, :, 5:7] > 0.0)
+        assert np.all(grid[..., 7] == 0.0)
+        assert np.all(grid[:, 0, [9, 11]] == 1.0)
 
     def test_cross_routing_exactly_zero_on_bench_grid(self, app, scan_grid):
         # criterion 05 without sampling noise: on the re-aimed 41-point
         # +-3 F_s grid no mirror point sends a slit into the other detector
         for x in scan_grid:
-            f = coordinate_last(geometry.routing_fractions(app, x, geometry.detector_layouts(app, x)))[0]
+            f = geometry.routing_fractions(app, x, geometry.detector_layouts(app, x))[..., 0]
             assert f[0, 1] == 0.0 and f[1, 0] == 0.0
             assert f[0, 0] > 0.0 and f[1, 1] > 0.0
         wide = replace(app, mirror_width=0.6e-3)
         for x in scan_grid:
-            f = coordinate_last(geometry.routing_fractions(wide, x, geometry.detector_layouts(wide, x)))[0]
+            f = geometry.routing_fractions(wide, x, geometry.detector_layouts(wide, x))[..., 0]
             assert f[0, 1] > 0.0 and f[1, 0] > 0.0
 
 
@@ -370,10 +367,10 @@ class TestComputedOnce:
         assert np.array_equal(records.i2_theory, intensity)
         rate = acceptance_rate(app, xs, hypothesis_visibility(hyp))
         layouts = geometry.detector_layouts(app, 0.0 if frozen else xs)
-        fractions = coordinate_last(geometry.routing_fractions(app, xs, layouts))
+        fractions = geometry.routing_fractions(app, xs, layouts)
         table = summary.outcomes.table
         assert np.array_equal(summary.outcomes.rate, rate)
-        assert np.array_equal(table[:, :4], (0.5 * rate)[:, None] * fractions.reshape(-1, 4))
+        assert np.array_equal(table[:, :4].T, 0.5 * rate * fractions.reshape(4, -1))
         # the counts are the one draw from the returned table
         c11, c12, c21, c22, _ = np.random.default_rng(seed).multinomial(1000, table).T
         assert np.array_equal(records.n1, c11 + c21) and np.array_equal(records.n2, c12 + c22)
