@@ -4,7 +4,6 @@ validation, and single-photon Monte Carlo."""
 from .geometry import Apparatus, DetectorLayouts
 from .wavemodel import (
     FringePattern,
-    DualityPoint,
     HypothesisKind,
     OutcomeHypothesis,
     fringe_spacing,
@@ -16,7 +15,6 @@ __all__ = [
     "Apparatus",
     "DetectorLayouts",
     "FringePattern",
-    "DualityPoint",
     "HypothesisKind",
     "OutcomeHypothesis",
     "fringe_spacing",

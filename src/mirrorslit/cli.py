@@ -35,7 +35,6 @@ from . import design, geometry, montecarlo
 from .design import SearchSpace
 from .geometry import Apparatus
 from .wavemodel import (
-    DualityPoint,
     FitError,
     HypothesisKind,
     OutcomeHypothesis,
@@ -371,8 +370,7 @@ def cmd_simulate(run: Run, files: dict) -> None:
     columns = [records[name] for name in ("x", "n", "n1", "n2", "misdetected")]
     row_format = "%.9e,%d,%d,%d,%d,%.9e,%.9e"
     files["counts.csv"] = (COUNTS_HEADER, row_format, [*columns, theory, theory])
-    point = DualityPoint(run.hypothesis.distinguishability, summary.v_total)
-    ok, _ = duality_check(point, tol=0.05)
+    ok, _ = duality_check(run.hypothesis.distinguishability, summary.v_total, tol=0.05)
     files["summary.json"] = {
         "V_total": summary.v_total,
         "V_1": summary.v_1,

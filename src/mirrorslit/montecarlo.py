@@ -33,8 +33,7 @@ from .wavemodel import (
     OutcomeHypothesis,
     fringe_spacing,
     fit_visibilities,
-    hypothesis_visibility,
-    phase,
+    phases,
     screen_intensity,
     two_beam_intensity,
 )
@@ -144,8 +143,8 @@ def outcomes(app: Apparatus, config: ScanConfig, hyp: OutcomeHypothesis) -> Outc
     fractions = geometry.routing_fractions(app, xs, layouts)
     x_max = float(max(abs(xs[0]), abs(xs[-1])))
     verdicts = design.judge(app, x_max, layouts, fractions, centre)
-    phi = phase(app, xs)
-    rate = 0.5 * (1.0 + hypothesis_visibility(hyp) * np.cos(phi))
+    phi = phases(app, xs)[1]
+    rate = 0.5 * (1.0 + hyp.visibility * np.cos(phi))
     p = 0.5 * rate * fractions.reshape(4, -1)
     # rounding can carry the sum of p a hair past 1 when the routed shares
     # cover the whole mirror; numpy rejects a negative last probability

@@ -49,18 +49,6 @@ class FringePattern:
         return int(self.positions.size)
 
 
-@dataclass(frozen=True)
-class DualityPoint:
-    distinguishability: float
-    visibility: float
-
-    def __post_init__(self):
-        for name in ("distinguishability", "visibility"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
 class HypothesisKind(enum.Enum):
     FULL_DUALITY = "full"  # fringes and complete path knowledge together
     EXCLUSIVE = "exclusive"  # path knowledge destroys the fringes
@@ -73,10 +61,12 @@ class HypothesisKind(enum.Enum):
 
 @dataclass(frozen=True)
 class OutcomeHypothesis:
-    """One of the three anticipated experimental outcomes.
+    """One of the three anticipated experimental outcomes: a point (D, V) of
+    the duality relation D^2 + V^2 <= 1, on its saturated boundary.
 
-    ``distinguishability`` is free for PARTIAL and pinned by convention to
-    0 for FULL_DUALITY and 1 for EXCLUSIVE.
+    ``distinguishability`` D is free for PARTIAL and pinned by convention to
+    0 for FULL_DUALITY and 1 for EXCLUSIVE; ``visibility`` is V = sqrt(1 - D^2),
+    since the interior of the inequality has no single-parameter model.
     """
 
     kind: HypothesisKind
@@ -88,6 +78,10 @@ class OutcomeHypothesis:
         pinned = {HypothesisKind.FULL_DUALITY: 0.0, HypothesisKind.EXCLUSIVE: 1.0}
         if self.kind in pinned:
             object.__setattr__(self, "distinguishability", pinned[self.kind])
+
+    @property
+    def visibility(self) -> float:
+        return math.sqrt(1.0 - self.distinguishability**2)
 
 
 def fringe_spacing(app: Apparatus) -> float:
@@ -111,11 +105,6 @@ def phases(app: Apparatus, x) -> tuple:
     return screen, screen + 2.0 * (g1 - g2)
 
 
-def phase(app: Apparatus, x) -> np.ndarray | float:
-    """Detector-1 fringe phase at scan position(s) x (``phases``)."""
-    return phases(app, x)[1]
-
-
 def two_beam_intensity(phi) -> np.ndarray | float:
     """Two-beam intensity 2 (1 + cos(phi)) at a phase difference phi of the
     two beams."""
@@ -133,7 +122,7 @@ def detector_intensity(app: Apparatus, x, which: int) -> np.ndarray | float:
     formulas are mirror images and thus numerically identical)."""
     if which not in (1, 2):
         raise ValueError("detector index must be 1 or 2")
-    p = phase(app, x)
+    p = phases(app, x)[1]
     return two_beam_intensity(p if which == 1 else -p)
 
 
@@ -145,22 +134,17 @@ class FringeFit:
     rms_residual: float
 
 
-def fit_visibility(pattern: FringePattern, period: float) -> FringeFit:
-    """Least-squares fit of A (1 + V cos(2 pi x / period + phi)).
+def fit_visibilities(positions: np.ndarray, columns, period: float) -> list[FringeFit]:
+    """Least-squares fits of A (1 + V cos(2 pi x / period + phi)), one per
+    column of samples taken at the same increasing positions.
 
     The period is fixed to the theoretical fringe spacing; fitting it would
-    make V degenerate on noisy counts.  Raw extrema are biased upward by
-    shot noise, hence the fit.  Requires a span of at least two periods
-    sampled at four or more points per period on average.
+    make V degenerate on noisy counts, and raw extrema are biased upward by
+    shot noise.  Requires a span of at least two periods sampled at four or
+    more points per period on average.  The sampling is checked and the
+    design matrix built once; each column gets its own lstsq, since one
+    lstsq with a 2-D right-hand side changes the last bits of V.
     """
-    return fit_visibilities(pattern.positions, [pattern.intensities], period)[0]
-
-
-def fit_visibilities(positions: np.ndarray, columns, period: float) -> list[FringeFit]:
-    """``fit_visibility`` of each column of samples taken at the same
-    increasing positions: the sampling is checked and the design matrix
-    built once, and each column gets its own lstsq, since one lstsq with a
-    2-D right-hand side changes the last bits of V."""
     if period <= 0:
         raise FitError("period must be positive")
     n = len(positions)
@@ -188,20 +172,7 @@ def fit_visibilities(positions: np.ndarray, columns, period: float) -> list[Frin
     return fits
 
 
-def duality_check(p: DualityPoint, tol: float = 1e-9) -> tuple[bool, float]:
-    """Whether D^2 + V^2 <= 1 holds, and the remaining slack 1 - D^2 - V^2."""
-    slack = 1.0 - p.distinguishability**2 - p.visibility**2
+def duality_check(d: float, v: float, tol: float = 1e-9) -> tuple[bool, float]:
+    """Whether d^2 + v^2 <= 1 holds within tol, and the slack 1 - d^2 - v^2."""
+    slack = 1.0 - d**2 - v**2
     return slack >= -tol, slack
-
-
-def hypothesis_visibility(hyp: OutcomeHypothesis) -> float:
-    """Fringe visibility implied by an outcome hypothesis.
-
-    The partial case sits on the saturated duality boundary V = sqrt(1 - D^2);
-    the interior of the inequality has no single-parameter model.
-    """
-    if hyp.kind is HypothesisKind.FULL_DUALITY:
-        return 1.0
-    if hyp.kind is HypothesisKind.EXCLUSIVE:
-        return 0.0
-    return math.sqrt(1.0 - hyp.distinguishability**2)

@@ -17,7 +17,7 @@ and one scalar geometry call per point, and ``scalar_search_steps`` draws
 and judges one search candidate at a time with the scalar ``validate``.
 ``curves_csv`` and ``counts_csv`` write the CLI's CSV files one row at a
 time.  ``visibility`` is the raw-extrema contrast that
-``wavemodel.fit_visibility`` replaces on noisy counts.
+``wavemodel.fit_visibilities`` replaces on noisy counts.
 
 The helpers here read ``geometry``'s arrays as stored, positions-last.
 ``coordinate_last_layouts`` and ``coordinate_last_fractions`` are the layout
@@ -58,8 +58,7 @@ from mirrorslit.wavemodel import (
     FringePattern,
     OutcomeHypothesis,
     fringe_spacing,
-    hypothesis_visibility,
-    phase,
+    phases,
 )
 
 _BISECT_TOL = 1e-7
@@ -244,7 +243,7 @@ def photon_event(
     if edges is None:
         edges = row_edges(geometry.detector_layouts(app, x))
     slit = 1 if rng.random() < 0.5 else 2
-    v = hypothesis_visibility(hyp)
+    v = hyp.visibility
     if rng.random() >= acceptance_rate(app, x, v):
         return 0, slit, False
     pl = mirror_placement(app, x)
@@ -307,7 +306,7 @@ def traced_fractions(
 def acceptance_rate(app: Apparatus, x, v: float):
     """The fringe rate (1 + v cos phase) / 2 in [0, 1] at scan position(s)
     x: the chance that a photon survives the acceptance test."""
-    return 0.5 * (1.0 + v * np.cos(phase(app, x)))
+    return 0.5 * (1.0 + v * np.cos(phases(app, x)[1]))
 
 
 def traced_outcomes(

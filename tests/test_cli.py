@@ -282,6 +282,17 @@ class TestValidateCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_non_object_root_exits_one(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "validate", [])
+        assert code == EXIT_USAGE
+        assert single_error(capsys) == "error: config root must be a JSON object"
+
+    def test_integer_past_float_range_exits_one(self, tmp_path, capsys):
+        # JSON reads 1 followed by 400 zeros as an int, which float() overflows
+        code, _ = run(tmp_path, "validate", {"apparatus": {"wavelength": 10**400}})
+        assert code == EXIT_USAGE
+        assert "apparatus.wavelength must be a finite number" in single_error(capsys)
+
     def test_malformed_json_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -381,6 +392,15 @@ class TestSimulateCommand:
         _, out = self.simulate(tmp_path, payload)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["V_total"] <= 0.1
+
+    def test_duality_violation_reported(self, tmp_path):
+        # at 10 photons per position shot noise fits V_total = 0.716 to the
+        # flat exclusive counts of seed 8, so D^2 + V^2 exceeds 1 + 0.05
+        payload = {"hypothesis": {"kind": "exclusive"}, "scan": {"photons_per_position": 10}}
+        _, out = self.simulate(tmp_path, payload, "--seed", "8")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["V_total"] == pytest.approx(0.716, abs=5e-4)
+        assert summary["duality_satisfied"] is False
 
     def test_reruns_byte_identical(self, tmp_path):
         payload = {"scan": {"photons_per_position": 300, "seed": 5}}

@@ -39,6 +39,16 @@ def test_kernels_reject_non_finite_positions(app, bad):
             kernel()
 
 
+class TestApparatus:
+    def test_mirror_angle_inside_quadrant(self):
+        with pytest.raises(geometry.GeometryError, match="mirror_angle must lie in"):
+            Apparatus(mirror_angle=2.0)
+
+    def test_batch_fields_of_one_length(self):
+        with pytest.raises(geometry.GeometryError, match="of one length"):
+            Apparatus(wavelength=np.array([7e-7, 8e-7]), arm1=np.array([5.0, 6.0, 7.0]))
+
+
 class TestPathLengths:
     def test_symmetric_at_center(self, app):
         d1, d2 = geometry.path_lengths(app, 0.0)

@@ -20,10 +20,8 @@ from mirrorslit.wavemodel import (
     OutcomeHypothesis,
     detector_intensity,
     duality_check,
-    DualityPoint,
-    fit_visibility,
+    fit_visibilities,
     fringe_spacing,
-    hypothesis_visibility,
     screen_intensity,
 )
 from oracle import (
@@ -56,6 +54,10 @@ class TestScanConfig:
     def test_positions_must_increase(self):
         with pytest.raises(ScanError):
             ScanConfig(np.array([0.0, 0.0, 1.0]), 10, 0)
+
+    def test_one_position_rejected(self):
+        with pytest.raises(ScanError, match="at least two scan positions"):
+            ScanConfig(np.array([0.0]), 10, 0)
 
     def test_photon_count_positive(self, scan_grid):
         with pytest.raises(ScanError):
@@ -158,7 +160,7 @@ class TestClosedFormRouting:
         app = replace(app, mirror_width=width)
         x = x_over_fs * f_s
         layout = geometry.detector_layouts(app, 0.0 if frozen else x)
-        v = hypothesis_visibility(OutcomeHypothesis(HypothesisKind.PARTIAL, 0.6))
+        v = OutcomeHypothesis(HypothesisKind.PARTIAL, 0.6).visibility
         n = 1_000_000
         rng = np.random.default_rng(13)
         c11, c12, c21, c22, _ = traced_outcomes(app, x, n, v, rng, row_edges(layout))
@@ -252,7 +254,7 @@ class TestSimulateScan:
         summary = simulate_scan(app, config, OutcomeHypothesis(HypothesisKind.PARTIAL, d))
         expected = math.sqrt(1 - d * d)
         assert summary.v_total == pytest.approx(expected, abs=0.05)
-        ok, _ = duality_check(DualityPoint(d, min(summary.v_total, 1.0)), tol=0.05)
+        ok, _ = duality_check(d, min(summary.v_total, 1.0), tol=0.05)
         assert ok
 
     def test_deterministic(self, app, config):
@@ -361,11 +363,11 @@ class TestComputedOnce:
             summary = simulate_scan(app, ScanConfig(xs, 1000, seed, frozen), hyp)
         records = summary.records
         for fitted, name in ((summary.v_total, "n"), (summary.v_1, "n1"), (summary.v_2, "n2")):
-            assert fitted == fit_visibility(FringePattern(xs, records[name]), f_s).visibility
+            assert fitted == fit_visibilities(xs, [records[name]], f_s)[0].visibility
         intensity = detector_intensity(app, xs, 1)
         assert np.array_equal(records.i1_theory, intensity)
         assert np.array_equal(records.i2_theory, intensity)
-        rate = acceptance_rate(app, xs, hypothesis_visibility(hyp))
+        rate = acceptance_rate(app, xs, hyp.visibility)
         layouts = geometry.detector_layouts(app, 0.0 if frozen else xs)
         fractions = geometry.routing_fractions(app, xs, layouts)
         table = summary.outcomes.table
@@ -417,7 +419,7 @@ class TestOutcomeTable:
         n = 200_000
         scan = montecarlo.outcomes(app, ScanConfig(xs, n, 0, frozen), self.PARTIAL)
         layouts = geometry.detector_layouts(app, 0.0 if frozen else xs)
-        v = hypothesis_visibility(self.PARTIAL)
+        v = self.PARTIAL.visibility
         rng = np.random.default_rng(15)
         for i, (x, p) in enumerate(zip(xs, scan.table)):
             traced = traced_outcomes(app, x, n, v, rng, row_edges(layouts, 0 if frozen else i))
@@ -493,10 +495,8 @@ class TestPositionStreams:
 
 class TestConventionalScan:
     def test_recovers_high_visibility(self, app, scan_grid, f_s):
-        from mirrorslit.wavemodel import fit_visibility
-
         pattern = conventional_scan(app, ScanConfig(scan_grid, 10_000, 5))
-        fit = fit_visibility(pattern, f_s)
+        fit = fit_visibilities(pattern.positions, [pattern.intensities], f_s)[0]
         assert fit.visibility >= 0.95
 
     def test_peak_spacing_matches_fringe_period(self, app, f_s):
@@ -556,6 +556,19 @@ class TestCompareDistributions:
         chi2, compatible = compare_distributions(reference, summary)
         assert not compatible
         assert chi2 > 10
+
+    def test_empty_reference_rejected(self, app, scan_grid, config):
+        summary = simulate_scan(app, config, FULL)
+        empty = FringePattern(scan_grid, np.zeros(len(scan_grid)))
+        with pytest.raises(ScanError, match="no counts"):
+            compare_distributions(empty, summary)
+
+    def test_one_populated_bin_rejected(self, app, scan_grid, config):
+        summary = simulate_scan(app, config, FULL)
+        counts = np.zeros(len(scan_grid))
+        counts[20] = 100.0
+        with pytest.raises(ScanError, match="not enough populated bins"):
+            compare_distributions(FringePattern(scan_grid, counts), summary)
 
     def test_grid_mismatch_rejected(self, app, scan_grid):
         cfg = ScanConfig(scan_grid, 500, 11)

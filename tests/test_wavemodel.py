@@ -6,16 +6,14 @@ import pytest
 from mirrorslit import wavemodel
 from mirrorslit.geometry import Apparatus
 from mirrorslit.wavemodel import (
-    DualityPoint,
     FitError,
     FringePattern,
     HypothesisKind,
     OutcomeHypothesis,
     detector_intensity,
     duality_check,
-    fit_visibility,
+    fit_visibilities,
     fringe_spacing,
-    hypothesis_visibility,
     screen_intensity,
 )
 from oracle import visibility
@@ -114,7 +112,7 @@ class TestPhase:
             ]
             path = math.hypot(x - half, length) - math.hypot(x + half, length)
             expected.append(wavemodel.wave_number(app) * path + 2 * (gamma[0] - gamma[1]))
-        np.testing.assert_allclose(wavemodel.phase(app, xs), expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(wavemodel.phases(app, xs)[1], expected, rtol=0, atol=1e-9)
         for x, phi in zip(xs, expected):
             assert detector_intensity(app, x, 1) == pytest.approx(
                 2 * (1 + math.cos(phi)), abs=1e-9
@@ -144,14 +142,14 @@ class TestVisibility:
 class TestFitVisibility:
     def test_recovers_full_contrast(self):
         x = np.linspace(-2.0, 2.0, 128)
-        fit = fit_visibility(FringePattern(x, 1 + np.cos(2 * np.pi * x)), 1.0)
+        fit = fit_visibilities(x, [1 + np.cos(2 * np.pi * x)], 1.0)[0]
         assert fit.visibility == pytest.approx(1.0, abs=1e-6)
         assert fit.baseline == pytest.approx(1.0, abs=1e-6)
         assert fit.rms_residual < 1e-9
 
     def test_recovers_flat(self):
         x = np.linspace(-2.0, 2.0, 128)
-        fit = fit_visibility(FringePattern(x, np.full_like(x, 5.0)), 1.0)
+        fit = fit_visibilities(x, [np.full_like(x, 5.0)], 1.0)[0]
         assert fit.visibility == pytest.approx(0.0, abs=1e-6)
 
     def test_poisson_counts_recover_contrast(self):
@@ -159,54 +157,56 @@ class TestFitVisibility:
         x = np.linspace(-2.0, 2.0, 81)
         mean = 1000 * (1 + 0.8 * np.cos(2 * np.pi * x + 0.3))
         counts = rng.poisson(mean).astype(float)
-        fit = fit_visibility(FringePattern(x, counts), 1.0)
+        fit = fit_visibilities(x, [counts], 1.0)[0]
         assert fit.visibility == pytest.approx(0.8, abs=0.05)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0])
+    def test_period_must_be_positive(self, period):
+        x = np.linspace(-2.0, 2.0, 128)
+        with pytest.raises(FitError, match="period must be positive"):
+            fit_visibilities(x, [np.ones_like(x)], period)
 
     def test_too_few_samples(self):
         x = np.linspace(-2.0, 2.0, 6)
         with pytest.raises(FitError):
-            fit_visibility(FringePattern(x, np.ones_like(x)), 1.0)
+            fit_visibilities(x, [np.ones_like(x)], 1.0)
 
     def test_too_short_span(self):
         x = np.linspace(0.0, 1.5, 64)
         with pytest.raises(FitError):
-            fit_visibility(FringePattern(x, np.ones_like(x)), 1.0)
+            fit_visibilities(x, [np.ones_like(x)], 1.0)
 
     def test_exact_screen_pattern_high_contrast(self, app, f_s):
         xs = np.linspace(-3 * f_s, 3 * f_s, 121)
-        fit = fit_visibility(FringePattern(xs, screen_intensity(app, xs)), f_s)
+        fit = fit_visibilities(xs, [screen_intensity(app, xs)], f_s)[0]
         assert fit.visibility >= 0.99
 
 
 class TestDuality:
     def test_pure_particle(self):
-        ok, slack = duality_check(DualityPoint(1.0, 0.0))
+        ok, slack = duality_check(1.0, 0.0)
         assert ok and slack == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_wave(self):
-        ok, slack = duality_check(DualityPoint(0.0, 1.0))
+        ok, slack = duality_check(0.0, 1.0)
         assert ok and slack == pytest.approx(0.0, abs=1e-12)
 
     def test_violation(self):
-        ok, slack = duality_check(DualityPoint(0.8, 0.8))
+        ok, slack = duality_check(0.8, 0.8)
         assert not ok
         assert slack == pytest.approx(1 - 0.64 - 0.64, abs=1e-12)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            DualityPoint(1.2, 0.0)
 
 
 class TestHypothesisVisibility:
     def test_full_duality(self):
-        assert hypothesis_visibility(OutcomeHypothesis(HypothesisKind.FULL_DUALITY)) == 1.0
+        assert OutcomeHypothesis(HypothesisKind.FULL_DUALITY).visibility == 1.0
 
     def test_exclusive(self):
-        assert hypothesis_visibility(OutcomeHypothesis(HypothesisKind.EXCLUSIVE)) == 0.0
+        assert OutcomeHypothesis(HypothesisKind.EXCLUSIVE).visibility == 0.0
 
     def test_partial_on_duality_boundary(self):
         hyp = OutcomeHypothesis(HypothesisKind.PARTIAL, 0.6)
-        assert hypothesis_visibility(hyp) == pytest.approx(0.8, abs=1e-12)
+        assert hyp.visibility == pytest.approx(0.8, abs=1e-12)
 
     def test_distinguishability_validated(self):
         with pytest.raises(ValueError):
@@ -217,6 +217,10 @@ class TestFringePattern:
     def test_requires_increasing_positions(self):
         with pytest.raises(ValueError):
             FringePattern(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="matching 1D arrays"):
+            FringePattern(np.array([0.0, 1.0]), np.ones(3))
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
