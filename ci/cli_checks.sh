@@ -4,9 +4,13 @@
 # The command is ${MIRRORSLIT:-mirrorslit}: the installed console script by
 # default, or for a source checkout
 #   MIRRORSLIT="python -m mirrorslit.cli" PYTHONPATH=src bash ci/cli_checks.sh
-# Outputs go to the working directory (listed in .gitignore).
+# Every file the checks write goes under a temporary directory, removed on
+# exit; the working directory stays the repo root, so a relative PYTHONPATH
+# holds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 # `command` skips this function, so the default finds the console script
 mirrorslit() {
@@ -14,42 +18,42 @@ mirrorslit() {
 }
 
 # the command on the README config, which sets every section
-python -c 'import re; open("readme.json", "w").write(re.search(r"```json\n(.*?)```", open("README.md").read(), re.S).group(1))'
-mirrorslit validate --config readme.json --out cli-out
-mirrorslit scan --config readme.json --out cli-out --no-timestamp
-mirrorslit search --config readme.json --out cli-out --no-timestamp
-mirrorslit simulate --config readme.json --out cli-out --no-timestamp
+python -c 'import re; print(re.search(r"```json\n(.*?)```", open("README.md").read(), re.S).group(1), end="")' > "$tmp/readme.json"
+mirrorslit validate --config "$tmp/readme.json" --out "$tmp/cli-out"
+mirrorslit scan --config "$tmp/readme.json" --out "$tmp/cli-out" --no-timestamp
+mirrorslit search --config "$tmp/readme.json" --out "$tmp/cli-out" --no-timestamp
+mirrorslit simulate --config "$tmp/readme.json" --out "$tmp/cli-out" --no-timestamp
 # a rerun without timestamps writes the same bytes
-mirrorslit scan --config readme.json --out cli-out-2 --no-timestamp
-mirrorslit search --config readme.json --out cli-out-2 --no-timestamp
-mirrorslit simulate --config readme.json --out cli-out-2 --no-timestamp
-cmp cli-out/curves.csv cli-out-2/curves.csv
-cmp cli-out/best_apparatus.json cli-out-2/best_apparatus.json
-cmp cli-out/report.json cli-out-2/report.json
-cmp cli-out/counts.csv cli-out-2/counts.csv
-cmp cli-out/summary.json cli-out-2/summary.json
+mirrorslit scan --config "$tmp/readme.json" --out "$tmp/cli-out-2" --no-timestamp
+mirrorslit search --config "$tmp/readme.json" --out "$tmp/cli-out-2" --no-timestamp
+mirrorslit simulate --config "$tmp/readme.json" --out "$tmp/cli-out-2" --no-timestamp
+cmp "$tmp/cli-out/curves.csv" "$tmp/cli-out-2/curves.csv"
+cmp "$tmp/cli-out/best_apparatus.json" "$tmp/cli-out-2/best_apparatus.json"
+cmp "$tmp/cli-out/report.json" "$tmp/cli-out-2/report.json"
+cmp "$tmp/cli-out/counts.csv" "$tmp/cli-out-2/counts.csv"
+cmp "$tmp/cli-out/summary.json" "$tmp/cli-out-2/summary.json"
 # and so does a fine grid: 1001 positions, 10^3 photons each
-echo '{"scan": {"positions": 1001, "photons_per_position": 1000, "seed": 7}}' > fine.json
-mirrorslit scan --config fine.json --out cli-fine --no-timestamp
-mirrorslit scan --config fine.json --out cli-fine-2 --no-timestamp
-mirrorslit simulate --config fine.json --out cli-fine --no-timestamp
-mirrorslit simulate --config fine.json --out cli-fine-2 --no-timestamp
-cmp cli-fine/curves.csv cli-fine-2/curves.csv
-cmp cli-fine/counts.csv cli-fine-2/counts.csv
-cmp cli-fine/summary.json cli-fine-2/summary.json
+echo '{"scan": {"positions": 1001, "photons_per_position": 1000, "seed": 7}}' > "$tmp/fine.json"
+mirrorslit scan --config "$tmp/fine.json" --out "$tmp/cli-fine" --no-timestamp
+mirrorslit scan --config "$tmp/fine.json" --out "$tmp/cli-fine-2" --no-timestamp
+mirrorslit simulate --config "$tmp/fine.json" --out "$tmp/cli-fine" --no-timestamp
+mirrorslit simulate --config "$tmp/fine.json" --out "$tmp/cli-fine-2" --no-timestamp
+cmp "$tmp/cli-fine/curves.csv" "$tmp/cli-fine-2/curves.csv"
+cmp "$tmp/cli-fine/counts.csv" "$tmp/cli-fine-2/counts.csv"
+cmp "$tmp/cli-fine/summary.json" "$tmp/cli-fine-2/summary.json"
 
 # main maps every outcome to an exit code and stderr lines, for every
 # command, a usage error included: expected code, stderr lines, command,
 # config and, if not exit-out, the output directory; a failed run prints
 # exactly one error line
 check() {
-  echo "$4" > exit.json
+  echo "$4" > "$tmp/exit.json"
   code=0
-  mirrorslit "$3" --config exit.json --out "${5:-exit-out}" 2> exit.err > /dev/null || code=$?
-  cat exit.err
+  mirrorslit "$3" --config "$tmp/exit.json" --out "${5:-$tmp/exit-out}" 2> "$tmp/exit.err" > /dev/null || code=$?
+  cat "$tmp/exit.err"
   test "$code" -eq "$1"
-  test "$(wc -l < exit.err)" -eq "$2"
-  if [ "$1" -gt 0 ]; then test "$(grep -c '^error: ' exit.err)" -eq 1; fi
+  test "$(wc -l < "$tmp/exit.err")" -eq "$2"
+  if [ "$1" -gt 0 ]; then test "$(grep -c '^error: ' "$tmp/exit.err")" -eq 1; fi
 }
 check 1 1 validate '{"apparatus": {"colour": 1}}'
 check 1 1 sideways '{}'
@@ -72,6 +76,6 @@ check 0 1 simulate '{"scan": {"freeze_detectors": true}}'
 check 0 0 simulate '{"scan": {"x_min": 1e-4, "x_max": 2.1e-3}}'
 # slit 1 on the mirror line at its grazing probe x = 3 F_s, beyond x_max
 check 2 1 validate '{"x_max": 1.75e-5, "apparatus": {"slit_separation": 0.01, "mirror_angle": 1.5210474095731559}}'
-touch exit-file
-check 1 1 validate '{}' exit-file
+touch "$tmp/exit-file"
+check 1 1 validate '{}' "$tmp/exit-file"
 echo "cli checks passed"

@@ -203,14 +203,15 @@ def limiting_half_width(app: Apparatus, x: float, slit: int) -> float:
     if slit not in (1, 2):
         raise DesignError("slit must be 1 or 2")
     i = slit - 1
-    solution = _solution(app, geometry.aim_detectors(app, np.array([x, x])))
+    layouts = geometry.aim_detectors(app, np.array([x, x]))
+    solution = _solution(app, layouts)
     if solution.failure[i] == UNBRACKETED:
         raise BracketError(
             f"grazing limit {solution.half_widths[i]:.3g} m not within [{_HALF_WIDTH_LO}, "
             f"{_HALF_WIDTH_HI}] m; width is limited by the sampling constraint instead"
         )
     if solution.failure[i] != SOLVED:
-        geometry.detector_layouts(app, x)
+        layouts.raise_first_failure()
     return float(solution.half_widths[i])
 
 

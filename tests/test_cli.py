@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import dataclasses
 import io
 import itertools
@@ -21,7 +20,6 @@ from mirrorslit.cli import (
     EXIT_NO_RESULT,
     EXIT_OK,
     EXIT_USAGE,
-    ConfigError,
     load,
     main,
     read_config,
@@ -75,6 +73,85 @@ def loaded(config: dict) -> cli.Run:
     return load(read_config(config))
 
 
+def assert_refused(tmp_path, capsys, command, config, error, *extra):
+    """command refuses config: exit 1, the error line alone on stderr and no --out."""
+    code, out = run(tmp_path, command, config, *extra)
+    assert (code, capsys.readouterr().err, out.exists()) == (EXIT_USAGE, f"error: {error}\n", False)
+
+
+def refused_test(cases, per_command=False):
+    """A test that assert_refused holds for each case, (config, error line,
+    *extra argv), on every command.  cases maps test ids to cases, or is
+    one case for a test without ids; per_command makes each command an id
+    of its own, ahead of the case's."""
+    if not isinstance(cases, dict):
+        def test(self, tmp_path, capsys):
+            for command in COMMANDS:
+                assert_refused(tmp_path, capsys, command, *cases)
+    elif per_command:
+        @pytest.mark.parametrize("case", cases.values(), ids=cases)
+        @pytest.mark.parametrize("command", COMMANDS)
+        def test(self, tmp_path, capsys, command, case):
+            assert_refused(tmp_path, capsys, command, *case)
+    else:
+        @pytest.mark.parametrize("case", cases.values(), ids=cases)
+        def test(self, tmp_path, capsys, case):
+            for command in COMMANDS:
+                assert_refused(tmp_path, capsys, command, *case)
+    return test
+
+
+KIND = "hypothesis kind must be full, exclusive or partial, got "
+RANGE = "config values out of numeric range: "
+TYPE_TEXT = dict(number="a finite number", integer="an integer", boolean="true or false",
+                 string="a string", interval="a number or [lo, hi]")
+
+
+def wrong_type(section, key, value):
+    """The case of value in the field section.key (section None: the root)
+    whose type refuses it; a string in hypothesis.kind is an unknown kind."""
+    config = {key: value} if section is None else {section: {key: value}}
+    field = cli.FIELDS[section][key]
+    if field.type == "string" and isinstance(value, str):
+        return config, KIND + repr(value)
+    name = key if section is None else f"{section}.{key}"
+    return config, f"{name} must be {TYPE_TEXT[field.type]}, got {value!r}"
+
+
+# main reads and loads the config before any command, so every command
+# refuses these alike; the tests below name their cases by id
+
+# unknown fields and sections; the root is read first
+UNKNOWN = {
+    label: (config, f"unknown config field {name!r}") for label, config, name in [
+        ("motivation", {"scan": {"photon_per_position": 10, "positons": 7}, "hypotesis": {}}, "hypotesis"),
+        ("scan", {"scan": {"positons": 7}}, "scan.positons"),
+        ("hypothesis-section", {"hypotesis": {}}, "hypotesis"),
+        ("search-section", {"serach": {"samples": 4}}, "serach"),
+        ("apparatus", {"apparatus": {"wavelenght": 7e-7}}, "apparatus.wavelenght"),
+        ("hypothesis", {"hypothesis": {"distinguishabilty": 0.5}}, "hypothesis.distinguishabilty"),
+        ("search", {"search": {"sample": 4}}, "search.sample"),
+        ("root", {"xmax": 2e-3}, "xmax"),
+    ]
+}
+# values of a field's type that its bounds, a loader or the layouts refuse
+ONE_VERDICT = {
+    "hypothesis-kind": ({"hypothesis": {"kind": "sideways"}}, KIND + "'sideways'"),
+    **{f"scan-positions{label}": ({"scan": {"positions": n}}, f"scan.positions must be >= 2, got {n}")
+       for label, n in [("", 1), ("-zero", 0), ("-negative", -127)]},
+    "search-samples": ({"search": {"samples": 0}}, "search.samples must be >= 1, got 0"),
+    "search-interval": ({"search": {"arm": [2, 1]}}, "invalid interval for arm: [2.0, 1.0]"),
+    "hypothesis-distinguishability": ({"hypothesis": {"kind": "partial", "distinguishability": 1.5}},
+                                      "distinguishability must lie in [0, 1]"),
+    # each length is in range, but lambda L / d is 1e-596, below the least float
+    "fringe-period-underflow": ({"apparatus": {"wavelength": 1e-300, "screen_distance": 1e-300}},
+                                RANGE + "underflow encountered in the fringe period"),
+    "judged-extent-overflow": ({"x_max": 1e308}, RANGE + "overflow encountered in the square of x_max"),
+    "search-extent-overflow": ({"search": {"x_max": -1e200}},
+                               RANGE + "overflow encountered in the square of search.x_max"),
+}
+
+
 class TestLoadApparatus:
     def test_defaults_when_omitted(self):
         app = loaded({}).app
@@ -86,25 +163,11 @@ class TestLoadApparatus:
         assert app.wavelength == 350e-9
         assert app.slit_separation == 100e-6
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            read_config({"apparatus": {"wavelenght": 700e-9}})
-
-    def test_null_value_rejected(self):
-        with pytest.raises(ConfigError):
-            read_config({"apparatus": {"wavelength": None}})
-
-    def test_string_value_rejected(self):
-        with pytest.raises(ConfigError):
-            read_config({"apparatus": {"wavelength": "700nm"}})
-
-    def test_negative_value_rejected(self, tmp_path, capsys):
-        config = {"apparatus": {"wavelength": -1e-9}}
-        with pytest.raises(GeometryError):
-            loaded(config)
-        for command in COMMANDS:
-            assert run(tmp_path, command, config)[0] == EXIT_USAGE
-            assert single_error(capsys) == "error: wavelength must be strictly positive, got -1e-09"
+    test_unknown_key_rejected = refused_test(UNKNOWN["apparatus"])
+    test_null_value_rejected = refused_test(wrong_type("apparatus", "wavelength", None))
+    test_string_value_rejected = refused_test(wrong_type("apparatus", "wavelength", "700nm"))
+    test_negative_value_rejected = refused_test(
+        ({"apparatus": {"wavelength": -1e-9}}, "wavelength must be strictly positive, got -1e-09"))
 
 
 class TestLoadHypothesis:
@@ -119,56 +182,98 @@ class TestLoadHypothesis:
         assert hyp.kind is HypothesisKind.PARTIAL
         assert hyp.distinguishability == 0.6
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError, match="hypothesis kind must be full, exclusive or partial"):
-            self.parse({"kind": "sideways"})
-
-    def test_bad_value(self):
-        with pytest.raises(ConfigError):
-            self.parse({"kind": "partial", "distinguishability": "lots"})
-
-    def test_out_of_range(self, tmp_path, capsys):
-        section = {"kind": "partial", "distinguishability": 1.5}
-        with pytest.raises(ValueError):
-            self.parse(section)
-        assert run(tmp_path, "simulate", {"hypothesis": section})[0] == EXIT_USAGE
-        assert single_error(capsys) == "error: distinguishability must lie in [0, 1]"
+    test_bad_kind = refused_test(ONE_VERDICT["hypothesis-kind"])
+    test_bad_value = refused_test(wrong_type("hypothesis", "distinguishability", "lots"))
+    test_out_of_range = refused_test(ONE_VERDICT["hypothesis-distinguishability"])
 
 
 class TestOneVerdictPerConfig:
-    """A value that one command would refuse ends every command in the same
-    error line, exit 1 and no output, whichever sections it reads."""
+    test_every_command_exits_one = refused_test(ONE_VERDICT, per_command=True)
+
+
+class TestNegativeSeed:
+    FLAG = "--seed must be >= 0, got -1", "--seed", "-1"
+    test_exits_one_with_error_line = refused_test({
+        "simulate-flag": ({"scan": {"photons_per_position": 10}}, *FLAG),
+        "simulate-config": ({"scan": {"photons_per_position": 10, "seed": -2}},
+                            "scan.seed must be >= 0, got -2"),
+        "search-flag": ({"search": {"samples": 2}}, *FLAG),
+        "search-config": ({"search": {"samples": 2, "seed": -2}}, "search.seed must be >= 0, got -2"),
+    })
+
+
+class TestMalformedConfig:
+    test_exits_one_with_error_line = refused_test({
+        "search-zero-samples": ONE_VERDICT["search-samples"],
+        "scan-non-numeric-positions": wrong_type("scan", "positions", "abc"),
+        "scan-non-numeric-seed": wrong_type("scan", "seed", "abc"),
+        **{f"hypothesis-{label}-distinguishability": wrong_type("hypothesis", "distinguishability", value)
+           for label, value in [("null", None), ("list", []), ("object", {})]},
+        **{f"hypothesis-{label}-kind": wrong_type("hypothesis", "kind", value)
+           for label, value in [("list", []), ("object", {})]},
+        "scan-boolean-photons": wrong_type("scan", "photons_per_position", True),
+        "scan-fractional-positions": wrong_type("scan", "positions", 41.9),
+        "scan-fractional-photons": wrong_type("scan", "photons_per_position", 10.5),
+        "scan-fractional-seed": wrong_type("scan", "seed", 2.7),
+        "search-fractional-samples": wrong_type("search", "samples", 64.5),
+        "search-fractional-seed": wrong_type("search", "seed", 0.5),
+        "scan-huge-extent": ({"scan": {"x_min": -1e308, "x_max": 1e308}},
+                             RANGE + "overflow encountered in the square of scan.x_min"),
+        "validate-huge-x-max": ONE_VERDICT["judged-extent-overflow"],
+    })
+
+
+class TestFringePeriodOverflow:
+    # each length is in range, but lambda L / d is 1e320, past the largest float
+    CONFIG = {"apparatus": {"wavelength": 1e300, "screen_distance": 1e10, "slit_separation": 1e-10}}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exits_one_with_numeric_range_error(self, tmp_path, capsys, command):
+        error = RANGE + "overflow encountered in the fringe period"
+        assert_refused(tmp_path, capsys, command, self.CONFIG, error)
+
+
+class TestWrongTypeSweep:
+    """Each JSON type in each field of cli.FIELDS, on every command."""
 
     @pytest.mark.parametrize(
-        "config, error",
-        [
-            ({"hypothesis": {"kind": "sideways"}},
-             "hypothesis kind must be full, exclusive or partial, got 'sideways'"),
-            ({"scan": {"positions": 1}}, "scan.positions must be >= 2, got 1"),
-            ({"scan": {"positions": 0}}, "scan.positions must be >= 2, got 0"),
-            ({"scan": {"positions": -127}}, "scan.positions must be >= 2, got -127"),
-            ({"search": {"samples": 0}}, "search.samples must be >= 1, got 0"),
-            ({"search": {"arm": [2, 1]}}, "invalid interval for arm: [2.0, 1.0]"),
-            ({"hypothesis": {"kind": "partial", "distinguishability": 1.5}},
-             "distinguishability must lie in [0, 1]"),
-            # each length is in range, but lambda L / d is 1e-596, below the least float
-            ({"apparatus": {"wavelength": 1e-300, "screen_distance": 1e-300}},
-             "config values out of numeric range: underflow encountered in the fringe period"),
-            ({"x_max": 1e308},
-             "config values out of numeric range: overflow encountered in the square of x_max"),
-            ({"search": {"x_max": -1e200}}, "config values out of numeric range: "
-             "overflow encountered in the square of search.x_max"),
-        ],
-        ids=["hypothesis-kind", "scan-positions", "scan-positions-zero", "scan-positions-negative",
-             "search-samples", "search-interval", "hypothesis-distinguishability",
-             "fringe-period-underflow", "judged-extent-overflow", "search-extent-overflow"],
+        "value", [None, "text", [], {}, True], ids=["null", "text", "list", "object", "true"]
+    )
+    @pytest.mark.parametrize(
+        "section, key",
+        [(section, key) for section, fields in cli.FIELDS.items() for key in fields],
+        ids=[f"{section or 'root'}.{key}" for section, fields in cli.FIELDS.items() for key in fields],
     )
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_every_command_exits_one(self, tmp_path, capsys, command, config, error):
-        code, out = run(tmp_path, command, config)
-        assert code == EXIT_USAGE
-        assert single_error(capsys) == f"error: {error}"
-        assert not out.exists()
+    def test_exit_code_and_stderr(self, tmp_path, capsys, command, section, key, value):
+        if not (value is True and cli.FIELDS[section][key].type == "boolean"):
+            assert_refused(tmp_path, capsys, command, *wrong_type(section, key, value))
+            return
+        # true is a value of a boolean field: the command runs
+        config = {"scan": {"photons_per_position": 100}, "search": {"samples": 4}}
+        config.setdefault(section, {})[key] = True
+        code, _ = run(tmp_path, command, config)
+        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_NO_RESULT)
+        assert_one_error_at_most(capsys.readouterr().err)
+
+    def test_covers_every_field(self):
+        # a text for each field type, and none for a type no field has
+        types = {field.type for fields in cli.FIELDS.values() for field in fields.values()}
+        assert set(TYPE_TEXT) == types
+
+
+def assert_unreadable(tmp_path, capsys, content, error):
+    """Every command refuses a config file of content (None: no file,
+    "directory": a directory), as assert_refused checks."""
+    path = tmp_path / "config.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    for command in COMMANDS:
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        expected = (EXIT_USAGE, f"error: {error.format(path=path)}\n", False)
+        assert (code, capsys.readouterr().err, (tmp_path / "out").exists()) == expected
 
 
 def test_judged_extent_one_verdict_per_decade(tmp_path, capsys):
@@ -228,6 +333,68 @@ def test_huge_lengths_one_verdict_per_decade(tmp_path, capsys, field):
     assert not refused or refused == list(range(refused[0], 301)), refused
 
 
+FAILS_VALIDATION = "warning: apparatus fails design validation; simulating anyway"
+
+# what a command ends in on a config it accepts, by name: (command, config,
+# exit code, stderr lines, files written); the tests below name their rows
+OUTCOMES = {
+    "validate-wide-mirror": ("validate", {"apparatus": {"mirror_width": 0.6e-3}}, EXIT_INFEASIBLE,
+                             ["error: design infeasible: sampling_ok, misdetection_free false"],
+                             ["report.json"]),
+    "validate-short-arm2": ("validate", {"apparatus": {"arm2": 0.05}}, EXIT_INFEASIBLE,
+                            ["warning: slit-1 grazing limit unbounded below 2 mm",
+                             "error: design infeasible: misdetection_free false"], ["report.json"]),
+    # at this tilt slit 1 lies on the mirror line at x = 3 F_s, where its
+    # grazing limit is solved
+    "validate-slit-on-mirror-line": (
+        "validate", {"apparatus": {"slit_separation": 0.01, "mirror_angle": 1.5210474095731559}},
+        EXIT_INFEASIBLE, ["error: incident ray is parallel to the mirror surface"], []),
+    # 7 positions over +-3 F_s are 0.7 mm apart, above F_s / 2 = 0.35 mm
+    **{f"{command}-coarse-grid": (
+        command, {"scan": {"positions": 7}}, EXIT_INFEASIBLE,
+        ["error: grid spacing 0.0007 m exceeds half the fringe period, 0.00035 m"], [])
+       for command in ("scan", "simulate")},
+    # 17 positions lie under F_s / 2 apart, which the sampling check
+    # accepts, but the visibility fit needs F_s / 4
+    "simulate-sparse-grid": ("simulate", {"scan": {"positions": 17}}, EXIT_INFEASIBLE,
+                             ["error: mean sample spacing exceeds a quarter period"], []),
+    # +-0.3 mm spans less than two fringe periods: validation fails, a
+    # warning, and the visibility fit rejects the pattern
+    "simulate-short-scan": (
+        "simulate", {"scan": {"x_min": -3e-4, "x_max": 3e-4}}, EXIT_INFEASIBLE,
+        [FAILS_VALIDATION, "error: pattern must span at least two fringe periods"], []),
+    # at a 0.01 rad tilt the reflected central rays re-enter the diaphragm
+    "simulate-blocked-beam": ("simulate", {"apparatus": {"mirror_angle": 0.01}}, EXIT_INFEASIBLE,
+                              ["error: reflected central ray re-enters the diaphragm at x=-0.0009"], []),
+    # off-centre the frozen x = 0 layout routes slits into the wrong
+    # detector, and a 1 mm wavelength fails validation; both runs go on
+    "simulate-frozen": (
+        "simulate", {"scan": {"photons_per_position": 500, "seed": 3, "freeze_detectors": True}},
+        EXIT_OK, [FAILS_VALIDATION], ["counts.csv", "summary.json"]),
+    "simulate-infeasible": ("simulate", {"apparatus": {"wavelength": 1e-3}}, EXIT_OK, [FAILS_VALIDATION],
+                            ["counts.csv", "summary.json"]),
+    "search-no-feasible-point": ("search", {"search": {"aperture": 1.0, "samples": 4}}, EXIT_NO_RESULT,
+                                 ["error: no feasible apparatus found"], []),
+}
+
+
+def assert_outcome(tmp_path, capsys, name):
+    """The OUTCOMES row name holds; without files no --out is made.  Returns --out."""
+    command, config, code, lines, files = OUTCOMES[name]
+    assert run(tmp_path, command, config)[0] == code
+    assert capsys.readouterr().err.splitlines() == lines
+    out = tmp_path / "out"
+    assert (sorted(path.name for path in out.iterdir()) if out.exists() else None) == (files or None)
+    return out
+
+
+def outcome_test(name):
+    """A test that the OUTCOMES row name holds."""
+    def test(self, tmp_path, capsys):
+        assert_outcome(tmp_path, capsys, name)
+    return test
+
+
 class TestValidateCommand:
     def test_bench_design_exits_zero(self, tmp_path):
         code, out = run(tmp_path, "validate", {})
@@ -239,21 +406,13 @@ class TestValidateCommand:
         assert report["L12_m"] == pytest.approx(5e-3, rel=0.05)
 
     def test_infeasible_design_exits_two(self, tmp_path, capsys):
-        code, out = run(
-            tmp_path, "validate", {"apparatus": {"mirror_width": 0.6e-3}}
-        )
-        assert code == EXIT_INFEASIBLE
-        report = json.loads((out / "report.json").read_text())
-        assert not report["feasible"]
-        # each check the report holds false, named in one line
-        error = "error: design infeasible: sampling_ok, misdetection_free false"
-        assert single_error(capsys) == error
+        out = assert_outcome(tmp_path, capsys, "validate-wide-mirror")
+        assert not json.loads((out / "report.json").read_text())["feasible"]
 
-    def test_unbounded_limit_written_as_null(self, tmp_path):
+    def test_unbounded_limit_written_as_null(self, tmp_path, capsys):
         # a 5 cm arm2 leaves slit 1's grazing limit unbounded: strict JSON
         # has no Infinity, so the report writes null
-        code, out = run(tmp_path, "validate", {"apparatus": {"arm2": 0.05}})
-        assert code == EXIT_INFEASIBLE
+        out = assert_outcome(tmp_path, capsys, "validate-short-arm2")
 
         def refuse(token):
             raise ValueError(f"non-standard JSON token {token}")
@@ -262,55 +421,31 @@ class TestValidateCommand:
         assert report["w1_limit_m"] is None
         assert 0.0 < report["w2_limit_m"] < 2e-3
 
-    def test_bad_config_exits_one(self, tmp_path):
-        code, _ = run(tmp_path, "validate", {"apparatus": {"wavelength": None}})
-        assert code == EXIT_USAGE
+    test_slit_on_mirror_line_exits_two_with_error_line = outcome_test("validate-slit-on-mirror-line")
+    test_bad_config_exits_one = refused_test(wrong_type("apparatus", "wavelength", None))
+    test_non_object_root_exits_one = refused_test(([], "config root must be a JSON object"))
+    # JSON reads 1 followed by 400 zeros as an int, which float() overflows
+    test_integer_past_float_range_exits_one = refused_test(wrong_type("apparatus", "wavelength", 10**400))
 
-    def test_slit_on_mirror_line_exits_two_with_error_line(self, tmp_path, capsys):
-        # at this tilt slit 1 lies on the mirror line at x = 3 F_s, where
-        # its grazing limit is solved
-        payload = {"apparatus": {"slit_separation": 0.01, "mirror_angle": 1.5210474095731559}}
-        code, _ = run(tmp_path, "validate", payload)
-        assert code == EXIT_INFEASIBLE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "parallel to the mirror" in err[0]
+    def test_missing_config_file_exits_one(self, tmp_path, capsys):
+        assert_unreadable(tmp_path, capsys, None, "config file not found: {path}")
 
-    def test_missing_config_file_exits_one(self, tmp_path):
-        code = main(
-            ["validate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
-        )
-        assert code == EXIT_USAGE
-
-    def test_non_object_root_exits_one(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "validate", [])
-        assert code == EXIT_USAGE
-        assert single_error(capsys) == "error: config root must be a JSON object"
-
-    def test_integer_past_float_range_exits_one(self, tmp_path, capsys):
-        # JSON reads 1 followed by 400 zeros as an int, which float() overflows
-        code, _ = run(tmp_path, "validate", {"apparatus": {"wavelength": 10**400}})
-        assert code == EXIT_USAGE
-        assert "apparatus.wavelength must be a finite number" in single_error(capsys)
-
-    def test_malformed_json_exits_one(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["validate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_USAGE
+    def test_malformed_json_exits_one(self, tmp_path, capsys):
+        error = "malformed JSON at line 1: Expecting property name enclosed in double quotes"
+        assert_unreadable(tmp_path, capsys, b"{not json", error)
 
     @pytest.mark.parametrize(
-        "content",
-        [None, "{}".encode("utf-16"), b"[" * 100_000],
+        "content, error",
+        [
+            ("directory", "[Errno 21] Is a directory: '{path}'"),
+            ("{}".encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (b"[" * 100_000,
+             "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+        ],
         ids=["directory", "utf-16-with-byte-order-mark", "nested-100000-deep"],
     )
-    def test_unreadable_config_exits_one(self, tmp_path, capsys, content):
-        path = tmp_path / "config.json"
-        if content is None:
-            path.mkdir()
-        else:
-            path.write_bytes(content)
-        assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
-        assert "cannot read config file" in single_error(capsys)
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, content, error):
+        assert_unreadable(tmp_path, capsys, content, "cannot read config file {path}: " + error)
 
 
 class TestScanCommand:
@@ -346,13 +481,7 @@ class TestScanCommand:
         np.testing.assert_allclose(rows[:, 1], screen_intensity(app, xs), atol=1e-8)
         np.testing.assert_allclose(rows[:, 2], detector_intensity(app, xs, 1), atol=1e-8)
 
-    def test_coarse_grid_exits_two(self, tmp_path, capsys):
-        # 7 positions over +-3 F_s are 0.7 mm apart, above F_s / 2 = 0.35 mm
-        code, _ = run(tmp_path, "scan", {"scan": {"positions": 7}})
-        assert code == EXIT_INFEASIBLE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "fringe period" in err[0]
-        assert err[0].endswith("0.0007 m exceeds half the fringe period, 0.00035 m")
+    test_coarse_grid_exits_two = outcome_test("scan-coarse-grid")
 
 
 class TestSimulateCommand:
@@ -416,54 +545,18 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 9
 
-    def test_sparse_grid_exits_two_with_error_line(self, tmp_path, capsys):
-        # 17 positions over +-3 F_s lie under F_s / 2 apart, which the
-        # sampling check accepts, but the visibility fit needs F_s / 4
-        code, _ = self.simulate(tmp_path, {"scan": {"positions": 17}})
-        assert code == EXIT_INFEASIBLE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-
-    def test_short_scan_exits_two_with_error_line(self, tmp_path, capsys):
-        # +-0.3 mm spans less than two fringe periods: validation fails, a
-        # warning, and the visibility fit rejects the pattern
-        code, _ = self.simulate(tmp_path, {"scan": {"x_min": -3e-4, "x_max": 3e-4}})
-        assert code == EXIT_INFEASIBLE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 2 and re.fullmatch("warning: .*fails design validation.*", err[0])
-        assert err[1].startswith("error: ")
-
-    def test_coarse_grid_exits_two_with_error_line(self, tmp_path, capsys):
-        code, _ = self.simulate(tmp_path, {"scan": {"positions": 7}})
-        assert code == EXIT_INFEASIBLE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "fringe period" in err[0]
-        assert err[0].endswith("0.0007 m exceeds half the fringe period, 0.00035 m")
-
-    def test_blocked_beam_exits_two_with_error_line(self, tmp_path, capsys):
-        # at a 0.01 rad tilt the reflected central rays re-enter the diaphragm
-        code, _ = self.simulate(tmp_path, {"apparatus": {"mirror_angle": 0.01}})
-        assert code == EXIT_INFEASIBLE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "diaphragm" in err[0]
+    test_sparse_grid_exits_two_with_error_line = outcome_test("simulate-sparse-grid")
+    test_short_scan_exits_two_with_error_line = outcome_test("simulate-short-scan")
+    test_coarse_grid_exits_two_with_error_line = outcome_test("simulate-coarse-grid")
+    test_blocked_beam_exits_two_with_error_line = outcome_test("simulate-blocked-beam")
+    test_infeasible_design_warns_in_one_line = outcome_test("simulate-infeasible")
 
     def test_frozen_detectors_warn(self, tmp_path, capsys):
-        # off-centre the x = 0 layout routes slits into the wrong detector
-        payload = {"scan": {"photons_per_position": 500, "seed": 3, "freeze_detectors": True}}
-        code, out = self.simulate(tmp_path, payload)
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and re.fullmatch("warning: .*fails design validation.*", err[0])
-        assert code == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["misdetection_rate"] > 0.0
+        out = assert_outcome(tmp_path, capsys, "simulate-frozen")
+        assert json.loads((out / "summary.json").read_text())["misdetection_rate"] > 0.0
 
-    def test_infeasible_design_warns_in_one_line(self, tmp_path, capsys):
-        # a 1 mm wavelength fails validation; the run goes on and exits 0
-        code, out = self.simulate(tmp_path, {"apparatus": {"wavelength": 1e-3}})
-        assert code == EXIT_OK
-        err = capsys.readouterr().err
-        assert err == "warning: apparatus fails design validation; simulating anyway\n"
-        assert (out / "summary.json").exists()
+    test_freeze_detectors_must_be_boolean = refused_test(
+        {str(value): wrong_type("scan", "freeze_detectors", value) for value in ["no", 0, None]})
 
     @pytest.mark.parametrize("photons", [1e19, 1e30])
     def test_huge_photon_count_exits_one_without_drawing(
@@ -473,11 +566,9 @@ class TestSimulateCommand:
             raise AssertionError("simulate_scan called")
 
         monkeypatch.setattr(cli.montecarlo, "simulate_scan", no_draws)
-        code, _ = self.simulate(tmp_path, {"scan": {"photons_per_position": photons}})
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "photons_per_position" in err[0]
+        error = (f"photons_per_position must be <= {2**63 - 1}, the largest count numpy can draw, "
+                 f"got {int(photons)}")
+        assert_refused(tmp_path, capsys, "simulate", {"scan": {"photons_per_position": photons}}, error)
 
     def test_seed_beyond_float_range(self, tmp_path, capsys):
         # JSON integers are unbounded and so are numpy seeds
@@ -512,96 +603,8 @@ class TestSimulateCommand:
         }
         code, out = self.simulate(tmp_path, payload)
         assert code == EXIT_OK
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and re.fullmatch("warning: .*fails design validation.*", err[0])
+        assert capsys.readouterr().err == FAILS_VALIDATION + "\n"
         assert json.loads((out / "summary.json").read_text())["L12_m"] is None
-
-    @pytest.mark.parametrize("value", ["no", 0, None])
-    def test_freeze_detectors_must_be_boolean(self, tmp_path, capsys, value):
-        payload = {"scan": {"photons_per_position": 10, "freeze_detectors": value}}
-        code, _ = self.simulate(tmp_path, payload)
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "freeze_detectors" in err[0]
-
-
-class TestNegativeSeed:
-    @pytest.mark.parametrize(
-        "command,section,extra",
-        [
-            ("simulate", {"scan": {"photons_per_position": 10}}, ("--seed", "-1")),
-            ("simulate", {"scan": {"photons_per_position": 10, "seed": -2}}, ()),
-            ("search", {"search": {"samples": 2}}, ("--seed", "-1")),
-            ("search", {"search": {"samples": 2, "seed": -2}}, ()),
-        ],
-        ids=["simulate-flag", "simulate-config", "search-flag", "search-config"],
-    )
-    def test_exits_one_with_error_line(self, tmp_path, capsys, command, section, extra):
-        code, _ = run(tmp_path, command, section, *extra)
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "seed" in err[0]
-
-
-class TestMalformedConfig:
-    @pytest.mark.parametrize(
-        "command,section,fragment",
-        [
-            ("search", {"search": {"samples": 0}}, "samples"),
-            ("simulate", {"scan": {"positions": "abc"}}, "positions"),
-            ("simulate", {"scan": {"photons_per_position": 10, "seed": "abc"}}, "seed"),
-            ("simulate", {"hypothesis": {"distinguishability": None}}, "distinguishability"),
-            ("simulate", {"hypothesis": {"distinguishability": []}}, "distinguishability"),
-            ("simulate", {"hypothesis": {"distinguishability": {}}}, "distinguishability"),
-            ("simulate", {"hypothesis": {"kind": []}}, "kind"),
-            ("simulate", {"hypothesis": {"kind": {}}}, "kind"),
-            ("simulate", {"scan": {"photons_per_position": True}}, "photons_per_position"),
-            ("simulate", {"scan": {"positions": 41.9, "seed": 2}}, "positions"),
-            ("simulate", {"scan": {"photons_per_position": 10.5}}, "photons_per_position"),
-            ("simulate", {"scan": {"photons_per_position": 10, "seed": 2.7}}, "seed"),
-            ("search", {"search": {"samples": 64.5}}, "samples"),
-            ("search", {"search": {"samples": 2, "seed": 0.5}}, "seed"),
-            ("simulate", {"scan": {"x_min": -1e308, "x_max": 1e308}}, "overflow"),
-            ("validate", {"x_max": 1e308}, "overflow"),
-        ],
-        ids=[
-            "search-zero-samples",
-            "scan-non-numeric-positions",
-            "scan-non-numeric-seed",
-            "hypothesis-null-distinguishability",
-            "hypothesis-list-distinguishability",
-            "hypothesis-object-distinguishability",
-            "hypothesis-list-kind",
-            "hypothesis-object-kind",
-            "scan-boolean-photons",
-            "scan-fractional-positions",
-            "scan-fractional-photons",
-            "scan-fractional-seed",
-            "search-fractional-samples",
-            "search-fractional-seed",
-            "scan-huge-extent",
-            "validate-huge-x-max",
-        ],
-    )
-    def test_exits_one_with_error_line(self, tmp_path, capsys, command, section, fragment):
-        code, _ = run(tmp_path, command, section)
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert fragment in err[0]
-
-
-class TestFringePeriodOverflow:
-    # each length is in range, but lambda L / d is 1e320, past the largest float
-    CONFIG = {"apparatus": {"wavelength": 1e300, "screen_distance": 1e10, "slit_separation": 1e-10}}
-
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_exits_one_with_numeric_range_error(self, tmp_path, capsys, command):
-        code, _ = run(tmp_path, command, self.CONFIG)
-        assert code == EXIT_USAGE
-        error = single_error(capsys)
-        assert error.startswith("error: config values out of numeric range: overflow")
 
 
 class TestIntegralFloats:
@@ -656,66 +659,8 @@ class TestPositionCount:
             raise AssertionError("np.linspace called")
 
         monkeypatch.setattr(cli.np, "linspace", no_grid)
-        code, _ = run(tmp_path, command, {"scan": {"positions": positions}})
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "positions" in err[0]
-
-
-# every config field each command reads, as (section, key, command); a
-# section of None is the config root
-COMMANDS_READING = (
-    [
-        ("apparatus", field.name, command)
-        for field in dataclasses.fields(Apparatus)
-        for command in ("validate", "scan", "simulate", "search")
-    ]
-    + [
-        ("scan", key, command)
-        for key in ("x_min", "x_max", "positions", "photons_per_position", "seed", "freeze_detectors")
-        for command in ("scan", "simulate")
-    ]
-    + [("hypothesis", key, "simulate") for key in ("kind", "distinguishability")]
-    + [
-        ("search", key, "search")
-        for key in (
-            "wavelength",
-            "slit_separation",
-            "screen_distance",
-            "mirror_angle",
-            "arm",
-            "aperture",
-            "x_max",
-            "samples",
-            "seed",
-        )
-    ]
-    + [(None, "x_max", "validate")]
-)
-
-
-class TestWrongTypeSweep:
-    BASE = {"scan": {"photons_per_position": 100}, "search": {"samples": 4}}
-
-    @pytest.mark.parametrize(
-        "value", [None, "text", [], {}, True], ids=["null", "text", "list", "object", "true"]
-    )
-    @pytest.mark.parametrize(
-        "section,key,command",
-        COMMANDS_READING,
-        ids=[f"{command}-{section or 'root'}.{key}" for section, key, command in COMMANDS_READING],
-    )
-    def test_exit_code_and_stderr(self, tmp_path, capsys, section, key, command, value):
-        payload = copy.deepcopy(self.BASE)
-        (payload.setdefault(section, {}) if section else payload)[key] = value
-        code, _ = run(tmp_path, command, payload)
-        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_NO_RESULT)
-        assert_one_error_at_most(capsys.readouterr().err)
-
-    def test_covers_every_field(self):
-        swept = {(section, key) for section, key, _ in COMMANDS_READING}
-        assert swept == {(section, key) for section, fields in cli.FIELDS.items() for key in fields}
+        error = f"scan.positions must be <= 1000000, got {positions}"
+        assert_refused(tmp_path, capsys, command, {"scan": {"positions": positions}}, error)
 
 
 class TestSearchCommand:
@@ -729,20 +674,6 @@ class TestSearchCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["feasible"]
 
-    def test_infeasible_space_exits_three(self, tmp_path, capsys):
-        payload = {"search": {"aperture": 1.0, "samples": 4}}
-        code, _ = run(tmp_path, "search", payload)
-        assert code == EXIT_NO_RESULT
-        assert single_error(capsys) == "error: no feasible apparatus found"
-
-    def test_angle_interval_outside_quadrant_exits_one(self, tmp_path, capsys):
-        # candidates drawn above pi/2 used to end in a GeometryError traceback
-        code, _ = run(tmp_path, "search", {"search": {"mirror_angle": [1.0, 2.0]}})
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "mirror_angle" in err[0]
-
     def test_report_warnings_printed(self, tmp_path, capsys):
         # a winner only 5-9 mm from the slits breaks the far-field regime
         payload = {"search": {"screen_distance": [0.005, 0.009], "samples": 64, "seed": 0}}
@@ -751,6 +682,12 @@ class TestSearchCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["warnings"]
         assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in report["warnings"]]
+
+    test_infeasible_space_exits_three = outcome_test("search-no-feasible-point")
+    # candidates drawn above pi/2 once ended in a GeometryError traceback
+    test_angle_interval_outside_quadrant_exits_one = refused_test(
+        ({"search": {"mirror_angle": [1.0, 2.0]}},
+         "mirror_angle interval [1.0, 2.0] must lie inside (0, pi/2)"))
 
 
 # the library call each command's handler makes
@@ -975,62 +912,24 @@ class TestOutputFiles:
 
 
 class TestReadConfig:
-    def test_numeric_strings_rejected(self, tmp_path, capsys):
-        payload = {"scan": {"positions": "41", "x_max": "2e-3", "photons_per_position": "100"}}
-        code, _ = run(tmp_path, "simulate", payload)
-        assert code == EXIT_USAGE
-        assert "scan.positions" in single_error(capsys)
-
-    @pytest.mark.parametrize(
-        "section,key",
-        [(s, k) for s, fields in cli.FIELDS.items() for k, f in fields.items() if f.type != "string"],
-    )
-    def test_numeric_string_in_each_field(self, tmp_path, capsys, section, key):
-        payload = {key: "1"} if section is None else {section: {key: "1"}}
-        code, _ = run(tmp_path, "validate", payload)
-        assert code == EXIT_USAGE
-        name = key if section is None else f"{section}.{key}"
-        assert f"{name} must be" in single_error(capsys)
-
-    @pytest.mark.parametrize(
-        "payload,name",
-        [
-            # the root is read first
-            ({"scan": {"photon_per_position": 10, "positons": 7}, "hypotesis": {}}, "hypotesis"),
-            ({"scan": {"positons": 7}}, "scan.positons"),
-            ({"hypotesis": {}}, "hypotesis"),
-            ({"serach": {"samples": 4}}, "serach"),
-            ({"apparatus": {"wavelenght": 7e-7}}, "apparatus.wavelenght"),
-            ({"hypothesis": {"distinguishabilty": 0.5}}, "hypothesis.distinguishabilty"),
-            ({"search": {"sample": 4}}, "search.sample"),
-            ({"xmax": 2e-3}, "xmax"),
-        ],
-        ids=["motivation", "scan", "hypothesis-section", "search-section", "apparatus",
-             "hypothesis", "search", "root"],
-    )
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_unknown_field_rejected(self, tmp_path, capsys, command, payload, name):
-        code, _ = run(tmp_path, command, payload)
-        assert code == EXIT_USAGE
-        assert single_error(capsys) == f"error: unknown config field '{name}'"
-
-    def test_unknown_field_stays_on_one_line(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "validate", {"scan": {"x\nmax": 1e-3}})
-        assert code == EXIT_USAGE
-        assert single_error(capsys) == "error: unknown config field 'scan.x\\nmax'"
-
-    @pytest.mark.parametrize("value", [None, [], 3, "scan"], ids=["null", "list", "number", "text"])
-    def test_section_must_be_an_object(self, tmp_path, capsys, value):
-        code, _ = run(tmp_path, "validate", {"scan": value})
-        assert code == EXIT_USAGE
-        assert "'scan' section" in single_error(capsys)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["x_max", "positions", "seed"])
-    def test_non_finite_numbers_rejected(self, tmp_path, capsys, key, value):
-        code, _ = run(tmp_path, "scan", {"scan": {key: value}})
-        assert code == EXIT_USAGE
-        assert f"scan.{key}" in single_error(capsys)
+    # the first field given is reported
+    test_numeric_strings_rejected = refused_test(
+        ({"scan": {"positions": "41", "x_max": "2e-3", "photons_per_position": "100"}},
+         "scan.positions must be an integer, got '41'"))
+    test_numeric_string_in_each_field = refused_test(
+        {f"{section}-{key}": wrong_type(section, key, "1") for section, fields in cli.FIELDS.items()
+         for key in fields})
+    test_unknown_field_rejected = refused_test(UNKNOWN, per_command=True)
+    test_unknown_field_stays_on_one_line = refused_test(
+        ({"scan": {"x\nmax": 1e-3}}, "unknown config field 'scan.x\\nmax'"))
+    test_section_must_be_an_object = refused_test(
+        {label: ({"scan": value}, "'scan' section must be a JSON object")
+         for label, value in [("null", None), ("list", []), ("number", 3), ("text", "scan")]})
+    test_non_finite_numbers_rejected = refused_test(
+        {f"{key}-{label}": wrong_type("scan", key, value) for key in ["x_max", "positions", "seed"]
+         for label, value in [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]})
+    test_partial_value_syntax_rejected = refused_test(
+        ({"hypothesis": {"kind": "partial:0.5", "distinguishability": 0.9}}, KIND + "'partial:0.5'"))
 
     @pytest.mark.parametrize("samples", [cli.FIELDS["search"]["samples"].high + 1, 1e12])
     def test_samples_bound_checked_before_searching(self, tmp_path, capsys, monkeypatch, samples):
@@ -1038,15 +937,8 @@ class TestReadConfig:
             raise AssertionError("design_search called")
 
         monkeypatch.setattr(cli.design, "design_search", no_search)
-        code, _ = run(tmp_path, "search", {"search": {"samples": samples}})
-        assert code == EXIT_USAGE
-        assert "search.samples must be <= 1000000" in single_error(capsys)
-
-    def test_partial_value_syntax_rejected(self, tmp_path, capsys):
-        payload = {"hypothesis": {"kind": "partial:0.5", "distinguishability": 0.9}}
-        code, _ = run(tmp_path, "simulate", payload)
-        assert code == EXIT_USAGE
-        assert "hypothesis kind" in single_error(capsys)
+        error = f"search.samples must be <= 1000000, got {int(samples)}"
+        assert_refused(tmp_path, capsys, "search", {"search": {"samples": samples}}, error)
 
     def test_seed_flag_replaces_every_seed(self):
         config = read_config({"scan": {"seed": 2}}, seed=7)

@@ -107,6 +107,26 @@ class TestLimitingHalfWidth:
         with pytest.raises(BracketError):
             design.limiting_half_width(overlapping, 0.0, 2)
 
+    @pytest.mark.parametrize(
+        "app, at_three_f_s, slit",
+        [
+            # slit 1 on the mirror line at its probe, and a beam that
+            # re-enters the diaphragm at slit 2's
+            (Apparatus(slit_separation=0.01, mirror_angle=1.5210474095731559), True, 1),
+            (Apparatus(mirror_angle=0.004), False, 2),
+        ],
+        ids=["grazing", "blocked"],
+    )
+    def test_failed_layout_raised_from_one_aim(self, count_calls, app, at_three_f_s, slit):
+        x = 3 * fringe_spacing(app) if at_three_f_s else 0.0
+        with pytest.raises(geometry.GeometryError) as expected:
+            geometry.detector_layouts(app, x)
+        aims = count_calls(geometry, "aim_detectors")
+        with pytest.raises(geometry.GeometryError) as raised:
+            design.limiting_half_width(app, x, slit)
+        assert (type(raised.value), str(raised.value)) == (type(expected.value), str(expected.value))
+        assert len(aims) == 1
+
 
 class TestRequiredMirrorWidth:
     def test_bench_value_exact(self, app):

@@ -44,6 +44,10 @@ class TestApparatus:
         with pytest.raises(geometry.GeometryError, match="mirror_angle must lie in"):
             Apparatus(mirror_angle=2.0)
 
+    def test_lengths_strictly_positive(self):
+        with pytest.raises(geometry.GeometryError, match=r"^wavelength must be strictly positive, got -1e-09$"):
+            Apparatus(wavelength=-1e-9)
+
     def test_batch_fields_of_one_length(self):
         with pytest.raises(geometry.GeometryError, match="of one length"):
             Apparatus(wavelength=np.array([7e-7, 8e-7]), arm1=np.array([5.0, 6.0, 7.0]))
