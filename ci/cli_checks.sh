@@ -74,6 +74,10 @@ check 1 1 scan '{"apparatus": {"slit_separation": 1e200}}'
 # off-centre, while a re-aimed grid without x = 0 passes
 check 0 1 simulate '{"scan": {"freeze_detectors": true}}'
 check 0 0 simulate '{"scan": {"x_min": 1e-4, "x_max": 2.1e-3}}'
+# the x = 0 layout sends a beam into the diaphragm, so L12 is null: validate
+# warns twice and fails, simulate warns and goes on off x = 0
+check 2 3 validate '{"apparatus": {"mirror_angle": 0.002508672859226761, "slit_separation": 1.9366792042939736e-05, "screen_distance": 0.02734422723576615}, "scan": {"x_min": 0.0004941695822053874, "x_max": 0.0029650174932323247, "photons_per_position": 100}}'
+check 0 1 simulate '{"apparatus": {"mirror_angle": 0.002508672859226761, "slit_separation": 1.9366792042939736e-05, "screen_distance": 0.02734422723576615}, "scan": {"x_min": 0.0004941695822053874, "x_max": 0.0029650174932323247, "photons_per_position": 100}}'
 # slit 1 on the mirror line at its grazing probe x = 3 F_s, beyond x_max
 check 2 1 validate '{"x_max": 1.75e-5, "apparatus": {"slit_separation": 0.01, "mirror_angle": 1.5210474095731559}}'
 touch "$tmp/exit-file"

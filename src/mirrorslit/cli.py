@@ -378,7 +378,7 @@ def cmd_simulate(run: Run, files: dict) -> None:
         "misdetection_rate": summary.misdetection_rate,
         "duality_satisfied": ok,
         "F_s_m": fringe_spacing(run.app),
-        "L12_m": float(summary.outcomes.verdicts.separation),
+        "L12_m": summary.outcomes.separation,
         "seed": run.scan.seed,
     }
 

@@ -5,11 +5,11 @@ enough to resolve fringes (sampling footprint under half a period), both
 reflected beams clear the diaphragm, and no mirror point can bounce a
 photon from one slit into the other slit's detector over the scan range.
 
-``solve`` (grazing limits, required width, L12) and ``judge`` (verdicts)
-serve one apparatus and a batch alike; ``validate`` reports on their results,
-and ``design_search`` solves blocks of draws, judges a few and reports on one.
-``judge`` aims no detectors but judges its caller's layouts, so each command
-aims once: ``validate`` at its probes and judged positions together.
+``solve`` (grazing limits, required width, L12 at x = 0) and ``judge`` (scan
+verdicts) serve one apparatus and a batch alike; ``validate`` reports on
+their results, and ``design_search`` solves blocks of draws, judges a few and
+reports on one.  ``judge`` aims no detectors, so each command aims once:
+``validate`` at slit 1's probe and the judged positions, x = 0 serving both.
 """
 
 from __future__ import annotations
@@ -78,14 +78,13 @@ class DesignReport:
 
 @dataclass(frozen=True)
 class Verdicts:
-    """What ``judge`` found on the layouts it was given: numpy bools and
-    floats for one apparatus, arrays over the candidates of a batch."""
+    """What ``judge`` found on the layouts it was given: numpy bools for
+    one apparatus, arrays over the candidates of a batch."""
 
     long_scan: np.ndarray  # x_max exceeds two fringe periods
     sampling_ok: np.ndarray
     diaphragm_clear: np.ndarray
     misdetection_free: np.ndarray
-    separation: np.ndarray  # |D1 - D2| at x = 0; NaN where that layout fails
 
     @property
     def feasible(self) -> np.ndarray:
@@ -149,7 +148,7 @@ class Solution:
     half_widths: np.ndarray  # w1 and w2 as solved, failed or not
     failure: np.ndarray  # SOLVED, GRAZING, BLOCKED or UNBRACKETED
     required_width: np.ndarray  # 2 min(w'/2, w1, w2), failed limits as inf
-    separation: np.ndarray  # L12 = |D1 - D2| at the slit-2 probe
+    separation: np.ndarray  # L12 = |D1 - D2| at the slit-2 probe; NaN where it fails
 
 
 def _row(batch, i):
@@ -170,9 +169,8 @@ def _solution(app: Apparatus, layouts: DetectorLayouts) -> Solution:
     )
     limits = np.where(failure == SOLVED, half_widths, np.inf)
     required_width = 2.0 * np.minimum(default_mirror_params(app)[0] / 2.0, limits.min(axis=-1))
-    return Solution(
-        layouts.centers[0], half_widths, failure, required_width, geometry.separations(layouts, 1)
-    )
+    separation = np.where(layouts.failed()[..., 1], np.nan, geometry.separations(layouts, 1))
+    return Solution(layouts.centers[0], half_widths, failure, required_width, separation)
 
 
 def _probes(app: Apparatus) -> np.ndarray:
@@ -191,9 +189,9 @@ def _judged(x_max: float) -> np.ndarray:
 
 
 def solve(app: Apparatus) -> Solution:
-    """The grazing limits of one apparatus, or of every candidate of a
-    batch, the detectors aimed at ``_probes`` in one call.  L12, at x = 0,
-    equals ``judge``'s separation bit for bit where that layout is clear."""
+    """The grazing limits and L12 of one apparatus, or of every candidate
+    of a batch, the detectors aimed at ``_probes`` in one call.  L12 is
+    read at slit 2's probe, x = 0, the one place it is computed."""
     return _solution(app, geometry.aim_detectors(app, _probes(app)))
 
 
@@ -227,19 +225,17 @@ def required_mirror_width(app: Apparatus) -> float:
 
 
 def judge(
-    app: Apparatus, x_max: float, layouts: DetectorLayouts, fractions: np.ndarray,
-    centre: DetectorLayouts,
+    app: Apparatus, x_max: float, layouts: DetectorLayouts, fractions: np.ndarray
 ) -> Verdicts:
-    """Sampling, clearance, mis-detection and separation verdicts for a
-    scan over [0, x_max], of one apparatus or of every candidate of a
-    batch, on the layouts its caller aimed.
+    """Sampling, clearance and mis-detection verdicts for a scan over
+    [0, x_max], of one apparatus or of every candidate of a batch, on the
+    layouts its caller aimed.
 
     Sampling follows ``_sampling``'s rule.  The beams clear the diaphragm
     when no layout of ``layouts`` fails.  Mis-detection is judged from the
     exact routing ``fractions`` (``geometry.routing_fractions``) of those
     layouts: no position may send either slit into the other slit's
-    detector, f12 = f21 = 0.  L12 is |D1 - D2| at the first position of
-    ``centre``, which the caller aimed at x = 0; NaN where that layout fails.
+    detector, f12 = f21 = 0.
     """
     long_scan, sampling_ok, _ = _sampling(app, x_max)
     clear = ~layouts.failed().any(axis=-1)
@@ -248,7 +244,6 @@ def judge(
         sampling_ok=sampling_ok,
         diaphragm_clear=clear,
         misdetection_free=clear & ~fractions[[0, 1], [1, 0]].any(axis=(0, -1)),
-        separation=np.where(centre.failed()[..., 0], np.nan, geometry.separations(centre)),
     )
 
 
@@ -282,7 +277,7 @@ def _report(app: Apparatus, x_max: float, solution, verdicts, layouts) -> Design
         w1_limit=w1,
         w2_limit=w2,
         required_width=float(solution.required_width),
-        detector_separation=float(verdicts.separation),
+        detector_separation=float(solution.separation),
         sampling_ok=bool(verdicts.sampling_ok),
         misdetection_free=bool(verdicts.misdetection_free),
         diaphragm_clear=bool(verdicts.diaphragm_clear),
@@ -292,14 +287,14 @@ def _report(app: Apparatus, x_max: float, solution, verdicts, layouts) -> Design
 
 def validate(app: Apparatus, x_max: float) -> DesignReport:
     """The feasibility report for a scan over [0, x_max], from ``solve``'s
-    limits and ``judge``'s verdicts on the ``_judged`` positions, the
-    detectors aimed at ``solve``'s probes and those positions in one call.
-    Failures are recorded in it rather than raised; only malformed inputs,
-    and a slit on the mirror line, raise."""
-    xs = np.concatenate([_probes(app), _judged(x_max)])
+    limits and L12 and ``judge``'s verdicts on the ``_judged`` positions, the
+    detectors aimed in one call at slit 1's probe and those positions, x = 0
+    serving as slit 2's probe.  Failures are recorded in it rather than
+    raised; only malformed inputs, and a slit on the mirror line, raise."""
+    xs = np.concatenate([_probes(app)[:1], _judged(x_max)])
     layouts = geometry.aim_detectors(app, xs)
-    judged = layouts.at(slice(2, None))
-    verdicts = judge(app, x_max, judged, geometry.routing_fractions(app, xs[2:], judged), judged)
+    judged = layouts.at(slice(1, None))
+    verdicts = judge(app, x_max, judged, geometry.routing_fractions(app, xs[1:], judged))
     return _report(app, x_max, _solution(app, layouts.at(slice(2))), verdicts, judged)
 
 
@@ -347,7 +342,7 @@ def design_search(
             batch = _candidates(draws[rows].T, mirror_width=width[rows])
             layouts = geometry.aim_detectors(batch, xs)
             fractions = geometry.routing_fractions(batch, xs, layouts)
-            verdicts = judge(batch, space.x_max, layouts, fractions, layouts)
+            verdicts = judge(batch, space.x_max, layouts, fractions)
             if verdicts.feasible.any():
                 j = np.argmax(verdicts.feasible)
                 i = rows[j]

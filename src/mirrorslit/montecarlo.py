@@ -103,6 +103,7 @@ class Outcomes:
     rate: np.ndarray
     table: np.ndarray
     verdicts: design.Verdicts
+    separation: float  # L12 = |D1 - D2| at x = 0; NaN where that layout fails
 
 
 @dataclass(frozen=True)
@@ -132,24 +133,25 @@ def outcomes(app: Apparatus, config: ScanConfig, hyp: OutcomeHypothesis) -> Outc
     x = 0 when frozen, then at x = 0 for L12.  A simulated layout that fails
     raises its error, as ``geometry.detector_layouts`` does, so the verdicts
     judge mis-detection on the layouts simulated (every scanned position when
-    re-aimed, x = 0 when frozen), sampling over the scan's largest |x|, and
-    L12 at x = 0, NaN where that layout fails off the grid.
+    re-aimed, x = 0 when frozen) and sampling over the scan's largest |x|.
+    L12 is read at the last aim, NaN where that layout fails off the grid.
     """
     config.check_sampling(app)
     xs = config.x_positions
     aimed = geometry.aim_detectors(app, np.append(0.0 if config.freeze_detectors else xs, 0.0))
-    layouts, centre = aimed.at(slice(-1)), aimed.at(slice(-1, None))
+    layouts = aimed.at(slice(-1))
     layouts.raise_first_failure()
     fractions = geometry.routing_fractions(app, xs, layouts)
     x_max = float(max(abs(xs[0]), abs(xs[-1])))
-    verdicts = design.judge(app, x_max, layouts, fractions, centre)
+    verdicts = design.judge(app, x_max, layouts, fractions)
+    separation = np.nan if aimed.failed()[-1] else float(geometry.separations(aimed, -1))
     phi = phases(app, xs)[1]
     rate = 0.5 * (1.0 + hyp.visibility * np.cos(phi))
     p = 0.5 * rate * fractions.reshape(4, -1)
     # rounding can carry the sum of p a hair past 1 when the routed shares
     # cover the whole mirror; numpy rejects a negative last probability
     table = np.column_stack([*p, np.maximum(1.0 - p.sum(axis=0), 0.0)])
-    return Outcomes(xs, layouts, fractions, phi, rate, table, verdicts)
+    return Outcomes(xs, layouts, fractions, phi, rate, table, verdicts, separation)
 
 
 def simulate_scan(

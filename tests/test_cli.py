@@ -617,22 +617,26 @@ class TestIntegralFloats:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["simulate", "--bogus"],
-        ["simulate", "--hypothesis", "full"],
-        ["simulate", "--hypothesis", "partial:0.6"],
-        ["simulate", "--freeze-detectors"],
-        ["sideways"],
-        [],
-        ["search", "--seed", "x"],
+        (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+        (["simulate", "--hypothesis", "full"], "unrecognized arguments: --hypothesis full"),
+        (["simulate", "--hypothesis", "partial:0.6"],
+         "unrecognized arguments: --hypothesis partial:0.6"),
+        (["simulate", "--freeze-detectors"], "unrecognized arguments: --freeze-detectors"),
+        (["sideways"], "argument command: invalid choice: 'sideways' "
+                       "(choose from 'validate', 'scan', 'simulate', 'search')"),
+        ([], "the following arguments are required: command"),
+        (["search", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
     ],
     ids=["unknown-flag", "hypothesis-flag", "partial-flag", "freeze-flag", "unknown-command",
          "no-command", "non-integer-seed"],
 )
-def test_usage_error_exits_one_with_error_line(tmp_path, capsys, argv):
-    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    single_error(capsys)
+def test_usage_error_exits_one_with_error_line(tmp_path, capsys, argv, error):
+    # argparse words all seven alike on Python 3.10 and 3.11
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert (capsys.readouterr().err, out.exists()) == (f"error: {error}\n", False)
 
 
 def test_help_exits_zero(capsys):
@@ -861,21 +865,6 @@ class TestOutputFiles:
         argv = ["validate", "--config", str(config), "--out", str(tmp_path / "afile")]
         assert main(argv) == EXIT_USAGE
         assert single_error(capsys).startswith("error: cannot write output: ")
-
-    @pytest.mark.parametrize(
-        "command, payload, expected",
-        [
-            ("search", {"search": {"aperture": 1.0, "samples": 4}}, EXIT_NO_RESULT),
-            ("scan", {"scan": {"positions": 7}}, EXIT_INFEASIBLE),
-            ("validate", {"apparatus": {"wavelength": -1.0}}, EXIT_USAGE),
-        ],
-        ids=["no-feasible-point", "coarse-scan", "config-error"],
-    )
-    def test_no_directory_without_a_file(self, tmp_path, capsys, command, payload, expected):
-        code, out = run(tmp_path, command, payload)
-        assert code == expected
-        single_error(capsys)
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, names",

@@ -196,11 +196,15 @@ def outcome_error(app, x, slit):
 
 class TestValidate:
     def test_solves_once_and_judges_once(self, app, f_s, count_calls):
-        # one aim for both grazing probes and the 61 judged positions
+        # one aim at slit 1's probe and the 61 judged positions, whose
+        # first, x = 0, is slit 2's probe; L12 is computed there once
         aims = count_calls(geometry, "aim_detectors")
         probes = count_calls(design, "limiting_half_width")
+        separations = count_calls(geometry, "separations")
         design.validate(app, 3 * f_s)
-        assert len(aims) == 1 and not probes
+        assert len(aims) == 1 and not probes and len(separations) == 1
+        (_, xs), = aims
+        assert len(xs) == 62 and np.count_nonzero(xs == 0.0) == 1
 
     def test_bench_design_feasible(self, app, f_s):
         report = design.validate(app, 3 * f_s)
@@ -588,7 +592,7 @@ class TestBatchAgainstScalarLoop:
             xs = design._judged(self.SPACE.x_max)
             layouts = geometry.aim_detectors(batch, xs)
             fractions = geometry.routing_fractions(batch, xs, layouts)
-            verdicts = design.judge(batch, self.SPACE.x_max, layouts, fractions, layouts)
+            verdicts = design.judge(batch, self.SPACE.x_max, layouts, fractions)
             k = 0
             for i, (candidate, limits, report) in enumerate(steps):
                 if not solved[i]:
@@ -602,12 +606,8 @@ class TestBatchAgainstScalarLoop:
                     assert getattr(report, name) == getattr(verdicts, name)[k], (seed, i)
                     if not getattr(report, name):
                         branches[name + " fail"] += 1
-                separation = verdicts.separation[k]
-                # the search's ordering key is judge's separation, bit for bit
-                assert separations[i] == separation, (seed, i)
-                assert report.detector_separation == separation or (
-                    math.isnan(separation) and math.isnan(report.detector_separation)
-                )
+                # the search's ordering key is validate's L12, bit for bit
+                assert report.detector_separation == separations[i], (seed, i)
                 branches["feasible"] += report.feasible
                 k += 1
             assert k == len(verdicts.sampling_ok)

@@ -277,7 +277,7 @@ class TestSimulateScan:
         assert unused == [[], [], []]
         assert summary.outcomes.verdicts.feasible
         exact, _ = geometry.detector_separation(app, 0.0)
-        assert summary.outcomes.verdicts.separation == exact
+        assert summary.outcomes.separation == exact
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["reaimed", "frozen"])
     def test_aimed_once(self, app, config, count_calls, frozen):
@@ -295,7 +295,7 @@ class TestSimulateScan:
             warnings.simplefilter("error")
             summary = simulate_scan(app, ScanConfig(grid, 100, 0), FULL)
         exact, _ = geometry.detector_separation(app, 0.0)
-        assert summary.outcomes.verdicts.separation == exact
+        assert summary.outcomes.separation == exact
 
     def test_detectors_balanced(self, app, config):
         # equal expected rates at both detectors: |N1 - N2| within 4 sigma
