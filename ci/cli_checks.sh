@@ -60,16 +60,24 @@ check 1 1 sideways '{}'
 check 2 1 scan '{"scan": {"positions": 7}}'
 check 2 1 validate '{"apparatus": {"mirror_width": 6e-4}}'
 check 3 1 search '{"search": {"aperture": 1.0, "samples": 4}}'
-# a value only simulate reads, and a fringe period that underflows
+# a value only simulate reads, and lengths below their bound 1e-12
 check 1 1 validate '{"hypothesis": {"kind": "sideways"}}'
 check 1 1 validate '{"apparatus": {"wavelength": 1e-300, "screen_distance": 1e-300}}'
-# an x_max whose square overflows, and a negative scan.positions
+# an x_max above its bound 1e6, and a negative scan.positions
 check 1 1 scan '{"x_max": 1e308}'
 check 1 1 simulate '{"scan": {"positions": -127}}'
-# lengths whose squares only the layouts form, which scan never builds
+# lengths above their bound 1e6, which scan refuses too, though it builds
+# no detector layout
 check 1 1 scan '{"apparatus": {"screen_distance": 1e155}}'
 check 1 1 scan '{"apparatus": {"arm1": 1e200}}'
 check 1 1 scan '{"apparatus": {"slit_separation": 1e200}}'
+# just outside each bound of a length, [1e-12, 1e6], and of an extent,
+# [-1e6, 1e6]; a length at its bound runs
+check 1 1 scan '{"apparatus": {"wavelength": 1e-13}}'
+check 1 1 scan '{"apparatus": {"arm1": 1e7}}'
+check 1 1 simulate '{"scan": {"x_min": -1e7}}'
+check 1 1 validate '{"x_max": 1e7}'
+check 0 0 validate '{"apparatus": {"arm1": 1e6}}'
 # simulate judges the layouts it simulates: the frozen bench mis-detects
 # off-centre, while a re-aimed grid without x = 0 passes
 check 0 1 simulate '{"scan": {"freeze_detectors": true}}'

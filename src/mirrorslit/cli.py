@@ -2,15 +2,16 @@
 
 Reads a single JSON config (lengths in meters, angles in radians), which
 sets all a run computes but ``--seed``, and writes CSV/JSON files for
-external plotting.  ``main`` checks the whole config and builds every input
-of the run (``read_config``, then ``load``) before any command runs, so a
-value that any command would refuse ends each of them in exit 1.  A
-command takes the built inputs, hands its output files over by name, then
-raises what went wrong; ``main`` alone writes the files, under one stamp per
-run, and turns outcomes into a ``warning:`` stderr line per warning, then an
-error into one ``error:`` line and exit 1 (usage, config or an unwritable
-``--out``), 2 (an infeasible design, or a grid that cannot sample the
-fringes) or 3 (an empty search result); else exit 0.
+external plotting.  ``main`` checks the whole config, each field's type and
+bounds as ``FIELDS`` declares them, and builds every input of the run
+(``read_config``, then ``load``) before any command runs, so a value that
+any command would refuse ends each of them in exit 1.  A command takes the
+built inputs, hands its output files over by name, then raises what went
+wrong; ``main`` alone writes the files, under one stamp per run, and turns
+outcomes into a ``warning:`` stderr line per warning, then an error into
+one ``error:`` line and exit 1 (usage, config or an unwritable ``--out``),
+2 (an infeasible design, or a grid that cannot sample the fringes) or 3
+(an empty search result); else exit 0.
 
 CSV files print floats as ``%.9e`` and counts as ``%d``.  Their bodies are
 encoded from numpy arrays, byte for byte as ``%`` would print them.  JSON
@@ -72,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 class Field(NamedTuple):
     """A config field's JSON type, one of number, integer, boolean, string
-    and interval (a number or [lo, hi]), and an integer's bounds."""
+    and interval (a number or [lo, hi]), and a number's or integer's bounds,
+    which bind both ends of an interval."""
 
     type: str
     low: float = -math.inf
@@ -80,19 +82,24 @@ class Field(NamedTuple):
 
 
 _NUMBER = Field("number")
+# a bench fits in a laboratory: within these bounds F_s = lambda L / d lies in
+# [1e-30, 1e24] m and every squared distance of the layouts below 1e50
+_LENGTH = Field("number", low=1e-12, high=1e6)
+_EXTENT = Field("number", low=-1e6, high=1e6)
 _SEED = Field("integer", low=0)
 # refused before any allocation, and about 1 s of search at 10^6 candidates/s
 _COUNT = Field("integer", high=1_000_000)
 
 # every config field by section, None being the config root; what a command
-# does not read is still checked, its type here and its value by ``load``,
-# since one config serves all four
+# does not read is still checked, its type and bounds here, since one config
+# serves all four
 FIELDS = {
-    None: {"x_max": _NUMBER},
-    "apparatus": {field.name: _NUMBER for field in dataclasses.fields(Apparatus)},
+    None: {"x_max": _EXTENT},
+    "apparatus": {**{field.name: _LENGTH for field in dataclasses.fields(Apparatus)},
+                  "mirror_angle": _NUMBER},
     "scan": {
-        "x_min": _NUMBER,
-        "x_max": _NUMBER,
+        "x_min": _EXTENT,
+        "x_max": _EXTENT,
         "positions": _COUNT._replace(low=2),
         "photons_per_position": Field("integer"),
         "seed": _SEED,
@@ -100,8 +107,9 @@ FIELDS = {
     },
     "hypothesis": {"kind": Field("string"), "distinguishability": _NUMBER},
     "search": {
-        **{name: Field("interval") for name in design._SEARCHED},
-        "x_max": _NUMBER,
+        **{name: _LENGTH._replace(type="interval") for name in design._SEARCHED},
+        "mirror_angle": Field("interval"),
+        "x_max": _EXTENT,
         "samples": _COUNT._replace(low=1),
         "seed": _SEED,
     },
@@ -117,26 +125,24 @@ def _check(name: str, value, field: Field):
     """``value`` of the config field ``name`` as its loader reads it: a
     float, an int (41.0 reads as 41), a bool, a str or a (lo, hi) pair of
     floats.  Anything else, JSON booleans and numeric strings in numeric
-    fields included, is a ConfigError."""
+    fields included, or a number outside the field's bounds, is a
+    ConfigError."""
     if field.type == "interval" and isinstance(value, list) and len(value) == 2:
-        return tuple(_check(name, bound, _NUMBER) for bound in value)
+        return tuple(_check(name, end, field._replace(type="number")) for end in value)
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if field.type in ("number", "interval") and numeric:
-        try:
-            number = float(value)
-        except OverflowError:  # an int past 1e308
-            number = math.inf
-        if math.isfinite(number):
-            return number if field.type == "number" else (number, number)
+    # not NaN, an infinity or an int past the largest float
+    if field.type in ("number", "interval") and numeric and abs(value) <= sys.float_info.max:
+        number = float(value)
     elif field.type == "integer" and numeric and (isinstance(value, int) or value.is_integer()):
         number = int(value)
-        if not field.low <= number <= field.high:
-            bound = f">= {field.low}" if number < field.low else f"<= {field.high}"
-            raise ConfigError(f"{name} must be {bound}, got {number}")
-        return number
     elif isinstance(value, {"boolean": bool, "string": str}.get(field.type, ())):
         return value
-    raise ConfigError(f"{name} must be {_EXPECTED[field.type]}, got {value!r}")
+    else:
+        raise ConfigError(f"{name} must be {_EXPECTED[field.type]}, got {value!r}")
+    if not field.low <= number <= field.high:
+        bound = f">= {field.low}" if number < field.low else f"<= {field.high}"
+        raise ConfigError(f"{name} must be {bound}, got {number}")
+    return (number, number) if field.type == "interval" else number
 
 
 def read_config(config, seed: int | None = None) -> dict:
@@ -179,15 +185,9 @@ class Run(NamedTuple):
 def load(config: dict) -> Run:
     """Build every input of a run from ``read_config``'s sections, whichever
     command runs, each field not given at its default below.  The library
-    constructors check the values and raise ValueError; a fringe period F_s
-    outside (0, inf), or a length whose square the layouts would overflow,
-    is a FloatingPointError."""
+    constructors check the values and raise ValueError."""
     app = Apparatus(**config["apparatus"])
-    f_s = fringe_spacing(app)
-    if not 0 < f_s < math.inf:  # a product of floats, which numpy never sees
-        flow = "overflow" if f_s else "underflow"
-        raise FloatingPointError(f"{flow} encountered in the fringe period")
-    x_max = 3.0 * f_s
+    x_max = 3.0 * fringe_spacing(app)
     judged = config[None].get("x_max", x_max)
     scan = {"x_min": -x_max, "x_max": x_max, "positions": 41, "photons_per_position": 10_000,
             "seed": 0, **config["scan"]}
@@ -195,22 +195,6 @@ def load(config: dict) -> Run:
     search = {"x_max": x_max, "samples": 64, "seed": 0, **config["search"]}
     for name in design._SEARCHED:  # the apparatus value, arm that of arm1
         search.setdefault(name, (getattr(app, "arm1" if name == "arm" else name),) * 2)
-    # The layouts of validate, simulate and search square distances from a
-    # mirror at x to a slit or a detector edge, at most |x| plus the largest
-    # lengths of the apparatus and of the search space (whose candidates have
-    # two equal arms).  x is a judged or scanned extent, or 3 F_s, where
-    # design.solve aims at slit 1.
-    top = {name: max(getattr(app, name), search[name][1])
-           for name in ("wavelength", "slit_separation", "screen_distance", "aperture")}
-    lengths = (top["slit_separation"] / 2 + top["screen_distance"] + top["aperture"]
-               + max(app.arm1 + app.arm2, 2.0 * search["arm"][1]))
-    d_lo = min(app.slit_separation, search["slit_separation"][0])  # <= 0: SearchSpace refuses
-    probe = 3.0 * top["wavelength"] * top["screen_distance"] / d_lo if d_lo > 0 else 0.0
-    extents = {"the apparatus lengths": 0.0, "x_max": judged, "search.x_max": search["x_max"],
-               "3 F_s": probe, "scan.x_min": scan["x_min"], "scan.x_max": scan["x_max"]}
-    for name, extent in extents.items():
-        if not math.isfinite((abs(extent) + lengths) * (abs(extent) + lengths)):
-            raise FloatingPointError(f"overflow encountered in the square of {name}")
     grid = np.linspace(scan.pop("x_min"), scan.pop("x_max"), scan.pop("positions"))
     samples, seed = search.pop("samples"), search.pop("seed")
     return Run(
@@ -437,8 +421,8 @@ def main(argv: list[str] | None = None) -> int:
                 except (OSError, UnicodeDecodeError, RecursionError) as exc:
                     raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
             config = read_config(config, args.seed)
-            # lengths such as 1e308 overflow the geometry: one error line, not
-            # numpy's RuntimeWarnings and a misleading verdict on inf or NaN
+            # an overflow the bounds let through is one error line, not numpy's
+            # RuntimeWarnings and a misleading verdict on inf or NaN
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 try:
                     run = load(config)

@@ -130,21 +130,25 @@ def outcomes(app: Apparatus, config: ScanConfig, hyp: OutcomeHypothesis) -> Outc
     """The outcome table of a scan under an outcome hypothesis.
 
     The detectors are aimed in one call: at every scanned position, or at
-    x = 0 when frozen, then at x = 0 for L12.  A simulated layout that fails
-    raises its error, as ``geometry.detector_layouts`` does, so the verdicts
-    judge mis-detection on the layouts simulated (every scanned position when
-    re-aimed, x = 0 when frozen) and sampling over the scan's largest |x|.
-    L12 is read at the last aim, NaN where that layout fails off the grid.
+    x = 0 when frozen, plus x = 0 for L12 when a re-aimed grid lacks it.  A
+    simulated layout that fails raises its error, as
+    ``geometry.detector_layouts`` does, so the verdicts judge mis-detection
+    on the layouts simulated (every scanned position when re-aimed, x = 0
+    when frozen) and sampling over the scan's largest |x|.  L12 is read at
+    the layout aimed at x = 0, NaN where that layout fails off the grid.
     """
     config.check_sampling(app)
     xs = config.x_positions
-    aimed = geometry.aim_detectors(app, np.append(0.0 if config.freeze_detectors else xs, 0.0))
-    layouts = aimed.at(slice(-1))
+    simulated = np.zeros(1) if config.freeze_detectors else xs
+    aim = simulated if 0.0 in simulated else np.append(simulated, 0.0)
+    aimed = geometry.aim_detectors(app, aim)
+    layouts = aimed.at(slice(len(simulated)))
     layouts.raise_first_failure()
     fractions = geometry.routing_fractions(app, xs, layouts)
     x_max = float(max(abs(xs[0]), abs(xs[-1])))
     verdicts = design.judge(app, x_max, layouts, fractions)
-    separation = np.nan if aimed.failed()[-1] else float(geometry.separations(aimed, -1))
+    zero = int(np.argmax(aim == 0.0))
+    separation = np.nan if aimed.failed()[zero] else float(geometry.separations(aimed, zero))
     phi = phases(app, xs)[1]
     rate = 0.5 * (1.0 + hyp.visibility * np.cos(phi))
     p = 0.5 * rate * fractions.reshape(4, -1)

@@ -102,7 +102,6 @@ def refused_test(cases, per_command=False):
 
 
 KIND = "hypothesis kind must be full, exclusive or partial, got "
-RANGE = "config values out of numeric range: "
 TYPE_TEXT = dict(number="a finite number", integer="an integer", boolean="true or false",
                  string="a string", interval="a number or [lo, hi]")
 
@@ -134,7 +133,7 @@ UNKNOWN = {
         ("root", {"xmax": 2e-3}, "xmax"),
     ]
 }
-# values of a field's type that its bounds, a loader or the layouts refuse
+# values of a field's type that its bounds or a loader refuse
 ONE_VERDICT = {
     "hypothesis-kind": ({"hypothesis": {"kind": "sideways"}}, KIND + "'sideways'"),
     **{f"scan-positions{label}": ({"scan": {"positions": n}}, f"scan.positions must be >= 2, got {n}")
@@ -143,12 +142,12 @@ ONE_VERDICT = {
     "search-interval": ({"search": {"arm": [2, 1]}}, "invalid interval for arm: [2.0, 1.0]"),
     "hypothesis-distinguishability": ({"hypothesis": {"kind": "partial", "distinguishability": 1.5}},
                                       "distinguishability must lie in [0, 1]"),
-    # each length is in range, but lambda L / d is 1e-596, below the least float
+    # lambda L / d would be 1e-596, below the least float; wavelength is read first
     "fringe-period-underflow": ({"apparatus": {"wavelength": 1e-300, "screen_distance": 1e-300}},
-                                RANGE + "underflow encountered in the fringe period"),
-    "judged-extent-overflow": ({"x_max": 1e308}, RANGE + "overflow encountered in the square of x_max"),
+                                "apparatus.wavelength must be >= 1e-12, got 1e-300"),
+    "judged-extent-overflow": ({"x_max": 1e308}, "x_max must be <= 1000000.0, got 1e+308"),
     "search-extent-overflow": ({"search": {"x_max": -1e200}},
-                               RANGE + "overflow encountered in the square of search.x_max"),
+                               "search.x_max must be >= -1000000.0, got -1e+200"),
 }
 
 
@@ -167,7 +166,7 @@ class TestLoadApparatus:
     test_null_value_rejected = refused_test(wrong_type("apparatus", "wavelength", None))
     test_string_value_rejected = refused_test(wrong_type("apparatus", "wavelength", "700nm"))
     test_negative_value_rejected = refused_test(
-        ({"apparatus": {"wavelength": -1e-9}}, "wavelength must be strictly positive, got -1e-09"))
+        ({"apparatus": {"wavelength": -1e-9}}, "apparatus.wavelength must be >= 1e-12, got -1e-09"))
 
 
 class TestLoadHypothesis:
@@ -218,19 +217,9 @@ class TestMalformedConfig:
         "search-fractional-samples": wrong_type("search", "samples", 64.5),
         "search-fractional-seed": wrong_type("search", "seed", 0.5),
         "scan-huge-extent": ({"scan": {"x_min": -1e308, "x_max": 1e308}},
-                             RANGE + "overflow encountered in the square of scan.x_min"),
+                             "scan.x_min must be >= -1000000.0, got -1e+308"),
         "validate-huge-x-max": ONE_VERDICT["judged-extent-overflow"],
     })
-
-
-class TestFringePeriodOverflow:
-    # each length is in range, but lambda L / d is 1e320, past the largest float
-    CONFIG = {"apparatus": {"wavelength": 1e300, "screen_distance": 1e10, "slit_separation": 1e-10}}
-
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_exits_one_with_numeric_range_error(self, tmp_path, capsys, command):
-        error = RANGE + "overflow encountered in the fringe period"
-        assert_refused(tmp_path, capsys, command, self.CONFIG, error)
 
 
 class TestWrongTypeSweep:
@@ -276,49 +265,27 @@ def assert_unreadable(tmp_path, capsys, content, error):
         assert (code, capsys.readouterr().err, (tmp_path / "out").exists()) == expected
 
 
-def test_judged_extent_one_verdict_per_decade(tmp_path, capsys):
-    # validate judges [0, x_max] on layouts that square x_max; load refuses
-    # an x_max whose square overflows, for all four commands alike, and
-    # below that bound no command refuses the config (validate's own
-    # verdict on so long a scan, exit 2, is the design's, not the config's)
-    config = {"scan": {"photons_per_position": 10}, "search": {"samples": 2}}
-    refused = set()
-    for exponent in range(100, 309):
-        codes, errors = set(), set()
-        (tmp_path / str(exponent)).mkdir()
-        for command in COMMANDS:
-            payload = {**config, "x_max": float(f"1e{exponent}")}
-            code, out = run(tmp_path / str(exponent), command, payload)
-            err = capsys.readouterr().err.strip().splitlines()
-            if code == EXIT_USAGE:
-                assert len(err) == 1
-                errors.add(err[0])
-            codes.add(code)
-        assert len({code == EXIT_USAGE for code in codes}) == 1, (exponent, codes)
-        if EXIT_USAGE in codes:
-            assert errors == {"error: config values out of numeric range: "
-                              "overflow encountered in the square of x_max"}
-            assert not out.exists()
-            refused.add(exponent)
-    assert refused == set(range(155, 309))
+# every number field with declared bounds, by the name its error line
+# gives: the lengths, length intervals and extents
+BOUNDED = {key if section is None else f"{section}.{key}": (section, key, field)
+           for section, fields in cli.FIELDS.items() for key, field in fields.items()
+           if field.type in ("number", "interval") and math.isfinite(field.high)}
+
+# the decades they are swept at: every decade within 20 of 1e-12 and 1e6,
+# where the bounds lie, and every tenth out to 1e-300 and 1e300
+DECADES = sorted({*range(-300, 301, 10), *range(-32, 27)})
 
 
-LENGTHS = [f"apparatus.{field.name}" for field in dataclasses.fields(Apparatus)
-           if field.name != "mirror_angle"]
-
-
-@pytest.mark.parametrize("field", LENGTHS + ["scan.x_max", "search.x_max"])
-def test_huge_lengths_one_verdict_per_decade(tmp_path, capsys, field):
-    # each apparatus length and scan or search extent at every decade
-    # 1e100 - 1e300 (the root x_max: the test above): load refuses a length
-    # whose square the layouts would overflow, for all four commands alike,
-    # and no command meets an overflow that load let through; the refused
-    # decades run up to 1e300
-    section, name = field.split(".")
-    refused = []
-    for exponent in range(100, 301):
+@pytest.mark.parametrize("name", BOUNDED)
+def test_huge_lengths_one_verdict_per_decade(tmp_path, capsys, name):
+    # each bounded field at each decade, scan.x_min at minus each, below its
+    # x_max: every command refuses a value outside the field's bounds with
+    # the bound's one line, and none refuses a value inside them
+    section, key, field = BOUNDED[name]
+    sign = -1 if key == "x_min" else 1
+    for value in [sign * float(f"1e{k}") for k in DECADES]:
         config = {"scan": {"photons_per_position": 10}, "search": {"samples": 2}}
-        config.setdefault(section, {})[name] = float(f"1e{exponent}")
+        (config if section is None else config.setdefault(section, {}))[key] = value
         argv = ["--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "out")]
         codes, errors = [], set()
         for command in COMMANDS:
@@ -326,11 +293,36 @@ def test_huge_lengths_one_verdict_per_decade(tmp_path, capsys, field):
             if codes[-1] == EXIT_USAGE:
                 errors.add(single_error(capsys))
         capsys.readouterr()
-        if EXIT_USAGE in codes:
-            assert codes == [EXIT_USAGE] * 4 and len(errors) == 1, (exponent, codes, errors)
-            assert errors.pop().startswith("error: config values out of numeric range: ")
-            refused.append(exponent)
-    assert not refused or refused == list(range(refused[0], 301)), refused
+        if field.low <= value <= field.high:
+            assert EXIT_USAGE not in codes, (value, codes, errors)
+        else:
+            bound = f">= {field.low}" if value < field.low else f"<= {field.high}"
+            assert codes == [EXIT_USAGE] * 4, (value, codes)
+            assert errors == {f"error: {name} must be {bound}, got {value}"}
+
+
+LENGTHS = [name for name, field in cli.FIELDS["apparatus"].items() if math.isfinite(field.high)]
+
+
+@pytest.mark.parametrize("config", [
+    {"apparatus": {"wavelength": 1e6, "screen_distance": 1e6, "slit_separation": 1e-12}},  # F_s 1e24
+    {"apparatus": {"wavelength": 1e-12, "screen_distance": 1e-12, "slit_separation": 1e6}},  # 1e-30
+    {"apparatus": dict.fromkeys(LENGTHS, 1e-12)},
+    {"apparatus": dict.fromkeys(LENGTHS, 1e6)},
+    {"x_max": 1e6, "scan": {"x_min": -1e6, "x_max": 1e6}, "search": {"x_max": 1e6}},
+    {"x_max": -1e6, "scan": {"x_min": -1e6, "x_max": 1 - 1e6}},
+    {"search": dict.fromkeys(["wavelength", "slit_separation", "screen_distance", "arm", "aperture"],
+                             [1e-12, 1e6])},
+], ids=["largest-fringe-period", "least-fringe-period", "least-lengths", "largest-lengths",
+        "largest-extents", "least-extents", "widest-search"])
+def test_extreme_configs_in_bounds_run(tmp_path, capsys, config):
+    # at the bounds, singly or together, every command runs to its own
+    # verdict: no overflow ends one in exit 1
+    config = {**config, "scan": {"photons_per_position": 10, **config.get("scan", {})},
+              "search": {"samples": 2, **config.get("search", {})}}
+    for command in COMMANDS:
+        assert run(tmp_path, command, config)[0] in (EXIT_OK, EXIT_INFEASIBLE, EXIT_NO_RESULT)
+        assert_one_error_at_most(capsys.readouterr().err)
 
 
 FAILS_VALIDATION = "warning: apparatus fails design validation; simulating anyway"
@@ -953,16 +945,36 @@ def test_readme_config_runs_every_command(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+SUPERSCRIPTS = str.maketrans("-0123456789", "⁻⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def as_written(bound) -> str:
+    """A declared bound as the README writes it: 0, 2, 10⁶, 10⁻¹², −10⁶."""
+    if abs(bound) < 1000 and bound == int(bound):
+        return str(int(bound))
+    exponent = round(math.log10(abs(bound)))
+    assert abs(bound) == float(f"1e{exponent}"), bound
+    return ("−" if bound < 0 else "") + "10" + str(exponent).translate(SUPERSCRIPTS)
+
+
 def test_readme_field_table_matches_fields():
+    # each field's row gives its type, and its Bound column each bound it declares
     types = {"number": "number", "integer": "integer", "`true`/`false`": "boolean",
              "string": "string", "number or [lo, hi]": "interval"}
-    rows = set()
-    for section, names, kind in re.findall(r"^\| (\S+) \| (`.+?`) \| (.+?) \|", README, re.M):
+    rows, bounds = set(), {}
+    for section, names, kind, text in re.findall(r"^\| (\S+) \| (`.+?`) \| (.+?) \| .+? \|(.*)\|$",
+                                                 README, re.M):
         section = None if section == "(root)" else section.strip("`")
-        rows |= {(section, name.strip("`"), types[kind]) for name in names.split(", ")}
+        for name in names.split(", "):
+            rows.add((section, name.strip("`"), types[kind]))
+            bounds[section, name.strip("`")] = text
     assert rows == {
         (section, key, field.type) for section, fields in cli.FIELDS.items() for key, field in fields.items()
     }
+    for (section, key), text in bounds.items():
+        field = cli.FIELDS[section][key]
+        for bound in (field.low, field.high):
+            assert math.isinf(bound) or as_written(bound) in text, (section, key, bound)
 
 
 def test_readme_defaults_match_load():
@@ -1039,7 +1051,8 @@ JSON_VALUES = st.one_of(
 def own_type(draw, section, key, field):
     """A value of the field's own JSON type: nine times in ten near its
     typical value, else any value of that type, NaN, infinities and
-    out-of-bound integers included."""
+    out-of-bound integers included.  A bounded number is, one time in ten,
+    a bound itself or the float just outside it."""
     wild = draw(st.integers(0, 9)) == 0
     if field.type == "boolean":
         return draw(st.booleans())
@@ -1053,6 +1066,9 @@ def own_type(draw, section, key, field):
         integral = ints.filter(lambda n: abs(n) < 2**53).map(float)
         return draw(st.one_of(ints, integral, *beyond))
     number = st.floats() | st.integers() if wild else st.floats(0.5, 2.0).map(lambda f: typical * f)
+    if math.isfinite(field.high) and draw(st.integers(0, 9)) == 0:
+        number = st.sampled_from([field.low, field.high, math.nextafter(field.low, -math.inf),
+                                  math.nextafter(field.high, math.inf)])
     if field.type == "interval":
         return draw(number | st.lists(number, min_size=2, max_size=2))
     return draw(number)

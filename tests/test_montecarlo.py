@@ -281,19 +281,26 @@ class TestSimulateScan:
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["reaimed", "frozen"])
     def test_aimed_once(self, app, config, count_calls, frozen):
+        # the bench grid holds x = 0, where L12 is read, and so does the
+        # frozen aim: x = 0 is aimed once
         aims = count_calls(geometry, "aim_detectors")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the frozen layout fails validation
             simulate_scan(app, replace(config, freeze_detectors=frozen), FULL)
-        assert len(aims) == 1
+        (_, xs), = aims
+        assert np.count_nonzero(xs == 0.0) == 1
+        assert len(xs) == (1 if frozen else 41)
 
-    def test_separation_at_x0_off_the_grid(self, app):
+    def test_separation_at_x0_off_the_grid(self, app, count_calls):
         # a re-aimed grid without x = 0: L12 still comes from the x = 0
-        # layout, bit for bit, and nothing fails
+        # layout, aimed once after the grid, bit for bit, and nothing fails
         grid = np.linspace(1e-4, 2.1e-3, 41)
+        aims = count_calls(geometry, "aim_detectors")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             summary = simulate_scan(app, ScanConfig(grid, 100, 0), FULL)
+        (_, xs), = aims
+        np.testing.assert_array_equal(xs, np.append(grid, 0.0))
         exact, _ = geometry.detector_separation(app, 0.0)
         assert summary.outcomes.separation == exact
 
