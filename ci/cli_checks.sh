@@ -78,6 +78,11 @@ check 1 1 scan '{"apparatus": {"arm1": 1e7}}'
 check 1 1 simulate '{"scan": {"x_min": -1e7}}'
 check 1 1 validate '{"x_max": 1e7}'
 check 0 0 validate '{"apparatus": {"arm1": 1e6}}'
+# the bounds of the counts and of distinguishability; an integer past its
+# bound is echoed as written (1e+300, not the 301 digits of int(1e300))
+check 1 1 simulate '{"scan": {"photons_per_position": 0}}'
+check 1 1 scan '{"scan": {"positions": 1e300}}'
+check 1 1 simulate '{"hypothesis": {"kind": "partial", "distinguishability": 1.5}}'
 # simulate judges the layouts it simulates: the frozen bench mis-detects
 # off-centre, while a re-aimed grid without x = 0 passes
 check 0 1 simulate '{"scan": {"freeze_detectors": true}}'

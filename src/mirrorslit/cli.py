@@ -2,8 +2,8 @@
 
 Reads a single JSON config (lengths in meters, angles in radians), which
 sets all a run computes but ``--seed``, and writes CSV/JSON files for
-external plotting.  ``main`` checks the whole config, each field's type and
-bounds as ``FIELDS`` declares them, and builds every input of the run
+external plotting.  ``FIELDS`` declares each field's type, bounds and
+default; ``main`` checks the whole config and builds every input of the run
 (``read_config``, then ``load``) before any command runs, so a value that
 any command would refuse ends each of them in exit 1.  A command takes the
 built inputs, hands its output files over by name, then raises what went
@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import design, geometry, montecarlo
-from .design import SearchSpace
+from .design import _SEARCHED, SearchSpace
 from .geometry import Apparatus
 from .wavemodel import (
     FitError,
@@ -72,48 +72,54 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Field(NamedTuple):
-    """A config field's JSON type, one of number, integer, boolean, string
-    and interval (a number or [lo, hi]), and a number's or integer's bounds,
-    which bind both ends of an interval."""
+    """A config field's JSON type: number, integer, boolean, string or interval
+    (a number or [lo, hi]); the bounds of a number or integer given, which bind
+    both ends of an interval; and its default, a value or a function of (app, F_s)."""
 
     type: str
     low: float = -math.inf
     high: float = math.inf
+    default: object = None
 
 
-_NUMBER = Field("number")
 # a bench fits in a laboratory: within these bounds F_s = lambda L / d lies in
 # [1e-30, 1e24] m and every squared distance of the layouts below 1e50
 _LENGTH = Field("number", low=1e-12, high=1e6)
-_EXTENT = Field("number", low=-1e6, high=1e6)
-_SEED = Field("integer", low=0)
+_EXTENT = Field("number", low=-1e6, high=1e6, default=lambda app, f_s: 3.0 * f_s)
+_SEED = Field("integer", low=0, default=0)
 # refused before any allocation, and about 1 s of search at 10^6 candidates/s
 _COUNT = Field("integer", high=1_000_000)
 
-# every config field by section, None being the config root; what a command
-# does not read is still checked, its type and bounds here, since one config
-# serves all four
+# every config field by section (None: the root), checked whether a command reads it or not
 FIELDS = {
     None: {"x_max": _EXTENT},
-    "apparatus": {**{field.name: _LENGTH for field in dataclasses.fields(Apparatus)},
-                  "mirror_angle": _NUMBER},
+    "apparatus": {f.name: (Field("number") if f.name == "mirror_angle" else _LENGTH)._replace(
+        default=f.default) for f in dataclasses.fields(Apparatus)},
     "scan": {
-        "x_min": _EXTENT,
+        "x_min": _EXTENT._replace(default=lambda app, f_s: -3.0 * f_s),
         "x_max": _EXTENT,
-        "positions": _COUNT._replace(low=2),
-        "photons_per_position": Field("integer"),
+        "positions": _COUNT._replace(low=2, default=41),
+        "photons_per_position": Field("integer", low=1, high=montecarlo._MAX_PHOTONS,
+                                      default=10_000),
         "seed": _SEED,
-        "freeze_detectors": Field("boolean"),
+        "freeze_detectors": Field("boolean", default=False),
     },
-    "hypothesis": {"kind": Field("string"), "distinguishability": _NUMBER},
-    "search": {
-        **{name: _LENGTH._replace(type="interval") for name in design._SEARCHED},
-        "mirror_angle": Field("interval"),
+    "hypothesis": {"kind": Field("string", default="full"),
+                   "distinguishability": Field("number", low=0.0, high=1.0, default=0.0)},
+    "search": {  # [v, v] at the apparatus value v by default; arm, no Apparatus field, at arm1's
+        **{name: _LENGTH._replace(type="interval", default=lambda app, f_s, name=name:
+                                  (getattr(app, name, app.arm1),) * 2) for name in _SEARCHED},
+        "mirror_angle": Field("interval", default=lambda app, f_s: (app.mirror_angle,) * 2),
         "x_max": _EXTENT,
-        "samples": _COUNT._replace(low=1),
+        "samples": _COUNT._replace(low=1, default=64),
         "seed": _SEED,
     },
 }
+# the declared defaults: the values by section, and the functions of (app, F_s)
+_VALUES = {section: {key: f.default for key, f in fields.items() if not callable(f.default)}
+           for section, fields in FIELDS.items()}
+_FUNCTIONS = [(section, key, f.default) for section, fields in FIELDS.items()
+              for key, f in fields.items() if callable(f.default)]
 
 _EXPECTED = dict(
     number="a finite number", integer="an integer", boolean="true or false",
@@ -132,16 +138,16 @@ def _check(name: str, value, field: Field):
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
     # not NaN, an infinity or an int past the largest float
     if field.type in ("number", "interval") and numeric and abs(value) <= sys.float_info.max:
-        number = float(value)
+        number = shown = float(value)
     elif field.type == "integer" and numeric and (isinstance(value, int) or value.is_integer()):
-        number = int(value)
+        number, shown = int(value), value  # shown as written: int(1e300) has 301 digits
     elif isinstance(value, {"boolean": bool, "string": str}.get(field.type, ())):
         return value
     else:
         raise ConfigError(f"{name} must be {_EXPECTED[field.type]}, got {value!r}")
     if not field.low <= number <= field.high:
         bound = f">= {field.low}" if number < field.low else f"<= {field.high}"
-        raise ConfigError(f"{name} must be {bound}, got {number}")
+        raise ConfigError(f"{name} must be {bound}, got {shown}")
     return (number, number) if field.type == "interval" else number
 
 
@@ -184,26 +190,20 @@ class Run(NamedTuple):
 
 def load(config: dict) -> Run:
     """Build every input of a run from ``read_config``'s sections, whichever
-    command runs, each field not given at its default below.  The library
-    constructors check the values and raise ValueError."""
-    app = Apparatus(**config["apparatus"])
-    x_max = 3.0 * fringe_spacing(app)
-    judged = config[None].get("x_max", x_max)
-    scan = {"x_min": -x_max, "x_max": x_max, "positions": 41, "photons_per_position": 10_000,
-            "seed": 0, **config["scan"]}
-    hypothesis = {"kind": "full", "distinguishability": 0.0, **config["hypothesis"]}
-    search = {"x_max": x_max, "samples": 64, "seed": 0, **config["search"]}
-    for name in design._SEARCHED:  # the apparatus value, arm that of arm1
-        search.setdefault(name, (getattr(app, "arm1" if name == "arm" else name),) * 2)
+    command runs: each is its declared defaults overlaid by the fields given.
+    The library constructors check the values and raise ValueError."""
+    sections = {section: {**_VALUES[section], **config[section]} for section in FIELDS}
+    app = Apparatus(**sections["apparatus"])
+    f_s = fringe_spacing(app)
+    for section, key, f in _FUNCTIONS:  # called for the fields not given only
+        if key not in config[section]:
+            sections[section][key] = f(app, f_s)
+    root, _, scan, hypothesis, search = sections.values()
     grid = np.linspace(scan.pop("x_min"), scan.pop("x_max"), scan.pop("positions"))
     samples, seed = search.pop("samples"), search.pop("seed")
-    return Run(
-        app,
-        judged,
-        montecarlo.ScanConfig(grid, **scan),
-        OutcomeHypothesis(HypothesisKind(hypothesis["kind"]), hypothesis["distinguishability"]),
-        (SearchSpace(**search), samples, seed),
-    )
+    return Run(app, root["x_max"], montecarlo.ScanConfig(grid, **scan),
+               OutcomeHypothesis(HypothesisKind(hypothesis.pop("kind")), **hypothesis),
+               (SearchSpace(**search), samples, seed))
 
 
 def _byte_tables() -> tuple[np.ndarray, ...]:

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import pickle
 import re
 import tempfile
 import warnings
@@ -139,9 +140,16 @@ ONE_VERDICT = {
     **{f"scan-positions{label}": ({"scan": {"positions": n}}, f"scan.positions must be >= 2, got {n}")
        for label, n in [("", 1), ("-zero", 0), ("-negative", -127)]},
     "search-samples": ({"search": {"samples": 0}}, "search.samples must be >= 1, got 0"),
+    # an integral float past a bound is echoed as written, not as int() prints it
+    "scan-positions-huge": ({"scan": {"positions": 1e300}},
+                            "scan.positions must be <= 1000000, got 1e+300"),
+    "search-samples-huge": ({"search": {"samples": 1e30}},
+                            "search.samples must be <= 1000000, got 1e+30"),
+    "scan-photons-zero": ({"scan": {"photons_per_position": 0}},
+                          "scan.photons_per_position must be >= 1, got 0"),
     "search-interval": ({"search": {"arm": [2, 1]}}, "invalid interval for arm: [2.0, 1.0]"),
     "hypothesis-distinguishability": ({"hypothesis": {"kind": "partial", "distinguishability": 1.5}},
-                                      "distinguishability must lie in [0, 1]"),
+                                      "hypothesis.distinguishability must be <= 1.0, got 1.5"),
     # lambda L / d would be 1e-596, below the least float; wavelength is read first
     "fringe-period-underflow": ({"apparatus": {"wavelength": 1e-300, "screen_distance": 1e-300}},
                                 "apparatus.wavelength must be >= 1e-12, got 1e-300"),
@@ -152,11 +160,6 @@ ONE_VERDICT = {
 
 
 class TestLoadApparatus:
-    def test_defaults_when_omitted(self):
-        app = loaded({}).app
-        assert app.wavelength == 700e-9
-        assert app.mirror_width == 0.1e-3
-
     def test_partial_override(self):
         app = loaded({"apparatus": {"wavelength": 350e-9}}).app
         assert app.wavelength == 350e-9
@@ -558,8 +561,7 @@ class TestSimulateCommand:
             raise AssertionError("simulate_scan called")
 
         monkeypatch.setattr(cli.montecarlo, "simulate_scan", no_draws)
-        error = (f"photons_per_position must be <= {2**63 - 1}, the largest count numpy can draw, "
-                 f"got {int(photons)}")
+        error = f"scan.photons_per_position must be <= {2**63 - 1}, got {photons}"
         assert_refused(tmp_path, capsys, "simulate", {"scan": {"photons_per_position": photons}}, error)
 
     def test_seed_beyond_float_range(self, tmp_path, capsys):
@@ -918,7 +920,7 @@ class TestReadConfig:
             raise AssertionError("design_search called")
 
         monkeypatch.setattr(cli.design, "design_search", no_search)
-        error = f"search.samples must be <= 1000000, got {int(samples)}"
+        error = f"search.samples must be <= 1000000, got {samples}"
         assert_refused(tmp_path, capsys, "search", {"search": {"samples": samples}}, error)
 
     def test_seed_flag_replaces_every_seed(self):
@@ -949,7 +951,9 @@ SUPERSCRIPTS = str.maketrans("-0123456789", "⁻⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 def as_written(bound) -> str:
-    """A declared bound as the README writes it: 0, 2, 10⁶, 10⁻¹², −10⁶."""
+    """A declared bound as the README writes it: 0, 2, 10⁶, 10⁻¹², −10⁶, 2⁶³ − 1."""
+    if bound == 2**63 - 1:
+        return "2⁶³ − 1"
     if abs(bound) < 1000 and bound == int(bound):
         return str(int(bound))
     exponent = round(math.log10(abs(bound)))
@@ -978,28 +982,13 @@ def test_readme_field_table_matches_fields():
 
 
 def test_readme_defaults_match_load():
-    # the Default column against what load resolves for an empty config
-    inputs = loaded({})
-    space, samples, seed = inputs.search
-    scan = inputs.scan
-    resolved = {
-        (None, "x_max"): inputs.x_max,
-        **{("apparatus", f.name): getattr(inputs.app, f.name) for f in dataclasses.fields(Apparatus)},
-        ("scan", "x_min"): scan.x_positions[0],
-        ("scan", "x_max"): scan.x_positions[-1],
-        ("scan", "positions"): scan.x_positions.size,
-        ("scan", "photons_per_position"): scan.photons_per_position,
-        ("scan", "seed"): scan.seed,
-        ("scan", "freeze_detectors"): scan.freeze_detectors,
-        ("hypothesis", "kind"): inputs.hypothesis.kind.value,
-        ("hypothesis", "distinguishability"): inputs.hypothesis.distinguishability,
-        **{("search", name): getattr(space, name) for name in _SEARCHED},
-        ("search", "x_max"): space.x_max,
-        ("search", "samples"): samples,
-        ("search", "seed"): seed,
-    }
+    # the Default column against the defaults cli.FIELDS declares, at the
+    # bench, and what load builds from an empty config against those defaults
+    # written out in full
     app = Apparatus()
     f_s = fringe_spacing(app)
+    declared = {(section, key): field.default(app, f_s) if callable(field.default) else field.default
+                for section, fields in cli.FIELDS.items() for key, field in fields.items()}
     words = {"3 F_s": 3 * f_s, "−3 F_s": -3 * f_s, "π/4": math.pi / 4, "10⁴": 10**4,
              "`false`": False, '`"full"`': "full", "`apparatus.arm1`": (app.arm1,) * 2}
     documented = {}
@@ -1014,7 +1003,13 @@ def test_readme_defaults_match_load():
             else:
                 value = words[text] if text in words else float(text)
             documented[section, name] = value
-    assert documented == resolved
+    assert documented == declared
+    written = {section: {} for section in cli.FIELDS if section is not None}
+    for (section, key), value in declared.items():
+        (written if section is None else written[section])[key] = (
+            list(value) if isinstance(value, tuple) else value)
+    # byte for byte, the scan grid's floats included
+    assert pickle.dumps(loaded({})) == pickle.dumps(loaded(written))
 
 
 BENCH = Apparatus()
