@@ -83,6 +83,10 @@ check 0 0 validate '{"apparatus": {"arm1": 1e6}}'
 check 1 1 simulate '{"scan": {"photons_per_position": 0}}'
 check 1 1 scan '{"scan": {"positions": 1e300}}'
 check 1 1 simulate '{"hypothesis": {"kind": "partial", "distinguishability": 1.5}}'
+# a search x_max inside the extent bounds that SearchSpace refuses; every
+# command builds the search space, validate too
+check 1 1 validate '{"search": {"x_max": -1e-3}}'
+check 1 1 search '{"search": {"x_max": 0}}'
 # simulate judges the layouts it simulates: the frozen bench mis-detects
 # off-centre, while a re-aimed grid without x = 0 passes
 check 0 1 simulate '{"scan": {"freeze_detectors": true}}'

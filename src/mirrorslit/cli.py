@@ -13,8 +13,9 @@ one ``error:`` line and exit 1 (usage, config or an unwritable ``--out``),
 2 (an infeasible design, or a grid that cannot sample the fringes) or 3
 (an empty search result); else exit 0.
 
-CSV files print floats as ``%.9e`` and counts as ``%d``.  Their bodies are
-encoded from numpy arrays, byte for byte as ``%`` would print them.  JSON
+A command hands over a CSV table as a dict from header name to numpy
+column; a float column prints as ``%.9e`` and an integer column as ``%d``,
+encoded from the arrays byte for byte as ``%`` would print them.  JSON
 files are strict JSON: a non-finite number is written as null.
 """
 
@@ -49,9 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_RESULT = 3
-
-COUNTS_HEADER = "x_m,N,N1,N2,misdetected,I1_theory,I2_theory"
-CURVES_HEADER = "x_m,I,I1,I2"
 
 
 class ConfigError(ValueError):
@@ -127,28 +125,29 @@ _EXPECTED = dict(
 )
 
 
-def _check(name: str, value, field: Field):
+def _check(name: str, value, field: Field, kind: str | None = None):
     """``value`` of the config field ``name`` as its loader reads it: a
     float, an int (41.0 reads as 41), a bool, a str or a (lo, hi) pair of
     floats.  Anything else, JSON booleans and numeric strings in numeric
     fields included, or a number outside the field's bounds, is a
-    ConfigError."""
-    if field.type == "interval" and isinstance(value, list) and len(value) == 2:
-        return tuple(_check(name, end, field._replace(type="number")) for end in value)
+    ConfigError.  ``kind`` replaces the field's type (an interval's ends are numbers)."""
+    kind = kind or field.type
+    if kind == "interval" and isinstance(value, list) and len(value) == 2:
+        return tuple(_check(name, end, field, "number") for end in value)
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
     # not NaN, an infinity or an int past the largest float
-    if field.type in ("number", "interval") and numeric and abs(value) <= sys.float_info.max:
+    if kind in ("number", "interval") and numeric and abs(value) <= sys.float_info.max:
         number = shown = float(value)
-    elif field.type == "integer" and numeric and (isinstance(value, int) or value.is_integer()):
+    elif kind == "integer" and numeric and (isinstance(value, int) or value.is_integer()):
         number, shown = int(value), value  # shown as written: int(1e300) has 301 digits
-    elif isinstance(value, {"boolean": bool, "string": str}.get(field.type, ())):
+    elif isinstance(value, {"boolean": bool, "string": str}.get(kind, ())):
         return value
     else:
-        raise ConfigError(f"{name} must be {_EXPECTED[field.type]}, got {value!r}")
+        raise ConfigError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
     if not field.low <= number <= field.high:
         bound = f">= {field.low}" if number < field.low else f"<= {field.high}"
         raise ConfigError(f"{name} must be {bound}, got {shown}")
-    return (number, number) if field.type == "interval" else number
+    return (number, number) if kind == "interval" else number
 
 
 def read_config(config, seed: int | None = None) -> dict:
@@ -289,14 +288,16 @@ def _int_pieces(values: np.ndarray) -> list[np.ndarray]:
     return pieces
 
 
-def _csv_body(formats: list[str], columns: list[np.ndarray]) -> str:
-    """The CSV body from whole columns.  The columns of a format are encoded
-    in one call, a column given twice (the same array object) once; the
-    pieces of every entry and the separators become the fields of one record
-    per row, and the records' bytes lose their NULs in one pass."""
+def _csv_body(columns: dict[str, np.ndarray]) -> str:
+    """The CSV body of a table, a dict from header name to column: a float
+    column (dtype kind f) as ``%.9e``, an integer one (i) as ``%d``.  The
+    columns of a kind are encoded in one call, a column given twice (the same
+    array object) once; the pieces of every entry and the separators become
+    the fields of one record per row, whose bytes lose their NULs in one pass."""
+    columns = list(columns.values())
     n_rows, pieces = len(columns[0]), {}
-    for fmt, encode in (("%.9e", _float_pieces), ("%d", _int_pieces)):
-        distinct = list({id(c): c for f, c in zip(formats, columns) if f == fmt}.values())
+    for kind, encode in (("f", _float_pieces), ("i", _int_pieces)):
+        distinct = list({id(c): c for c in columns if c.dtype.kind == kind}.values())
         if distinct:
             encoded = encode(np.concatenate(distinct))
             for i, column in enumerate(distinct):
@@ -305,26 +306,24 @@ def _csv_body(formats: list[str], columns: list[np.ndarray]) -> str:
     for column in columns:
         fields += [*pieces[id(column)], np.bytes_(b",")]
     fields[-1] = np.bytes_(b"\n")
-    names = [f"f{i}" for i in range(len(fields))]
-    rows = np.empty(n_rows, {"names": names, "formats": [field.dtype for field in fields]})
-    for name, field in zip(names, fields):
+    rows = np.empty(n_rows, [("", field.dtype) for field in fields])  # named f0, f1, ...
+    for name, field in zip(rows.dtype.names, fields):
         rows[name] = field
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _text(content, stamp: str | None) -> str:
-    """A file's text, under ``stamp`` unless it is None: a JSON payload
-    dict, whose non-finite numbers are written as null (strict JSON has no
-    NaN or Infinity), or a CSV table ``(header, row_format, columns)``."""
-    if isinstance(content, dict):
-        content = {key: None if isinstance(value, float) and not math.isfinite(value) else value
-                   for key, value in content.items()}
-        if stamp is not None:
-            content = {"generated": stamp, **content}
-        return json.dumps(content, indent=2, allow_nan=False) + "\n"
-    header, row_format, columns = content
-    lines = ([] if stamp is None else [f"# generated {stamp}"]) + [header]
-    return "\n".join(lines) + "\n" + _csv_body(row_format.split(","), columns)
+def _text(name: str, content: dict, stamp: str | None) -> str:
+    """The text of the file ``name``, under ``stamp`` unless it is None: a CSV
+    table headed by its column names, or a JSON payload whose non-finite
+    numbers are written as null (strict JSON has no NaN or Infinity)."""
+    if name.endswith(".csv"):
+        lines = ([] if stamp is None else [f"# generated {stamp}"]) + [",".join(content)]
+        return "\n".join(lines) + "\n" + _csv_body(content)
+    content = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+               for key, value in content.items()}
+    if stamp is not None:
+        content = {"generated": stamp, **content}
+    return json.dumps(content, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_validate(run: Run, files: dict) -> None:
@@ -343,17 +342,16 @@ def cmd_scan(run: Run, files: dict) -> None:
     xs = run.scan.x_positions
     # the two detector intensities are identical by construction
     screen, detector = (two_beam_intensity(phi) for phi in phases(run.app, xs))
-    columns = [xs, screen, detector, detector]
-    files["curves.csv"] = (CURVES_HEADER, "%.9e,%.9e,%.9e,%.9e", columns)
+    files["curves.csv"] = {"x_m": xs, "I": screen, "I1": detector, "I2": detector}
 
 
 def cmd_simulate(run: Run, files: dict) -> None:
     summary = montecarlo.simulate_scan(run.app, run.scan, run.hypothesis)
     records = summary.records
     theory = records.i1_theory  # i2_theory is i1_theory
-    columns = [records[name] for name in ("x", "n", "n1", "n2", "misdetected")]
-    row_format = "%.9e,%d,%d,%d,%d,%.9e,%.9e"
-    files["counts.csv"] = (COUNTS_HEADER, row_format, [*columns, theory, theory])
+    files["counts.csv"] = {"x_m": records.x, "N": records.n, "N1": records.n1, "N2": records.n2,
+                           "misdetected": records.misdetected,
+                           "I1_theory": theory, "I2_theory": theory}
     ok, _ = duality_check(run.hypothesis.distinguishability, summary.v_total, tol=0.05)
     files["summary.json"] = {
         "V_total": summary.v_total,
@@ -443,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
             args.out.mkdir(parents=True, exist_ok=True)
             for name, content in files.items():
                 path = args.out / name
-                path.write_text(_text(content, stamp))
+                path.write_text(_text(name, content, stamp))
                 print(f"{path.stem} written to {path}")
         except OSError as exc:  # the run's outcome is then this error alone
             code, error = EXIT_USAGE, f"cannot write output: {exc}"

@@ -112,7 +112,7 @@ class SearchSpace:
         if not hi < math.pi / 2:
             raise DesignError(f"mirror_angle interval [{lo}, {hi}] must lie inside (0, pi/2)")
         if self.x_max <= 0:
-            raise DesignError("x_max must be positive")
+            raise DesignError(f"search.x_max must be positive, got {self.x_max}")
 
 
 def default_mirror_params(app: Apparatus) -> tuple[float, float]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import design, geometry
-from .geometry import Apparatus, DetectorLayouts
+from .geometry import Apparatus
 from .wavemodel import (
     FringePattern,
     OutcomeHypothesis,
@@ -90,14 +90,13 @@ class Outcomes:
     At each scan position ``x``: the detector-1 fringe ``phase``, the fringe
     ``rate`` r = (1 + V cos phase) / 2 at which a photon survives, and the
     ``fractions`` f_sd (slit, detector, position) of the mirror that route
-    slit s into detector d with the detectors of ``layouts``, re-aimed at
-    every position or frozen at x = 0 (one position).  ``table`` is (n, 5):
-    the probabilities of (slit 1, D1), (1, D2), (2, D1), (2, D2), each
-    r/2 f_sd, then of no detection, so each row sums to 1 within rounding.
-    ``verdicts`` is what ``design.judge`` found on ``layouts``."""
+    slit s into detector d with the detectors simulated, re-aimed at every
+    position or frozen at x = 0 (one position).  ``table`` is (n, 5): the
+    probabilities of (slit 1, D1), (1, D2), (2, D1), (2, D2), each r/2 f_sd,
+    then of no detection, so each row sums to 1 within rounding.
+    ``verdicts`` is what ``design.judge`` found on those detectors."""
 
     x: np.ndarray
-    layouts: DetectorLayouts
     fractions: np.ndarray
     phase: np.ndarray
     rate: np.ndarray
@@ -155,7 +154,7 @@ def outcomes(app: Apparatus, config: ScanConfig, hyp: OutcomeHypothesis) -> Outc
     # rounding can carry the sum of p a hair past 1 when the routed shares
     # cover the whole mirror; numpy rejects a negative last probability
     table = np.column_stack([*p, np.maximum(1.0 - p.sum(axis=0), 0.0)])
-    return Outcomes(xs, layouts, fractions, phi, rate, table, verdicts, separation)
+    return Outcomes(xs, fractions, phi, rate, table, verdicts, separation)
 
 
 def simulate_scan(

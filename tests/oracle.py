@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from mirrorslit import design, geometry
-from mirrorslit.cli import COUNTS_HEADER, CURVES_HEADER
 from mirrorslit.design import (
     _HALF_WIDTH_HI,
     _HALF_WIDTH_LO,
@@ -610,7 +609,7 @@ def visibility(pattern: FringePattern) -> float:
 def curves_csv(stamp: list[str], xs, screen, detector) -> str:
     """``curves.csv`` row by row, under the ``stamp`` lines: x, the screen
     intensity and the detector intensity twice."""
-    lines = [*stamp, CURVES_HEADER]
+    lines = [*stamp, "x_m,I,I1,I2"]
     for x, i, i1 in zip(xs.tolist(), screen.tolist(), detector.tolist()):
         lines.append(f"{x:.9e},{i:.9e}" + f",{i1:.9e}" * 2)
     return "\n".join(lines) + "\n"
@@ -619,7 +618,7 @@ def curves_csv(stamp: list[str], xs, screen, detector) -> str:
 def counts_csv(stamp: list[str], records: np.recarray) -> str:
     """``counts.csv`` row by row from a scan's records, under the ``stamp``
     lines."""
-    lines = [*stamp, COUNTS_HEADER]
+    lines = [*stamp, "x_m,N,N1,N2,misdetected,I1_theory,I2_theory"]
     for x, n, n1, n2, mis, i1, _ in records.tolist():  # i2_theory is i1_theory
         lines.append(f"{x:.9e},{n},{n1},{n2},{mis}" + f",{i1:.9e}" * 2)
     return "\n".join(lines) + "\n"

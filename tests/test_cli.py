@@ -156,6 +156,10 @@ ONE_VERDICT = {
     "judged-extent-overflow": ({"x_max": 1e308}, "x_max must be <= 1000000.0, got 1e+308"),
     "search-extent-overflow": ({"search": {"x_max": -1e200}},
                                "search.x_max must be >= -1000000.0, got -1e+200"),
+    # within the extent bounds, but SearchSpace refuses a search x_max <= 0
+    "search-x-max-negative": ({"search": {"x_max": -1e-3}},
+                              "search.x_max must be positive, got -0.001"),
+    "search-x-max-zero": ({"search": {"x_max": 0}}, "search.x_max must be positive, got 0.0"),
 }
 
 
@@ -307,24 +311,27 @@ def test_huge_lengths_one_verdict_per_decade(tmp_path, capsys, name):
 LENGTHS = [name for name, field in cli.FIELDS["apparatus"].items() if math.isfinite(field.high)]
 
 
-@pytest.mark.parametrize("config", [
-    {"apparatus": {"wavelength": 1e6, "screen_distance": 1e6, "slit_separation": 1e-12}},  # F_s 1e24
-    {"apparatus": {"wavelength": 1e-12, "screen_distance": 1e-12, "slit_separation": 1e6}},  # 1e-30
-    {"apparatus": dict.fromkeys(LENGTHS, 1e-12)},
-    {"apparatus": dict.fromkeys(LENGTHS, 1e6)},
-    {"x_max": 1e6, "scan": {"x_min": -1e6, "x_max": 1e6}, "search": {"x_max": 1e6}},
-    {"x_max": -1e6, "scan": {"x_min": -1e6, "x_max": 1 - 1e6}},
-    {"search": dict.fromkeys(["wavelength", "slit_separation", "screen_distance", "arm", "aperture"],
-                             [1e-12, 1e6])},
+# the exit codes of validate, scan, simulate and search on each config
+@pytest.mark.parametrize("config, codes", [
+    ({"apparatus": {"wavelength": 1e6, "screen_distance": 1e6, "slit_separation": 1e-12}},  # F_s 1e24
+     (2, 0, 2, 3)),
+    ({"apparatus": {"wavelength": 1e-12, "screen_distance": 1e-12, "slit_separation": 1e6}},  # 1e-30
+     (2, 0, 2, 3)),
+    ({"apparatus": dict.fromkeys(LENGTHS, 1e-12)}, (2, 0, 2, 3)),
+    ({"apparatus": dict.fromkeys(LENGTHS, 1e6)}, (2, 0, 2, 3)),
+    ({"x_max": 1e6, "scan": {"x_min": -1e6, "x_max": 1e6}, "search": {"x_max": 1e6}}, (2, 2, 2, 3)),
+    ({"x_max": -1e6, "scan": {"x_min": -1e6, "x_max": 1 - 1e6}}, (2, 2, 2, 0)),
+    ({"search": dict.fromkeys(["wavelength", "slit_separation", "screen_distance", "arm",
+                               "aperture"], [1e-12, 1e6])}, (0, 0, 0, 3)),
 ], ids=["largest-fringe-period", "least-fringe-period", "least-lengths", "largest-lengths",
         "largest-extents", "least-extents", "widest-search"])
-def test_extreme_configs_in_bounds_run(tmp_path, capsys, config):
+def test_extreme_configs_in_bounds_run(tmp_path, capsys, config, codes):
     # at the bounds, singly or together, every command runs to its own
     # verdict: no overflow ends one in exit 1
     config = {**config, "scan": {"photons_per_position": 10, **config.get("scan", {})},
               "search": {"samples": 2, **config.get("search", {})}}
-    for command in COMMANDS:
-        assert run(tmp_path, command, config)[0] in (EXIT_OK, EXIT_INFEASIBLE, EXIT_NO_RESULT)
+    for command, code in zip(COMMANDS, codes):
+        assert run(tmp_path, command, config)[0] == code, command
         assert_one_error_at_most(capsys.readouterr().err)
 
 
@@ -794,7 +801,7 @@ class TestArrayEncoder:
     def assert_as_percent(fmt: str, values: list):
         column = np.array(values, dtype=float if fmt == "%.9e" else np.int64)
         with np.errstate(all="raise"):
-            body = cli._csv_body([fmt], [column])
+            body = cli._csv_body({"value": column})
         assert body == "".join(f"{fmt}\n" % value for value in values)
 
     @given(st.lists(st.floats(), min_size=1))
@@ -826,7 +833,7 @@ class TestArrayEncoder:
         """Several columns, each given twice, as rows formatted one by one."""
         xs, ns = (np.array(column) for column in zip(*rows))
         with np.errstate(all="raise"):
-            body = cli._csv_body(["%.9e", "%d", "%.9e", "%d"], [xs, ns, xs, ns])
+            body = cli._csv_body({"x": xs, "n": ns, "x_again": xs, "n_again": ns})
         assert body == "".join("%.9e,%d,%.9e,%d\n" % (x, n, x, n) for x, n in rows)
 
 
