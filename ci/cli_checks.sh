@@ -87,6 +87,8 @@ check 1 1 simulate '{"hypothesis": {"kind": "partial", "distinguishability": 1.5
 # command builds the search space, validate too
 check 1 1 validate '{"search": {"x_max": -1e-3}}'
 check 1 1 search '{"search": {"x_max": 0}}'
+# a mirror angle outside (0, pi/2), which Apparatus refuses, not a FIELDS bound
+check 1 1 validate '{"apparatus": {"mirror_angle": 2.0}}'
 # simulate judges the layouts it simulates: the frozen bench mis-detects
 # off-centre, while a re-aimed grid without x = 0 passes
 check 0 1 simulate '{"scan": {"freeze_detectors": true}}'

@@ -8,8 +8,9 @@ photon from one slit into the other slit's detector over the scan range.
 ``solve`` (grazing limits, required width, L12 at x = 0) and ``judge`` (scan
 verdicts) serve one apparatus and a batch alike; ``validate`` reports on
 their results, and ``design_search`` solves blocks of draws, judges a few and
-reports on one.  ``judge`` aims no detectors, so each command aims once:
-``validate`` at slit 1's probe and the judged positions, x = 0 serving both.
+reports on one.  ``judge`` routes the layouts it is given but aims none, so
+each command aims once: ``validate`` at slit 1's probe and the judged
+positions, x = 0 serving both.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def _solution(app: Apparatus, layouts: DetectorLayouts) -> Solution:
     )
     limits = np.where(failure == SOLVED, half_widths, np.inf)
     required_width = 2.0 * np.minimum(default_mirror_params(app)[0] / 2.0, limits.min(axis=-1))
-    separation = np.where(layouts.failed()[..., 1], np.nan, geometry.separations(layouts, 1))
+    separation = geometry.separations(layouts, 1)
     return Solution(layouts.centers[0], half_widths, failure, required_width, separation)
 
 
@@ -225,26 +226,23 @@ def required_mirror_width(app: Apparatus) -> float:
 
 
 def judge(
-    app: Apparatus, x_max: float, layouts: DetectorLayouts, fractions: np.ndarray
-) -> Verdicts:
+    app: Apparatus, x_max: float, xs, layouts: DetectorLayouts
+) -> tuple[Verdicts, np.ndarray]:
     """Sampling, clearance and mis-detection verdicts for a scan over
     [0, x_max], of one apparatus or of every candidate of a batch, on the
-    layouts its caller aimed.
+    layouts its caller aimed, and the routing fractions they were judged on.
 
     Sampling follows ``_sampling``'s rule.  The beams clear the diaphragm
     when no layout of ``layouts`` fails.  Mis-detection is judged from the
-    exact routing ``fractions`` (``geometry.routing_fractions``) of those
-    layouts: no position may send either slit into the other slit's
-    detector, f12 = f21 = 0.
+    exact routing (``geometry.routing_fractions``) of the mirror at ``xs``
+    into those layouts: no position may send either slit into the other
+    slit's detector, f12 = f21 = 0.
     """
     long_scan, sampling_ok, _ = _sampling(app, x_max)
     clear = ~layouts.failed().any(axis=-1)
-    return Verdicts(
-        long_scan=long_scan,
-        sampling_ok=sampling_ok,
-        diaphragm_clear=clear,
-        misdetection_free=clear & ~fractions[[0, 1], [1, 0]].any(axis=(0, -1)),
-    )
+    fractions = geometry.routing_fractions(app, xs, layouts)
+    misdetection_free = clear & ~fractions[[0, 1], [1, 0]].any(axis=(0, -1))
+    return Verdicts(long_scan, sampling_ok, clear, misdetection_free), fractions
 
 
 def _report(app: Apparatus, x_max: float, solution, verdicts, layouts) -> DesignReport:
@@ -294,7 +292,7 @@ def validate(app: Apparatus, x_max: float) -> DesignReport:
     xs = np.concatenate([_probes(app)[:1], _judged(x_max)])
     layouts = geometry.aim_detectors(app, xs)
     judged = layouts.at(slice(1, None))
-    verdicts = judge(app, x_max, judged, geometry.routing_fractions(app, xs[1:], judged))
+    verdicts, _ = judge(app, x_max, xs[1:], judged)
     return _report(app, x_max, _solution(app, layouts.at(slice(2))), verdicts, judged)
 
 
@@ -340,9 +338,7 @@ def design_search(
         while done < len(order):
             rows = order[done : done + chunk]
             batch = _candidates(draws[rows].T, mirror_width=width[rows])
-            layouts = geometry.aim_detectors(batch, xs)
-            fractions = geometry.routing_fractions(batch, xs, layouts)
-            verdicts = judge(batch, space.x_max, layouts, fractions)
+            verdicts, _ = judge(batch, space.x_max, xs, geometry.aim_detectors(batch, xs))
             if verdicts.feasible.any():
                 j = np.argmax(verdicts.feasible)
                 i = rows[j]

@@ -95,7 +95,9 @@ class Apparatus:
             if name != "mirror_angle" and not _inside(value, math.inf, shapes):
                 raise GeometryError(f"{name} must be strictly positive, got {value}")
         if not _inside(self.mirror_angle, math.pi / 2, shapes):
-            raise GeometryError("mirror_angle must lie in (0, pi/2)")
+            raise GeometryError(
+                f"apparatus.mirror_angle must lie in (0, pi/2), got {self.mirror_angle}"
+            )
         if shapes and (len(shapes) > 1 or len(shapes.pop()) != 1):
             raise GeometryError("batch fields must be 1-D arrays of one length")
 
@@ -300,12 +302,13 @@ def detector_layouts(app: Apparatus, xs) -> DetectorLayouts:
 
 def separations(layouts: DetectorLayouts, row: int = 0) -> np.ndarray:
     """Exact |D1 - D2| at position ``row`` of ``layouts``, per candidate for
-    a batch.  A (1, 2) @ (2, 1) product on a C-contiguous (..., 2)
-    difference takes the BLAS dot of one vector, so a batch and a single
-    apparatus agree to the last bit."""
+    a batch, NaN where the layout there fails.  A (1, 2) @ (2, 1) product
+    on a C-contiguous (..., 2) difference takes the BLAS dot of one vector,
+    so a batch and a single apparatus agree to the last bit."""
     detectors = layouts.detectors[..., row]
     d = np.subtract(detectors[:, 0].T, detectors[:, 1].T, order="C")
-    return np.sqrt((d[..., None, :] @ d[..., None])[..., 0, 0])
+    exact = np.sqrt((d[..., None, :] @ d[..., None])[..., 0, 0])
+    return np.where(layouts.failed()[..., row], np.nan, exact)
 
 
 def detector_separation(app: Apparatus, x: float) -> tuple[float, float]:

@@ -73,7 +73,7 @@ class ScanConfig:
             raise ScanError(f"seed must be >= 0, got {self.seed}")
 
     def check_sampling(self, app: Apparatus) -> None:
-        """Grid must resolve the fringe period (a few samples per period)."""
+        """The grid spacing must not exceed half the fringe period, F_s / 2."""
         spacing = float(np.max(np.diff(self.x_positions)))
         half_period = fringe_spacing(app) / 2.0
         if spacing > half_period:
@@ -94,7 +94,7 @@ class Outcomes:
     position or frozen at x = 0 (one position).  ``table`` is (n, 5): the
     probabilities of (slit 1, D1), (1, D2), (2, D1), (2, D2), each r/2 f_sd,
     then of no detection, so each row sums to 1 within rounding.
-    ``verdicts`` is what ``design.judge`` found on those detectors."""
+    ``verdicts`` and ``fractions`` come from one ``design.judge`` call."""
 
     x: np.ndarray
     fractions: np.ndarray
@@ -143,11 +143,9 @@ def outcomes(app: Apparatus, config: ScanConfig, hyp: OutcomeHypothesis) -> Outc
     aimed = geometry.aim_detectors(app, aim)
     layouts = aimed.at(slice(len(simulated)))
     layouts.raise_first_failure()
-    fractions = geometry.routing_fractions(app, xs, layouts)
     x_max = float(max(abs(xs[0]), abs(xs[-1])))
-    verdicts = design.judge(app, x_max, layouts, fractions)
-    zero = int(np.argmax(aim == 0.0))
-    separation = np.nan if aimed.failed()[zero] else float(geometry.separations(aimed, zero))
+    verdicts, fractions = design.judge(app, x_max, xs, layouts)
+    separation = float(geometry.separations(aimed, int(np.argmax(aim == 0.0))))
     phi = phases(app, xs)[1]
     rate = 0.5 * (1.0 + hyp.visibility * np.cos(phi))
     p = 0.5 * rate * fractions.reshape(4, -1)

@@ -160,6 +160,10 @@ ONE_VERDICT = {
     "search-x-max-negative": ({"search": {"x_max": -1e-3}},
                               "search.x_max must be positive, got -0.001"),
     "search-x-max-zero": ({"search": {"x_max": 0}}, "search.x_max must be positive, got 0.0"),
+    # FIELDS bounds no angle: Apparatus refuses one outside (0, pi/2), pi/2 as a float included
+    **{f"mirror-angle-{label}": ({"apparatus": {"mirror_angle": angle}},
+                                 f"apparatus.mirror_angle must lie in (0, pi/2), got {float(angle)}")
+       for label, angle in [("zero", 0), ("negative", -0.1), ("half-pi", math.pi / 2), ("two", 2.0)]},
 }
 
 

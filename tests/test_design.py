@@ -197,14 +197,18 @@ def outcome_error(app, x, slit):
 class TestValidate:
     def test_solves_once_and_judges_once(self, app, f_s, count_calls):
         # one aim at slit 1's probe and the 61 judged positions, whose
-        # first, x = 0, is slit 2's probe; L12 is computed there once
+        # first, x = 0, is slit 2's probe; L12 is computed there once, and
+        # the judged positions are routed once
         aims = count_calls(geometry, "aim_detectors")
         probes = count_calls(design, "limiting_half_width")
         separations = count_calls(geometry, "separations")
+        routed = count_calls(geometry, "routing_fractions")
         design.validate(app, 3 * f_s)
         assert len(aims) == 1 and not probes and len(separations) == 1
         (_, xs), = aims
         assert len(xs) == 62 and np.count_nonzero(xs == 0.0) == 1
+        (_, judged, layouts), = routed
+        assert np.array_equal(judged, xs[1:]) and layouts.centers.shape == (2, 61)
 
     def test_bench_design_feasible(self, app, f_s):
         report = design.validate(app, 3 * f_s)
@@ -590,9 +594,7 @@ class TestBatchAgainstScalarLoop:
             width = solution.required_width[solved]
             batch = design._candidates(draws[solved].T, mirror_width=width)
             xs = design._judged(self.SPACE.x_max)
-            layouts = geometry.aim_detectors(batch, xs)
-            fractions = geometry.routing_fractions(batch, xs, layouts)
-            verdicts = design.judge(batch, self.SPACE.x_max, layouts, fractions)
+            verdicts, _ = design.judge(batch, self.SPACE.x_max, xs, geometry.aim_detectors(batch, xs))
             k = 0
             for i, (candidate, limits, report) in enumerate(steps):
                 if not solved[i]:

@@ -41,7 +41,8 @@ def test_kernels_reject_non_finite_positions(app, bad):
 
 class TestApparatus:
     def test_mirror_angle_inside_quadrant(self):
-        with pytest.raises(geometry.GeometryError, match="mirror_angle must lie in"):
+        with pytest.raises(geometry.GeometryError,
+                           match=r"^apparatus\.mirror_angle must lie in \(0, pi/2\), got 2\.0$"):
             Apparatus(mirror_angle=2.0)
 
     def test_lengths_strictly_positive(self):
@@ -298,6 +299,42 @@ class TestDetectorSeparation:
         doubled = Apparatus(arm1=2 * app.arm1, arm2=2 * app.arm2)
         _, approx2 = geometry.detector_separation(doubled, 0.0)
         assert approx2 == pytest.approx(2 * approx, rel=1e-12)
+
+
+# the x = 0 layout of this apparatus sends a reflected beam into the
+# diaphragm, while its layouts on [4.9e-4, 3.0e-3] m clear
+BLOCKED_AT_ZERO = dict(
+    mirror_angle=0.002508672859226761,
+    slit_separation=1.9366792042939736e-05,
+    screen_distance=0.02734422723576615,
+)
+
+
+class TestSeparations:
+    """L12 is NaN exactly where the layout it is read at fails, and
+    elsewhere ``detector_separation``'s exact value, bit for bit."""
+
+    @staticmethod
+    def assert_rule(separations, failed, exact):
+        assert np.array_equal(np.isnan(separations), failed) and failed.any() and not failed.all()
+        assert separations[~failed].tolist() == [exact(i) for i in np.flatnonzero(~failed)]
+
+    def test_grid_blocked_at_zero(self):
+        app = Apparatus(**BLOCKED_AT_ZERO)
+        xs = np.concatenate([[0.0], np.linspace(4.941695822053874e-4, 2.9650174932323247e-3, 5)])
+        layouts = geometry.aim_detectors(app, xs)
+        separations = np.array([geometry.separations(layouts, row) for row in range(len(xs))])
+        self.assert_rule(separations, layouts.failed(),
+                         lambda i: geometry.detector_separation(app, xs[i])[0])
+
+    def test_batch_with_a_failing_candidate(self):
+        # the bench, the apparatus blocked at x = 0, and the bench with a short arm
+        bench = vars(Apparatus())
+        fields = {k: np.array([bench[k], v, bench[k]]) for k, v in BLOCKED_AT_ZERO.items()}
+        batch = Apparatus(**fields, arm1=np.array([5.0, 5.0, 0.3]))
+        layouts = geometry.aim_detectors(batch, 0.0)
+        self.assert_rule(geometry.separations(layouts), layouts.failed()[:, 0],
+                         lambda i: geometry.detector_separation(candidate(batch, i), 0.0)[0])
 
 
 class TestClearanceAngles:

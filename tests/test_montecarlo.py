@@ -263,18 +263,28 @@ class TestSimulateScan:
         assert np.array_equal(a.records, b.records)
         assert a.v_total == b.v_total
 
-    def test_judged_once_from_the_simulated_routing(self, app, config, count_calls):
-        # one routing pass serves the draws and the mis-detection verdict;
-        # no grazing solve, and the separation comes from the judged layouts
+    def test_judged_once_from_the_simulated_routing(self, app, config, count_calls, monkeypatch):
+        # one routing pass, judge's, serves the draws and the mis-detection
+        # verdict; no grazing solve, and the separation comes from the
+        # judged layouts
         routed = count_calls(geometry, "routing_fractions")
         unused = [
             count_calls(design, "validate"),
             count_calls(design, "limiting_half_width"),
             count_calls(geometry, "detector_separation"),
         ]
+        judge, judged = design.judge, []
+
+        def recorded(*args):
+            judged.append(judge(*args))
+            return judged[-1]
+
+        monkeypatch.setattr(design, "judge", recorded)
         summary = simulate_scan(app, config, FULL)
         assert len(routed) == 1
         assert unused == [[], [], []]
+        (verdicts, fractions), = judged
+        assert summary.outcomes.fractions is fractions and summary.outcomes.verdicts is verdicts
         assert summary.outcomes.verdicts.feasible
         exact, _ = geometry.detector_separation(app, 0.0)
         assert summary.outcomes.separation == exact

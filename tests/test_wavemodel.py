@@ -160,6 +160,14 @@ class TestFitVisibility:
         fit = fit_visibilities(x, [counts], 1.0)[0]
         assert fit.visibility == pytest.approx(0.8, abs=0.05)
 
+    @pytest.mark.parametrize("phi", [-3.0, -1.0, 0.0, 0.5, 3.0])
+    def test_recovers_phase(self, phi):
+        # b = A V cos(phi) and c = -A V sin(phi) on cos(u) and sin(u), so phi = atan2(-c, b)
+        x = np.linspace(-2.0, 2.0, 128)
+        values = 3.0 * (1 + 0.6 * np.cos(2 * np.pi * x / 0.7 + phi))
+        fit = fit_visibilities(x, [values], 0.7)[0]
+        assert fit.phase == pytest.approx(phi, abs=1e-9)
+
     @pytest.mark.parametrize("period", [0.0, -1.0])
     def test_period_must_be_positive(self, period):
         x = np.linspace(-2.0, 2.0, 128)
